@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --n-max, keep searching all lengths for the global optimum")
     search.add_argument("--table", action="store_true", help="include the per-word cost table")
     search.add_argument("--threads", type=int, default=1,
-                        help="worker pool size for core evaluation")
+                        help="accepted for compatibility; evaluation is serial")
     search.add_argument("--json", default=None)
     search.set_defaults(func=cmd_seq_search)
 
@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--runs", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--bound", type=float, default=None)
-    run.add_argument("--threads", type=int, default=1)
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; evaluation is serial")
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=cmd_sim_run)
 

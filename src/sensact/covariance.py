@@ -6,10 +6,12 @@ The estimation-error covariance obeys the N-periodic recursion
     R_k     = (1 - eta_k) L Sigma_v L' + Sigma_w,
 
 and the joint (state, error) covariance the analogous recursion of the
-block-triangular augmented system. Steady-state periodic solutions are
-obtained by one discrete Lyapunov solve per phase against the one-period
-monodromy starting at that phase: identical fixed point to the lifted
-block formulation, better conditioned, and trivially parallel.
+block-triangular augmented system. The steady periodic solution takes one
+discrete Lyapunov solve per period: P_0 against the one-period monodromy
+from phase 0, then the recursion itself for P_1 ... P_{N-1} (the standard
+periodic Lyapunov method, Bittanti & Colaneri, Periodic Systems, 2009).
+Every boundedness question goes through the contraction contract of
+sequence.is_contractive, the one that admissibility uses.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 from . import linalg
 from .exceptions import DimensionError, DomainError, StabilityError
 from .plant import GainSet, ModeMatrices, SystemModel, TargetSpec, mode_matrices
-from .sequence import _as_bits, admissibility, monodromy
+from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractive
 
 __all__ = [
     "PeriodicCovariance",
@@ -108,7 +110,8 @@ def error_noise_term(eta: int, l, sigma_v, sigma_w) -> np.ndarray:
 
 
 def _error_noise_seq(mm: ModeMatrices, sigma_v, sigma_w, bits):
-    return [error_noise_term(eta, mm.l, sigma_v, sigma_w) for eta in bits]
+    noise = [error_noise_term(eta, mm.l, sigma_v, sigma_w) for eta in (0, 1)]
+    return [noise[eta] for eta in bits]
 
 
 def propagate_error_cov(p0, s, mm: ModeMatrices, sigma_v, sigma_w, steps: int):
@@ -116,36 +119,47 @@ def propagate_error_cov(p0, s, mm: ModeMatrices, sigma_v, sigma_w, steps: int):
     periodic extension of the sequence."""
     p = linalg.check_psd(p0, "P0")
     bits = _as_bits(s)
+    noise = _error_noise_seq(mm, sigma_v, sigma_w, bits)
     out = [p]
     for k in range(steps):
-        eta = bits[k % len(bits)]
-        a = mm.atilde(eta)
-        p = linalg.sym_part(a @ p @ a.T + error_noise_term(eta, mm.l, sigma_v, sigma_w))
+        j = k % len(bits)
+        a = mm.atilde(bits[j])
+        p = linalg.sym_part(a @ p @ a.T + noise[j])
         out.append(p)
     return out
 
 
-def _phase_monodromy(a_seq, w_seq, start: int):
-    """One-period transition M and accumulated noise W starting at phase
-    `start`: P_{start+N} = M P_start M' + W."""
+def _phase_monodromy(a_seq, w_seq):
+    """One-period transition M and accumulated noise W from phase 0:
+    P_N = M P_0 M' + W."""
     n = a_seq[0].shape[0]
     big_m = np.eye(n)
     big_w = np.zeros((n, n))
-    period = len(a_seq)
-    for j in range(period):
-        a = a_seq[(start + j) % period]
+    for a, w in zip(a_seq, w_seq):
         big_m = a @ big_m
-        big_w = a @ big_w @ a.T + w_seq[(start + j) % period]
+        big_w = a @ big_w @ a.T + w
     return big_m, linalg.sym_part(big_w)
 
 
-def _steady_phases(a_seq, w_seq) -> PeriodicCovariance:
-    period = len(a_seq)
-    phases = []
-    for k in range(period):
-        big_m, big_w = _phase_monodromy(a_seq, w_seq, k)
-        phases.append(linalg.solve_discrete_lyapunov(big_m, big_w))
-    return PeriodicCovariance(phases=tuple(phases), period=period)
+def _contraction_radius(big_m, side: str) -> float:
+    """Spectral radius of a one-period monodromy; raises StabilityError
+    unless it meets the admissibility contract."""
+    rho = linalg.spectral_radius(big_m)
+    if not is_contractive(rho):
+        raise StabilityError(f"{side} monodromy spectral radius {rho:.6g} "
+                             f"is not below 1 - {CONTRACTION_MARGIN:g}")
+    return rho
+
+
+def _steady_phases(a_seq, w_seq, side: str) -> PeriodicCovariance:
+    big_m, big_w = _phase_monodromy(a_seq, w_seq)
+    _contraction_radius(big_m, side)
+    p = linalg.solve_discrete_lyapunov(big_m, big_w)
+    phases = [p]
+    for a, w in zip(a_seq[:-1], w_seq[:-1]):
+        p = linalg.sym_part(a @ p @ a.T + w)
+        phases.append(p)
+    return PeriodicCovariance(phases=tuple(phases), period=len(a_seq))
 
 
 def steady_error_cov(s, mm: ModeMatrices, sigma_v, sigma_w) -> PeriodicCovariance:
@@ -155,13 +169,8 @@ def steady_error_cov(s, mm: ModeMatrices, sigma_v, sigma_w) -> PeriodicCovarianc
     StabilityError otherwise (no bounded solution exists).
     """
     bits = _as_bits(s)
-    _, prod_til = monodromy(bits, mm)
-    qtilde = linalg.spectral_radius(prod_til)
-    if qtilde >= 1.0:
-        raise StabilityError(f"observer monodromy spectral radius {qtilde:.6g} >= 1")
     a_seq = [mm.atilde(eta) for eta in bits]
-    w_seq = _error_noise_seq(mm, sigma_v, sigma_w, bits)
-    return _steady_phases(a_seq, w_seq)
+    return _steady_phases(a_seq, _error_noise_seq(mm, sigma_v, sigma_w, bits), "observer")
 
 
 def mean_propagate(mm: ModeMatrices, mu_x0, mu_e0, s, target: TargetSpec, steps: int):
@@ -198,10 +207,6 @@ def steady_mean_phases(mm: ModeMatrices, s, target: TargetSpec) -> np.ndarray:
     periodic solution of the affine recursion mu+ = Abar_k mu + d_k.
     Zero whenever the target is the origin with no feedforward."""
     bits = _as_bits(s)
-    prod_bar, _ = monodromy(bits, mm)
-    qbar = linalg.spectral_radius(prod_bar)
-    if qbar >= 1.0:
-        raise StabilityError(f"control monodromy spectral radius {qbar:.6g} >= 1")
     n = mm.n
     feed = mm.b @ (target.u_target - mm.k @ target.x_target)
     big_m = np.eye(n)
@@ -210,6 +215,7 @@ def steady_mean_phases(mm: ModeMatrices, s, target: TargetSpec) -> np.ndarray:
         a = mm.abar(eta)
         drift = a @ drift + feed * eta
         big_m = a @ big_m
+    _contraction_radius(big_m, "control")
     mu0 = np.linalg.solve(np.eye(n) - big_m, drift)
     phases = np.empty((len(bits), n))
     mu = mu0
@@ -226,13 +232,9 @@ def contraction_certificate(s, mm: ModeMatrices, sigma_v, sigma_w) -> Contractio
         limsup ||P_{Nk}|| <= gamma / (1 - qtilde^2).
     """
     bits = _as_bits(s)
-    _, prod_til = monodromy(bits, mm)
-    qtilde = linalg.spectral_radius(prod_til)
-    if qtilde >= 1.0:
-        raise StabilityError("no contraction certificate: observer monodromy not stable")
     a_seq = [mm.atilde(eta) for eta in bits]
-    w_seq = _error_noise_seq(mm, sigma_v, sigma_w, bits)
-    big_m, big_w = _phase_monodromy(a_seq, w_seq, 0)
+    big_m, big_w = _phase_monodromy(a_seq, _error_noise_seq(mm, sigma_v, sigma_w, bits))
+    qtilde = _contraction_radius(big_m, "observer")
     gamma = linalg.spectral_norm(big_w)
     q2 = qtilde**2
     return ContractionCertificate(
@@ -302,9 +304,9 @@ def steady_augmented_cov(s, model: SystemModel, gains: GainSet):
             f"(qbar={report.qbar:.6g}, qtilde={report.qtilde:.6g})"
         )
     aug = build_augmented(model, gains)
+    noise = [aug.step_noise(eta) for eta in (0, 1)]
     a_seq = [aug.a_modes[eta] for eta in bits]
-    w_seq = [aug.step_noise(eta) for eta in bits]
-    joint = _steady_phases(a_seq, w_seq)
+    joint = _steady_phases(a_seq, [noise[eta] for eta in bits], "joint")
     n = model.n
     state = PeriodicCovariance(
         phases=tuple(p[:n, :n].copy() for p in joint), period=joint.period

@@ -239,8 +239,6 @@ def synthesize_lqr_gain(a, b, q, r) -> np.ndarray:
     b = linalg.as_matrix(b, "B")
     p = linalg.solve_dare(a, b, q, r)
     k = -np.linalg.solve(np.asarray(r, dtype=float) + b.T @ p @ b, b.T @ p @ a)
-    rho = linalg.spectral_radius(a + b @ k)
-    assert rho < 1.0, f"LQR synthesis produced unstable loop (rho={rho:.6g})"
     return k
 
 
@@ -253,8 +251,6 @@ def synthesize_observer_gain(a, c, q, r) -> np.ndarray:
         raise DomainError("output map C has a zero row (undetectable channel)")
     p = linalg.solve_dare(a.T, c.T, q, r)
     l = -a @ p @ c.T @ np.linalg.inv(c @ p @ c.T + np.asarray(r, dtype=float))
-    rho = linalg.spectral_radius(a + l @ c)
-    assert rho < 1.0, f"observer synthesis produced unstable loop (rho={rho:.6g})"
     return l
 
 

@@ -8,8 +8,6 @@ screen is sufficient only, so by default nothing is rejected on its
 account; an explicit heuristic mode does reject).
 """
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +93,8 @@ class SearchOptions:
     """prefilter: 'off' checks every core exactly; 'screen' lets a passing
     dwell screen certify admissibility (never rejects); 'heuristic'
     additionally rejects cores failing the screen without an exact check
-    (may miss admissible schedules; opt-in only). threads > 1 evaluates
-    distinct cores in a worker pool; results are identical regardless."""
+    (may miss admissible schedules; opt-in only). threads is accepted
+    for compatibility; evaluation is serial."""
 
     prefilter: str = "off"
     all_lengths: bool = False
@@ -143,9 +141,7 @@ class SearchResult:
 class SequenceEvaluator:
     """Memoized per-core evaluation shared across search calls.
 
-    The cache maps core bits to (report, cost); inserts are guarded by a
-    lock so concurrent workers can share an evaluator (worst case a core
-    is computed twice, the stored value is identical either way).
+    The cache maps core bits to (report, cost).
     """
 
     def __init__(self, model: SystemModel, gains: GainSet, weights: CostWeights,
@@ -156,7 +152,6 @@ class SequenceEvaluator:
         self.options = options
         self.mm: ModeMatrices = mode_matrices(model, gains)
         self._cache = {}
-        self._lock = threading.Lock()
         self._screen_c = None
         self.counts = {"cores": 0, "hits": 0, "screen_accept": 0, "screen_reject": 0}
 
@@ -197,14 +192,11 @@ class SequenceEvaluator:
         return report, cost
 
     def evaluate(self, core_bits: tuple):
-        with self._lock:
-            if core_bits in self._cache:
-                self.counts["hits"] += 1
-                return self._cache[core_bits]
-        value = self._evaluate_core(core_bits)
-        with self._lock:
-            self._cache.setdefault(core_bits, value)
-            self.counts["cores"] += 1
+        if core_bits in self._cache:
+            self.counts["hits"] += 1
+            return self._cache[core_bits]
+        value = self._cache[core_bits] = self._evaluate_core(core_bits)
+        self.counts["cores"] += 1
         return value
 
 
@@ -227,12 +219,7 @@ def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
     counts_before = dict(evaluator.counts)
     words = list(_enumerate_words(length))
     cores = [irreducible_core(word).bits for word in words]
-    distinct = list(dict.fromkeys(cores))
-    if options.threads > 1:
-        with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            evaluated = dict(zip(distinct, pool.map(evaluator.evaluate, distinct)))
-    else:
-        evaluated = {core: evaluator.evaluate(core) for core in distinct}
+    evaluated = {core: evaluator.evaluate(core) for core in dict.fromkeys(cores)}
 
     best_cost = float("inf")
     candidates = []  # (word, core, cost)

@@ -28,6 +28,7 @@ __all__ = [
     "uniform_growth_constant",
     "dwell_feasible",
     "admissibility",
+    "is_contractive",
     "monodromy",
 ]
 
@@ -236,6 +237,12 @@ def monodromy(s, mm: ModeMatrices):
     return prod_bar, prod_til
 
 
+def is_contractive(rho: float) -> bool:
+    """The one stability contract: a one-period product with spectral
+    radius rho contracts when rho < 1 - CONTRACTION_MARGIN."""
+    return bool(rho < 1.0 - CONTRACTION_MARGIN)
+
+
 def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     """Exact admissibility verdict from the two monodromy spectral radii.
 
@@ -255,10 +262,9 @@ def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     prod_bar, prod_til = monodromy(bits, mm)
     qbar = linalg.spectral_radius(prod_bar)
     qtilde = linalg.spectral_radius(prod_til)
-    limit = 1.0 - CONTRACTION_MARGIN
     return AdmissibilityReport(
         qbar=qbar,
         qtilde=qtilde,
-        admissible=bool(qbar < limit and qtilde < limit),
+        admissible=is_contractive(qbar) and is_contractive(qtilde),
         nilpotency_flags=tuple(flags),
     )

@@ -1,10 +1,10 @@
 """Seeded Monte-Carlo simulation of the switched sensing/actuation loop.
 
 Each run draws from its own random stream, derived from the ensemble seed
-and the run index, so results are bit-identical no matter how runs are
-scheduled across workers. Noise is Gaussian: standard-normal draws mapped
-through symmetric PSD square roots of the configured covariances (the
-sampling method is recorded in exported metadata).
+and the run index, so every run is reproducible on its own. Noise is
+Gaussian: standard-normal draws mapped through symmetric PSD square roots
+of the configured covariances (the sampling method is recorded in
+exported metadata).
 
 The observer uses the same L convention as the analysis modules (A + LC
 stable), so the measurement update enters as -(1 - eta) L (y - C xhat);
@@ -12,7 +12,6 @@ the simulated estimation error then satisfies the analysis recursion
 e+ = Atil e + w + (1 - eta) L v exactly.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,23 +168,16 @@ def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
     """Simulate cfg.runs independent trajectories and aggregate per-step
     statistics (mean, covariance, error mean, plus box-violation fraction
     when a box is given and Chebyshev exceedance when ellipsoid =
-    (phase_covs, phase_means, alpha, components) is given). Aggregation
-    order is fixed by run index, so the thread count never changes the
-    result.
+    (phase_covs, phase_means, alpha, components) is given). Runs are
+    simulated serially in run-index order; threads is accepted for
+    compatibility and does not change the evaluation.
 
     Returns EnsembleStats, or (EnsembleStats, list[Trajectory]) when
     return_trajectories is set.
     """
     bits = _as_bits(s)
     target = cfg.resolve_target(model)
-    indices = range(cfg.runs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(
-                pool.map(lambda i: simulate_run(model, gains, bits, cfg, i, target), indices)
-            )
-    else:
-        trajectories = [simulate_run(model, gains, bits, cfg, i, target) for i in indices]
+    trajectories = [simulate_run(model, gains, bits, cfg, i, target) for i in range(cfg.runs)]
 
     xs = np.stack([t.x for t in trajectories])        # (runs, steps + 1, n)
     errs = np.stack([t.error for t in trajectories])

@@ -2,9 +2,11 @@
 
 These deliberately use different algorithms from the library code they
 check: the Kronecker vectorization solve for discrete Lyapunov equations
-(the library uses a bilinear/Sylvester route), literal word-repetition
-for sequence reducibility, and rejection-free boundary sampling for
-ellipsoid support functions.
+(the library uses a bilinear/Sylvester route), one such solve per phase
+for periodic steady covariances (the library solves phase 0 once and
+propagates the recursion), literal word-repetition for sequence
+reducibility, and rejection-free boundary sampling for ellipsoid support
+functions.
 """
 
 import numpy as np
@@ -18,6 +20,24 @@ def kron_dlyap(f, w):
     lhs = np.eye(n * n) - np.kron(f, f)
     x = np.linalg.solve(lhs, w.flatten(order="F"))
     return x.reshape((n, n), order="F")
+
+
+def periodic_dlyap_phases(a_seq, w_seq):
+    """Steady phases of P_{k+1} = A_k P_k A_k' + W_k (indices mod N): for
+    each phase k, a Kronecker solve against the one-period monodromy and
+    accumulated noise that start at phase k."""
+    period = len(a_seq)
+    n = np.asarray(a_seq[0]).shape[0]
+    phases = []
+    for k in range(period):
+        m = np.eye(n)
+        w = np.zeros((n, n))
+        for j in range(k, k + period):
+            a = np.asarray(a_seq[j % period], dtype=float)
+            m = a @ m
+            w = a @ w @ a.T + w_seq[j % period]
+        phases.append(kron_dlyap(m, w))
+    return phases
 
 
 def brute_force_core(bits):

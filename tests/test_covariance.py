@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import fit_decay_rate, make_psd
+from oracles import fit_decay_rate, make_psd, periodic_dlyap_phases
 
 from sensact import linalg
 from sensact.covariance import (
@@ -316,3 +316,83 @@ class TestAugmented:
             a = aug.a_modes[bits[k]]
             succ = a @ joint[k] @ a.T + aug.step_noise(bits[k])
             assert np.max(np.abs(succ - joint[(k + 1) % 4])) < 1e-8
+
+
+def test_contraction_band_is_unstable_everywhere():
+    # radius 1 - 5e-10 sits between 1 - CONTRACTION_MARGIN and 1: the
+    # word is inadmissible, so no routine may return a bounded answer
+    model = SystemModel(a=[[1.0 - 5e-10]], b=[[1.0]], c=[[1.0]],
+                        sigma_w=[[1.0]], sigma_v=[[1.0]])
+    gains = GainSet(k=np.array([[-0.5]]), l=np.array([[-0.5]]))
+    mm = mode_matrices(model, gains)
+    assert not admissibility("1", mm).admissible
+    assert not admissibility("0", mm).admissible
+    with pytest.raises(StabilityError):
+        steady_error_cov("1", mm, model.sigma_v, model.sigma_w)
+    with pytest.raises(StabilityError):
+        contraction_certificate("1", mm, model.sigma_v, model.sigma_w)
+    with pytest.raises(StabilityError):
+        steady_mean_phases(mm, "0", TargetSpec.origin(1, 1))
+    with pytest.raises(StabilityError):
+        steady_augmented_cov("1", model, gains)
+
+
+# admissible irreducible CW words: actuation runs broken by short sensing
+# runs. Long all-actuation runs grow the monodromy norm until the
+# Kronecker reference itself loses more than 1e-9, so they are left out.
+LONG_CW_WORDS = (
+    "1111100110011100",
+    "111111010011111001111100",
+    "11111001111001101100111111001110",
+    "111111110011101111111001111001111101111100110111",
+)
+
+
+def _rel_fro(x, ref):
+    return np.linalg.norm(x - ref, "fro") / np.linalg.norm(ref, "fro")
+
+
+class TestSinglePeriodSolve:
+    """The steady phases come from one Lyapunov solve per call and match
+    the per-phase reference solve at every phase."""
+
+    @pytest.fixture
+    def solve_count(self, monkeypatch):
+        calls = []
+        solve = linalg.solve_discrete_lyapunov
+
+        def counting(f, w):
+            calls.append(f.shape)
+            return solve(f, w)
+
+        monkeypatch.setattr(linalg, "solve_discrete_lyapunov", counting)
+        return calls
+
+    @staticmethod
+    def _check_phases(steady, a_seq, w_seq):
+        ref = periodic_dlyap_phases(a_seq, w_seq)
+        assert steady.period == len(ref)
+        for p, r in zip(steady, ref):
+            assert _rel_fro(p, r) <= 1e-9
+        closure = a_seq[-1] @ steady[-1] @ a_seq[-1].T + w_seq[-1]
+        assert _rel_fro(closure, steady[0]) <= 1e-10
+
+    @pytest.mark.parametrize("word", LONG_CW_WORDS)
+    def test_error_phases(self, word, cw_model, cw_gains, cw_mm, solve_count):
+        bits = tuple(int(ch) for ch in word)
+        steady = steady_error_cov(bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        assert len(solve_count) == 1
+        a_seq = [cw_mm.atilde(eta) for eta in bits]
+        w_seq = [error_noise_term(eta, cw_gains.l, cw_model.sigma_v, cw_model.sigma_w)
+                 for eta in bits]
+        self._check_phases(steady, a_seq, w_seq)
+
+    @pytest.mark.parametrize("word", LONG_CW_WORDS)
+    def test_joint_phases(self, word, cw_model, cw_gains, solve_count):
+        bits = tuple(int(ch) for ch in word)
+        joint, _ = steady_augmented_cov(bits, cw_model, cw_gains)
+        assert len(solve_count) == 1
+        aug = build_augmented(cw_model, cw_gains)
+        a_seq = [aug.a_modes[eta] for eta in bits]
+        w_seq = [aug.step_noise(eta) for eta in bits]
+        self._check_phases(joint, a_seq, w_seq)
