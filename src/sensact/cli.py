@@ -11,6 +11,7 @@ or schema error, 3 synthesis or numerical failure, 4 I/O error.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -257,7 +258,7 @@ def cmd_sim_run(args) -> int:
     seq = SwitchSequence.from_string(args.bits)
     overrides = {"steps": args.steps, "runs": args.runs, "seed": args.seed}
     sim_cfg = sim_config_from_config(cfg, model.n, model.m, overrides)
-    box = box_from_config(cfg, bound=args.bound) if (args.bound or cfg.get("chance")) else None
+    box = box_from_config(cfg, bound=args.bound)
     stats, trajectories = run_ensemble(model, gains, seq, sim_cfg, box=box,
                                        threads=args.threads, return_trajectories=True)
     os.makedirs(args.out, exist_ok=True)
@@ -279,10 +280,6 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _fmt(value) -> str:
-    return "" if not np.isfinite(value) else repr(float(value))
-
-
 def _write_trajectories(path, trajectories):
     n = trajectories[0].x.shape[1]
     m = trajectories[0].u.shape[1]
@@ -294,14 +291,14 @@ def _write_trajectories(path, trajectories):
         writer = csv.writer(fh)
         writer.writerow(header)
         for run, traj in enumerate(trajectories):
-            steps = traj.eta.size
-            for k in range(steps + 1):
-                eta = str(traj.eta[k]) if k < steps else ""
-                u = traj.u[k] if k < steps else np.full(m, np.nan)
-                writer.writerow([run, k, eta]
-                                + [repr(float(v)) for v in traj.x[k]]
-                                + [repr(float(v)) for v in traj.xhat[k]]
-                                + [_fmt(v) for v in u])
+            # the final state has no step after it: blank eta and u cells
+            etas = [str(e) for e in traj.eta.tolist()] + [""]
+            us = traj.u.tolist() + [[math.nan] * m]
+            for k, (x, xh) in enumerate(zip(traj.x.tolist(), traj.xhat.tolist())):
+                writer.writerow([run, k, etas[k]]
+                                + [repr(v) for v in x]
+                                + [repr(v) for v in xh]
+                                + [repr(v) if math.isfinite(v) else "" for v in us[k]])
 
 
 def _write_ensemble(path, stats):

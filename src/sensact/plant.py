@@ -15,6 +15,7 @@ i.e. K and L absorb the minus sign of the textbook LQR/observer formulas.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -150,6 +151,13 @@ class ModeMatrices:
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def nilpotent(self) -> tuple:
+        """Numerical nilpotency of (omega_bar0, omega_bar1, omega_tilde0,
+        omega_tilde1), tested once per instance."""
+        return tuple(linalg.is_nilpotent(m) for m in
+                     (self.omega_bar0, self.omega_bar1, self.omega_tilde0, self.omega_tilde1))
 
 
 def mode_matrices(model: SystemModel, gains: GainSet) -> ModeMatrices:

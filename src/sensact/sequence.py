@@ -251,12 +251,7 @@ def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     eigenvalues that approach zero rather than jump there).
     """
     bits = _as_bits(s)
-    used = set(bits)
-    flags = []
-    for eta, mat in ((0, mm.omega_bar0), (1, mm.omega_bar1),
-                     (0, mm.omega_tilde0), (1, mm.omega_tilde1)):
-        flagged = eta in used and linalg.is_nilpotent(mat)
-        flags.append(flagged)
+    flags = tuple(eta in bits and nil for eta, nil in zip((0, 1, 0, 1), mm.nilpotent))
     if any(flags):
         raise NilpotencyError("a mode matrix used by this sequence is nilpotent")
     prod_bar, prod_til = monodromy(bits, mm)
@@ -266,5 +261,5 @@ def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
         qbar=qbar,
         qtilde=qtilde,
         admissible=is_contractive(qbar) and is_contractive(qtilde),
-        nilpotency_flags=tuple(flags),
+        nilpotency_flags=flags,
     )

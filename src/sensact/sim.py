@@ -1,7 +1,9 @@
 """Seeded Monte-Carlo simulation of the switched sensing/actuation loop.
 
-Each run draws from its own random stream, derived from the ensemble seed
-and the run index, so every run is reproducible on its own. Noise is
+All runs of an ensemble are stepped together as one batch. Each run draws
+from its own random stream, derived from the ensemble seed and the run
+index, in the fixed order x0, all w, all v, so every run is reproducible
+on its own; simulate_run is the batch of one. Noise is
 Gaussian: standard-normal draws mapped through symmetric PSD square roots
 of the configured covariances (the sampling method is recorded in
 exported metadata).
@@ -104,62 +106,69 @@ def step_closed_loop(x, xhat, eta, w, v, model: SystemModel, gains: GainSet,
     observer; nothing is sensed. Sensing (eta = 0): the plant coasts
     (u = 0), y = C x + v is measured and injected through -L.
 
+    x, xhat, w and v may carry leading batch axes; the whole batch takes
+    the same eta, and a 1-D call returns 1-D results.
+
     Returns (x_next, xhat_next, u_or_None, y_or_None).
     """
-    x = np.asarray(x, dtype=float).ravel()
-    xhat = np.asarray(xhat, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
+    xhat = np.asarray(xhat, dtype=float)
     if eta not in (0, 1):
         raise DomainError("eta must be 0 or 1")
     a, b, c = model.a, model.b, model.c
     if eta:
-        u = target.u_target + gains.k @ (xhat - target.x_target)
-        x_next = a @ x + b @ u + w
-        xhat_next = a @ xhat + b @ u
+        u = target.u_target + (xhat - target.x_target) @ gains.k.T
+        x_next = x @ a.T + u @ b.T + w
+        xhat_next = xhat @ a.T + u @ b.T
         return x_next, xhat_next, u, None
-    y = c @ x + v
-    x_next = a @ x + w
-    xhat_next = a @ xhat - gains.l @ (y - c @ xhat)
+    y = x @ c.T + v
+    x_next = x @ a.T + w
+    xhat_next = xhat @ a.T - (y - xhat @ c.T) @ gains.l.T
     return x_next, xhat_next, None, y
 
 
-def _run_stream(seed: int, run_index: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(run_index)))
+def _simulate(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
+              run_indices, target: TargetSpec):
+    """Step the runs in run_indices together, one kernel call per step,
+    each run drawing from default_rng((seed, run)) in the order x0, all w,
+    all v. Returns the (runs, steps + 1, n) state and estimate arrays and
+    one Trajectory of row views per run."""
+    n, m, p = model.n, model.m, model.p
+    steps = cfg.steps
+    runs = len(run_indices)
+    sqrt_x0 = linalg.psd_sqrt(cfg.x0_cov, "x0_cov")
+    sqrt_w = linalg.psd_sqrt(model.sigma_w, "sigma_w")
+    sqrt_v = linalg.psd_sqrt(model.sigma_v, "sigma_v")
+    xs = np.empty((runs, steps + 1, n))
+    xhs = np.empty((runs, steps + 1, n))
+    us = np.empty((runs, steps, m))
+    ys = np.empty((runs, steps, p))
+    w_draws = np.empty((runs, steps, n))
+    v_draws = np.empty((runs, steps, p))
+    for r, run in enumerate(run_indices):
+        rng = np.random.default_rng((int(cfg.seed), int(run)))
+        xs[r, 0] = cfg.x0_mean + sqrt_x0 @ rng.standard_normal(n)
+        w_draws[r] = rng.standard_normal((steps, n)) @ sqrt_w.T
+        v_draws[r] = rng.standard_normal((steps, p)) @ sqrt_v.T
+    xhs[:, 0] = cfg.x0_mean if cfg.xhat0 is None else cfg.xhat0
+
+    etas = np.resize(np.array(bits, dtype=int), steps)
+    for k, eta in enumerate(etas.tolist()):
+        xs[:, k + 1], xhs[:, k + 1], u, y = step_closed_loop(
+            xs[:, k], xhs[:, k], eta, w_draws[:, k], v_draws[:, k], model, gains, target)
+        us[:, k] = np.nan if u is None else u
+        ys[:, k] = np.nan if y is None else y
+    trajectories = [Trajectory(eta=etas, x=xs[r], xhat=xhs[r], u=us[r], y=ys[r])
+                    for r in range(runs)]
+    return xs, xhs, trajectories
 
 
 def simulate_run(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
                  run_index: int, target: TargetSpec) -> Trajectory:
-    """Simulate one seeded run; the draw order (x0, all w, all v) is fixed
-    so trajectories are reproducible regardless of scheduling."""
-    rng = _run_stream(cfg.seed, run_index)
-    n, m, p = model.n, model.m, model.p
-    steps = cfg.steps
-    sqrt_x0 = linalg.psd_sqrt(cfg.x0_cov, "x0_cov")
-    sqrt_w = linalg.psd_sqrt(model.sigma_w, "sigma_w")
-    sqrt_v = linalg.psd_sqrt(model.sigma_v, "sigma_v")
-    x0 = cfg.x0_mean + sqrt_x0 @ rng.standard_normal(n)
-    w_draws = rng.standard_normal((steps, n)) @ sqrt_w.T
-    v_draws = rng.standard_normal((steps, p)) @ sqrt_v.T
-
-    xs = np.empty((steps + 1, n))
-    xhs = np.empty((steps + 1, n))
-    us = np.full((steps, m), np.nan)
-    ys = np.full((steps, p), np.nan)
-    etas = np.empty(steps, dtype=int)
-    xs[0] = x0
-    xhs[0] = cfg.x0_mean if cfg.xhat0 is None else cfg.xhat0
-    for k in range(steps):
-        eta = bits[k % len(bits)]
-        etas[k] = eta
-        x_next, xh_next, u, y = step_closed_loop(
-            xs[k], xhs[k], eta, w_draws[k], v_draws[k], model, gains, target
-        )
-        xs[k + 1] = x_next
-        xhs[k + 1] = xh_next
-        if u is not None:
-            us[k] = u
-        if y is not None:
-            ys[k] = y
-    return Trajectory(eta=etas, x=xs, xhat=xhs, u=us, y=ys)
+    """Simulate one seeded run: the batch of one. Its trajectory is the
+    same whether it is simulated alone or inside an ensemble (to rounding
+    of the batched matrix products)."""
+    return _simulate(model, gains, bits, cfg, [run_index], target)[2][0]
 
 
 def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
@@ -168,36 +177,26 @@ def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
     """Simulate cfg.runs independent trajectories and aggregate per-step
     statistics (mean, covariance, error mean, plus box-violation fraction
     when a box is given and Chebyshev exceedance when ellipsoid =
-    (phase_covs, phase_means, alpha, components) is given). Runs are
-    simulated serially in run-index order; threads is accepted for
-    compatibility and does not change the evaluation.
+    (phase_covs, phase_means, alpha, components) is given). All runs are
+    stepped together as one batch, each on its own random stream; threads
+    is accepted for compatibility and does not change the evaluation.
 
     Returns EnsembleStats, or (EnsembleStats, list[Trajectory]) when
-    return_trajectories is set.
+    return_trajectories is set; the trajectories are row views of the
+    ensemble arrays.
     """
     bits = _as_bits(s)
     target = cfg.resolve_target(model)
-    trajectories = [simulate_run(model, gains, bits, cfg, i, target) for i in range(cfg.runs)]
+    xs, xhs, trajectories = _simulate(model, gains, bits, cfg, range(cfg.runs), target)
 
-    xs = np.stack([t.x for t in trajectories])        # (runs, steps + 1, n)
-    errs = np.stack([t.error for t in trajectories])
     mean = xs.mean(axis=0)
-    err_mean = errs.mean(axis=0)
+    err_mean = (xs - xhs).mean(axis=0)
     centered = xs - mean[None, :, :]
     denom = max(cfg.runs - 1, 1)
     cov = np.einsum("rki,rkj->kij", centered, centered) / denom
 
-    violation = None
-    if box is not None:
-        idx, widths = box.resolve(model.n)
-        sel = np.abs(xs[:, :, list(idx)]) > widths[None, None, :]
-        violation = sel.any(axis=2).mean(axis=0)
-
-    exceedance = None
-    if ellipsoid is not None:
-        phase_covs, phase_means, alpha, components = ellipsoid
-        exceedance = ellipsoid_exceedance(xs, phase_covs, phase_means, alpha,
-                                          components=components)
+    violation = None if box is None else empirical_violation(xs, box)
+    exceedance = None if ellipsoid is None else ellipsoid_exceedance(xs, *ellipsoid)
 
     stats = EnsembleStats(
         mean=mean,
@@ -245,11 +244,11 @@ def ellipsoid_exceedance(trajectories, phase_covs, phase_means, alpha: float,
     idx = tuple(range(n)) if components is None else tuple(components)
     sel = np.ix_(idx, idx)
     period = phase_covs.period
+    inverses = [np.linalg.pinv(phase_covs[j][sel]) for j in range(period)]
     out = np.empty(horizon)
     for k in range(horizon):
-        p_c = phase_covs[k % period][sel]
         mu_c = np.asarray(phase_means)[k % period][list(idx)]
         diff = xs[:, k, list(idx)] - mu_c
-        q = np.einsum("ri,ij,rj->r", diff, np.linalg.pinv(p_c), diff)
+        q = np.einsum("ri,ij,rj->r", diff, inverses[k % period], diff)
         out[k] = np.mean(q > alpha**2)
     return out

@@ -258,6 +258,18 @@ class TestSimRun:
         assert (d1 / "trajectories.csv").read_bytes() == (d2 / "trajectories.csv").read_bytes()
         assert (d1 / "ensemble.csv").read_bytes() == (d2 / "ensemble.csv").read_bytes()
 
+    def test_zero_bound_rejected_without_chance_section(self, tmp_path):
+        # --bound 0 is a bound, not "no bound": it must fail validation even
+        # when the model's config has no chance section to fall back on
+        cfg = json.loads(CW_CONFIG.read_text())
+        del cfg["chance"]
+        cfg_file = tmp_path / "no_chance.json"
+        cfg_file.write_text(json.dumps(cfg))
+        model = tmp_path / "model.json"
+        assert main(["model", "build", str(cfg_file), "-o", str(model)]) == 0
+        assert main(["sim", "run", str(model), "0011", "--steps", "4", "--runs", "1",
+                     "--seed", "1", "--bound", "0", "--out", str(tmp_path / "sim")]) == 2
+
     def test_unwritable_out_exit_4(self, model_file, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")

@@ -300,3 +300,14 @@ class TestAdmissibility:
             admissibility("01", mm)
         # sequences that never use the nilpotent mode are unaffected
         assert admissibility("0", mm).admissible
+
+    def test_nilpotency_tested_once_per_model(self, monkeypatch):
+        # the four mode matrices are fixed per model, so admissibility reads
+        # cached flags instead of re-testing them for every word
+        calls = []
+        real = linalg.is_nilpotent
+        monkeypatch.setattr(linalg, "is_nilpotent", lambda m: calls.append(1) or real(m))
+        mm = make_mode_matrices(np.random.default_rng(7))
+        for word in itertools.product((0, 1), repeat=6):
+            admissibility(word, mm)
+        assert len(calls) <= 4

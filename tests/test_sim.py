@@ -137,6 +137,47 @@ class TestReproducibility:
             np.testing.assert_array_equal(traj.xhat[k + 1], xh)
 
 
+class TestBatching:
+    def test_ensemble_matches_single_runs(self, cw_model, cw_gains, base_cfg):
+        # each run stepped inside the batch equals the same run simulated
+        # alone, up to rounding of the batched matrix products: within
+        # 1e-12 relative, or absolute where a value is below 1 and
+        # cancellation leaves no relative precision
+        cfg = SimConfig(steps=60, runs=5, seed=2024,
+                        x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
+        target = TargetSpec.origin(6, 3)
+        _, trajectories = run_ensemble(cw_model, cw_gains, "0001100011", cfg,
+                                       return_trajectories=True)
+        bits = (0, 0, 0, 1, 1, 0, 0, 0, 1, 1)
+        for r, batched in enumerate(trajectories):
+            single = simulate_run(cw_model, cw_gains, bits, cfg, r, target)
+            np.testing.assert_array_equal(batched.eta, single.eta)
+            for name in ("x", "xhat", "u", "y"):
+                a, b = getattr(batched, name), getattr(single, name)
+                np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_one_kernel_call_per_step(self, cw_model, cw_gains, base_cfg, monkeypatch):
+        import sensact.sim as sim_module
+        from sensact import linalg
+
+        counts = {"step": 0, "sqrt": 0}
+        real_step, real_sqrt = sim_module.step_closed_loop, linalg.psd_sqrt
+
+        def step(*args, **kwargs):
+            counts["step"] += 1
+            return real_step(*args, **kwargs)
+
+        def sqrt(*args, **kwargs):
+            counts["sqrt"] += 1
+            return real_sqrt(*args, **kwargs)
+
+        monkeypatch.setattr(sim_module, "step_closed_loop", step)
+        monkeypatch.setattr(linalg, "psd_sqrt", sqrt)
+        run_ensemble(cw_model, cw_gains, "0011", base_cfg)
+        assert counts == {"step": base_cfg.steps, "sqrt": 3}
+
+
 class TestDeterministicLimit:
     def test_noiseless_ensemble_collapses(self, cw_model, cw_gains):
         from sensact.plant import SystemModel
