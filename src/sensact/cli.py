@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -174,13 +175,7 @@ def cmd_seq_search(args) -> int:
     out = {
         "feasible": result.feasible,
         "length": result.length,
-        "counts": {
-            "enumerated": result.counts.enumerated,
-            "cores_evaluated": result.counts.cores_evaluated,
-            "memo_hits": result.counts.memo_hits,
-            "screen_accepts": result.counts.screen_accepts,
-            "screen_rejects": result.counts.screen_rejects,
-        },
+        "counts": asdict(result.counts),
     }
     if result.feasible:
         out.update({

@@ -1,14 +1,18 @@
 """Exhaustive search for the cheapest admissible switching schedule.
 
-Every binary word of a given length maps to its irreducible core, and a
-word is admissible exactly when its core is, with identical normalized
-cost; so cores are evaluated once, memoized, and shared across lengths.
-The dwell-time screen can optionally fast-accept cores it certifies (the
-screen is sufficient only, so by default nothing is rejected on its
-account; an explicit heuristic mode does reject).
+A word shares its admissibility verdict and normalized cost with its
+irreducible core and with every rotation (rho(XY) = rho(YX), and the cost
+is the mean over the phases). So each length is searched one binary
+necklace at a time (Fredricksen-Kessler-Maiorana): each is evaluated once,
+memoized under its least rotation and shared across lengths, and expanded
+into words only for tie classes and tables. The dwell-time screen can
+optionally fast-accept cores it certifies (the screen is sufficient only,
+so by default nothing is rejected on its account; an explicit heuristic
+mode does reject). The screen counts blocks without wrap-around (0011 has
+two, 0110 three), so it judges every rotation's core on its own.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +25,6 @@ from .sequence import (
     _as_bits,
     admissibility,
     dwell_feasible,
-    irreducible_core,
     uniform_growth_constant,
 )
 
@@ -115,6 +118,7 @@ class SearchCounts:
     memo_hits: int = 0
     screen_accepts: int = 0
     screen_rejects: int = 0
+    necklaces: int = 0  # exact evaluations; the other counts are per core
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,13 @@ class SearchResult:
 
 
 class SequenceEvaluator:
-    """Memoized per-core evaluation shared across search calls.
+    """Memoized per-necklace evaluation shared across search calls.
 
-    The cache maps core bits to (report, cost).
+    The cache maps a necklace's least rotation to one (report, cost) per
+    rotation least[i:] + least[:i]: the exact result, computed once on the
+    least rotation, or (None, inf) for a rotation the heuristic screen
+    rejects. counts are per core (a necklace of period p adds p), except
+    necklaces, the number of exact evaluations.
     """
 
     def __init__(self, model: SystemModel, gains: GainSet, weights: CostWeights,
@@ -153,7 +161,8 @@ class SequenceEvaluator:
         self.mm: ModeMatrices = mode_matrices(model, gains)
         self._cache = {}
         self._screen_c = None
-        self.counts = {"cores": 0, "hits": 0, "screen_accept": 0, "screen_reject": 0}
+        self.counts = dict.fromkeys(("cores_evaluated", "memo_hits", "screen_accepts",
+                                     "screen_rejects", "necklaces"), 0)
 
     def _screen_constant(self, period: int) -> float:
         # rigorous uniform constant over both families, valid for block
@@ -164,93 +173,108 @@ class SequenceEvaluator:
             self._screen_c = (period, uniform_growth_constant(mats, period))
         return self._screen_c[1]
 
-    def _evaluate_core(self, core_bits: tuple):
-        mode = self.options.prefilter
-        screened = None
-        if mode in ("screen", "heuristic"):
-            try:
-                c = self._screen_constant(len(core_bits))
-                screened = dwell_feasible(core_bits, self.mm.spectral_radii, c)
-            except DomainError:
-                screened = None  # zero spectral radius etc.: fall back to exact
-        if screened is not None and screened.passes:
-            self.counts["screen_accept"] += 1
-            report = admissibility(core_bits, self.mm)  # radii for the report
-        elif screened is not None and mode == "heuristic":
-            self.counts["screen_reject"] += 1
-            return None, float("inf")
-        else:
-            report = admissibility(core_bits, self.mm)
+    def _screen_rejects(self, core: tuple) -> bool:
+        """Dwell-screen one core and count the verdict; True when the
+        heuristic mode drops the core without an exact check."""
+        if self.options.prefilter == "off":
+            return False
+        try:
+            c = self._screen_constant(len(core))
+            passes = dwell_feasible(core, self.mm.spectral_radii, c).passes
+        except DomainError:
+            return False  # zero spectral radius etc.: fall back to exact
+        if passes:
+            self.counts["screen_accepts"] += 1
+        elif self.options.prefilter == "heuristic":
+            self.counts["screen_rejects"] += 1
+            return True
+        return False
+
+    def _evaluate_exact(self, core: tuple):
+        self.counts["necklaces"] += 1
+        report = admissibility(core, self.mm)
         if not report.admissible:
             return report, float("inf")
         err = state = None
         if self.weights.needs_error_cov:
-            err = steady_error_cov(core_bits, self.mm, self.model.sigma_v, self.model.sigma_w)
+            err = steady_error_cov(core, self.mm, self.model.sigma_v, self.model.sigma_w)
         if self.weights.needs_state_cov:
-            _, state = steady_augmented_cov(core_bits, self.model, self.gains)
-        cost = sequence_cost(core_bits, err, state, self.weights)
-        return report, cost
+            _, state = steady_augmented_cov(core, self.model, self.gains)
+        return report, sequence_cost(core, err, state, self.weights)
 
-    def evaluate(self, core_bits: tuple):
-        if core_bits in self._cache:
-            self.counts["hits"] += 1
-            return self._cache[core_bits]
-        value = self._cache[core_bits] = self._evaluate_core(core_bits)
-        self.counts["cores"] += 1
+    def rotations(self, least: tuple) -> tuple:
+        """(report, cost) of each rotation least[i:] + least[:i] of the
+        necklace whose least rotation is given."""
+        period = len(least)
+        if least in self._cache:
+            self.counts["memo_hits"] += period
+            return self._cache[least]
+        self.counts["cores_evaluated"] += period
+        rejected = [self._screen_rejects(least[i:] + least[:i]) for i in range(period)]
+        exact = None if all(rejected) else self._evaluate_exact(least)
+        value = self._cache[least] = tuple((None, float("inf")) if r else exact
+                                           for r in rejected)
         return value
 
+    def evaluate(self, core_bits: tuple):
+        """(report, cost) of any core, served through its necklace."""
+        least, shift = min((core_bits[i:] + core_bits[:i], i) for i in range(len(core_bits)))
+        return self.rotations(least)[-shift]  # core_bits is least rotated by -shift
 
-def _enumerate_words(length: int):
-    """All binary words of the given length, MSB-first: integer i maps to
-    bits (eta_0, ..., eta_{N-1}) with eta_0 the most significant bit."""
-    for i in range(2**length):
-        yield tuple((i >> (length - 1 - j)) & 1 for j in range(length))
+
+def _necklaces(length: int):
+    """Each binary necklace of the given length once, as the least rotation
+    of its irreducible core (a Lyndon word), in lexicographic order: the
+    Fredricksen-Kessler-Maiorana algorithm."""
+    a = [0] * length
+    yield (0,)
+    while True:
+        i = length - 1
+        while i >= 0 and a[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        a[i] = 1
+        for j in range(i + 1, length):
+            a[j] = a[j - i - 1]
+        if length % (i + 1) == 0:
+            yield tuple(a[:i + 1])
 
 
 def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
                         weights: CostWeights, options: SearchOptions = SearchOptions(),
                         evaluator: SequenceEvaluator = None) -> SearchResult:
-    """Enumerate all 2^N words of one length and return the cheapest
-    admissible one (deterministic tie-breaking)."""
+    """Return the cheapest admissible one of all 2^N words of one length
+    (deterministic tie-breaking). Each necklace is evaluated once, and its
+    rotations are expanded into words only for ties and the table."""
     if length < 1:
         raise DomainError("sequence length must be positive")
     if evaluator is None:
         evaluator = SequenceEvaluator(model, gains, weights, options)
     counts_before = dict(evaluator.counts)
-    words = list(_enumerate_words(length))
-    cores = [irreducible_core(word).bits for word in words]
-    evaluated = {core: evaluator.evaluate(core) for core in dict.fromkeys(cores)}
-
-    best_cost = float("inf")
+    resolved = [(least, evaluator.rotations(least)) for least in _necklaces(length)]
+    finite = [cost for _, values in resolved for _, cost in values if np.isfinite(cost)]
+    bound = min(finite) * (1.0 + COST_RTOL) if finite else -np.inf  # ties within COST_RTOL
     candidates = []  # (word, core, cost)
     table = []
-    enumerated = 0
-    for word, core in zip(words, cores):
-        enumerated += 1
-        report, cost = evaluated[core]
-        if options.include_table:
-            table.append((word, core, cost if np.isfinite(cost) else None))
-        if not np.isfinite(cost):
+    for least, values in resolved:
+        if not (options.include_table or any(cost <= bound for _, cost in values)):
             continue
-        if cost < best_cost * (1.0 - COST_RTOL):
-            best_cost = cost
-            candidates = [(word, core, cost)]
-        elif cost <= best_cost * (1.0 + COST_RTOL):
-            candidates.append((word, core, cost))
-            best_cost = min(best_cost, cost)
+        for i, (_, cost) in enumerate(values):
+            core = least[i:] + least[:i]
+            word = core * (length // len(least))
+            if options.include_table:
+                table.append((word, core, cost if np.isfinite(cost) else None))
+            if cost <= bound:
+                candidates.append((word, core, cost))
+    table.sort(key=lambda row: row[0])
 
-    counts = SearchCounts(
-        enumerated=enumerated,
-        cores_evaluated=evaluator.counts["cores"] - counts_before["cores"],
-        memo_hits=evaluator.counts["hits"] - counts_before["hits"],
-        screen_accepts=evaluator.counts["screen_accept"] - counts_before["screen_accept"],
-        screen_rejects=evaluator.counts["screen_reject"] - counts_before["screen_reject"],
-    )
+    counts = SearchCounts(enumerated=2**length,
+                          **{k: evaluator.counts[k] - counts_before[k] for k in counts_before})
     if not candidates:
         return SearchResult(sequence=None, cost=float("inf"), report=None, core=None,
                             length=length, counts=counts, table=tuple(table))
     # ties: shortest core first, then lexicographic word order
-    candidates = [c for c in candidates if c[2] <= best_cost * (1.0 + COST_RTOL)]
     winner = min(candidates, key=lambda c: (len(c[1]), c[0]))
     word = SwitchSequence(winner[0])
     return SearchResult(
@@ -270,27 +294,22 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
     """Search lengths 1, 2, ... until one admits an admissible schedule
     (returning that length's optimum), or exhaust n_max and report
     infeasibility. With all_lengths set, every length up to n_max is
-    searched and the global optimum returned. The core cache is shared
-    across lengths."""
+    searched and the global optimum returned. The necklace cache is shared
+    across lengths, and the counts cover every length searched."""
     if n_max < 1:
         raise DomainError("maximum length must be positive")
     evaluator = SequenceEvaluator(model, gains, weights, options)
     best = None
+    enumerated = 0
     for length in range(1, n_max + 1):
         result = search_fixed_length(length, model, gains, weights, options, evaluator)
+        enumerated += 2**length
         if result.feasible:
-            if not options.all_lengths:
-                return result
             if best is None or result.cost < best.cost * (1.0 - COST_RTOL):
                 best = result
-    if best is not None:
-        return best
-    return SearchResult(sequence=None, cost=float("inf"), report=None, core=None,
-                        length=n_max,
-                        counts=SearchCounts(
-                            enumerated=sum(2**k for k in range(1, n_max + 1)),
-                            cores_evaluated=evaluator.counts["cores"],
-                            memo_hits=evaluator.counts["hits"],
-                            screen_accepts=evaluator.counts["screen_accept"],
-                            screen_rejects=evaluator.counts["screen_reject"],
-                        ))
+            if not options.all_lengths:
+                break
+    if best is None:
+        best = SearchResult(sequence=None, cost=float("inf"), report=None, core=None,
+                            length=n_max)
+    return replace(best, counts=SearchCounts(enumerated=enumerated, **evaluator.counts))

@@ -167,6 +167,18 @@ class TestSeqSearch:
         assert "0011100" in doc["tied"]
         assert doc["counts"]["enumerated"] == 128
 
+    def test_json_counts_cover_all_lengths(self, model_file, tmp_path):
+        out = tmp_path / "search.json"
+        assert main(["seq", "search", model_file, "--n-max", "8", "--all-lengths",
+                     "--json", str(out)]) == 0
+        counts = json.loads(out.read_text())["counts"]
+        assert set(counts) == {"enumerated", "cores_evaluated", "memo_hits",
+                               "screen_accepts", "screen_rejects", "necklaces"}
+        assert counts["enumerated"] == 2**9 - 2
+        assert counts["cores_evaluated"] + counts["memo_hits"] == 2**9 - 2
+        # one exact evaluation per necklace of lengths 1..8, repeats cached
+        assert 0 < counts["necklaces"] < counts["cores_evaluated"]
+
     def test_screen_prefilter_same_answer(self, model_file, capsys):
         assert main(["seq", "search", model_file, "--n", "4",
                      "--prefilter", "screen"]) == 0

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import make_psd, make_stable
+from oracles import brute_force_core, make_psd, make_stable
 
+import sensact.search as search_module
 from sensact.covariance import steady_augmented_cov, steady_error_cov
 from sensact.exceptions import DimensionError, DomainError
 from sensact.plant import SystemModel, mode_matrices, synthesize_gains
 from sensact.search import (
+    COST_RTOL,
     CostWeights,
     SearchOptions,
     SequenceEvaluator,
@@ -16,7 +18,12 @@ from sensact.search import (
     search_up_to,
     sequence_cost,
 )
-from sensact.sequence import admissibility, irreducible_core
+from sensact.sequence import (
+    admissibility,
+    dwell_feasible,
+    irreducible_core,
+    uniform_growth_constant,
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +214,17 @@ class TestSearchUpTo:
         # lengths 1, 2 and 4 share the all-zero / all-one cores
         assert res.counts.memo_hits > 0
 
+    @pytest.mark.parametrize("all_lengths, words", [(False, 2 + 4 + 8 + 16),
+                                                     (True, 2**9 - 2)])
+    def test_counts_cover_every_length_searched(self, all_lengths, words, cw_model,
+                                                cw_gains, est_weights):
+        res = search_up_to(8, cw_model, cw_gains, est_weights,
+                           SearchOptions(all_lengths=all_lengths))
+        assert res.feasible
+        assert res.counts.enumerated == words
+        # every word's core is either evaluated or served from the cache
+        assert res.counts.cores_evaluated + res.counts.memo_hits == words
+
     def test_all_lengths_option(self, cw_model, cw_gains, est_weights):
         first = search_up_to(8, cw_model, cw_gains, est_weights)
         best = search_up_to(8, cw_model, cw_gains, est_weights,
@@ -217,3 +235,118 @@ class TestSearchUpTo:
         assert best.length == 5
         assert str(best.sequence) == "00011"
         assert best.cost == pytest.approx(1.84090, abs=1e-4)
+
+
+def _word_costs(length, model, gains, mm, weights):
+    """Per-word oracle: admissibility and the steady covariances computed
+    directly on every word of one length; None marks an inadmissible word."""
+    costs = {}
+    for word in itertools.product((0, 1), repeat=length):
+        if not admissibility(word, mm).admissible:
+            costs[word] = None
+            continue
+        err = state = None
+        if weights.needs_error_cov:
+            err = steady_error_cov(word, mm, model.sigma_v, model.sigma_w)
+        if weights.needs_state_cov:
+            _, state = steady_augmented_cov(word, model, gains)
+        costs[word] = sequence_cost(word, err, state, weights)
+    return costs
+
+
+def _screened(costs, length, mm):
+    """Drop every word whose core fails the dwell screen, judged core by
+    core with the uniform constant of the searched length."""
+    mats = (mm.omega_bar0, mm.omega_bar1, mm.omega_tilde0, mm.omega_tilde1)
+    c = uniform_growth_constant(mats, length)
+    return {word: cost if dwell_feasible(brute_force_core(word), mm.spectral_radii, c).passes
+            else None for word, cost in costs.items()}
+
+
+def _assert_matches_brute_force(res, costs):
+    words = sorted(costs)
+    assert [(w, c) for w, c, _ in res.table] == [(w, brute_force_core(w)) for w in words]
+    assert [cost is None for _, _, cost in res.table] == [costs[w] is None for w in words]
+    for (word, _, cost) in res.table:
+        if cost is not None:
+            assert cost == pytest.approx(costs[word], rel=1e-9)
+    finite = {w: cost for w, cost in costs.items() if cost is not None}
+    assert res.feasible == bool(finite)
+    if not finite:
+        return
+    best = min(finite.values())
+    tied = sorted(w for w, cost in finite.items() if cost <= best * (1.0 + COST_RTOL))
+    winner = min(tied, key=lambda w: (len(brute_force_core(w)), w))
+    assert [s.bits for s in res.tied] == tied
+    assert res.sequence.bits == winner
+    assert res.core.bits == brute_force_core(winner)
+    assert res.cost == pytest.approx(finite[winner], rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def screened_model():
+    """A stable random plant on which the dwell screen accepts some cores
+    and rejects others, including different rotations of one necklace."""
+    rng = np.random.default_rng(11)
+    model = SystemModel(
+        a=make_stable(rng, 2, 0.9),
+        b=rng.standard_normal((2, 1)),
+        c=rng.standard_normal((1, 2)),
+        sigma_w=make_psd(rng, 2, 0.1),
+        sigma_v=make_psd(rng, 1, 0.1),
+    )
+    gains = synthesize_gains(model, np.eye(2), np.eye(1))
+    return model, gains, mode_matrices(model, gains)
+
+
+class TestNecklaceSearch:
+    """The necklace search against a brute-force search over every word."""
+
+    @pytest.mark.parametrize("length", range(1, 11))
+    def test_estimation_cost(self, length, cw_model, cw_gains, cw_mm, est_weights):
+        res = search_fixed_length(length, cw_model, cw_gains, est_weights,
+                                  SearchOptions(include_table=True))
+        _assert_matches_brute_force(
+            res, _word_costs(length, cw_model, cw_gains, cw_mm, est_weights))
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_blended_cost(self, length, cw_model, cw_gains, cw_mm):
+        weights = CostWeights(r_err=np.eye(6), r_state=np.eye(6), r_eta=0.1)
+        res = search_fixed_length(length, cw_model, cw_gains, weights,
+                                  SearchOptions(include_table=True))
+        _assert_matches_brute_force(res, _word_costs(length, cw_model, cw_gains, cw_mm,
+                                                     weights))
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_heuristic_screens_every_rotation(self, length, screened_model):
+        model, gains, mm = screened_model
+        weights = CostWeights.estimation(2)
+        res = search_fixed_length(length, model, gains, weights,
+                                  SearchOptions(prefilter="heuristic", include_table=True))
+        costs = _word_costs(length, model, gains, mm, weights)
+        _assert_matches_brute_force(res, _screened(costs, length, mm))
+        if length == 4:
+            # 0011 passes the screen while its rotation 0110 (one more
+            # block) fails, so the tie class is part of a necklace
+            assert [str(s) for s in res.tied] == ["0011", "1100"]
+
+    def test_one_exact_evaluation_per_necklace(self, cw_model, cw_gains, est_weights,
+                                               monkeypatch):
+        calls = {"admissibility": 0, "steady_error_cov": 0}
+
+        def counted(name):
+            real = getattr(search_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(search_module, name, counted(name))
+        res = search_fixed_length(10, cw_model, cw_gains, est_weights)
+        # 108 binary necklaces of length 10, plus the winner's report
+        assert calls["admissibility"] <= 108 + 1
+        assert calls["steady_error_cov"] <= 108
+        assert res.counts.necklaces == 108
+        assert res.counts.cores_evaluated == 2**10
