@@ -10,6 +10,7 @@ or schema error, 3 synthesis or numerical failure, 4 I/O error.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -307,7 +308,10 @@ def _write_ensemble(path, stats):
             writer.writerow([k] + [repr(float(v)) for v in stats.mean[k]] + [viol])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, and every parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sensact",
         description="Periodic sensing/actuation schedules for linear systems "

@@ -20,16 +20,26 @@ __all__ = [
     "sym_part",
     "psd_sqrt",
     "spectral_radius",
+    "spectral_radii",
     "spectral_norm",
     "frobenius_norm",
     "matrix_exponential",
     "solve_discrete_lyapunov",
+    "solve_discrete_lyapunov_stacked",
     "solve_dare",
     "is_nilpotent",
 ]
 
 #: relative tolerance used when validating symmetry / semi-definiteness
 SYM_RTOL = 1e-10
+
+#: a Lyapunov solution X = F X F' + W is accepted when its residual is at
+#: most LYAPUNOV_RTOL * (1 + ||W||_F) in the Frobenius norm
+LYAPUNOV_RTOL = 1e-10
+
+#: doubling steps before a stacked Lyapunov solve gives up on an item;
+#: 2^64 terms of the series exhaust any radius below 1 - 1e-9
+_MAX_DOUBLINGS = 64
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:
@@ -94,6 +104,16 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(eig)))
 
 
+def spectral_radii(stack) -> np.ndarray:
+    """Spectral radius of each matrix of a (K, n, n) stack, one batched
+    eigvals call; row for row the values spectral_radius returns."""
+    try:
+        eig = np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"eigenvalue computation failed: {exc}") from exc
+    return np.max(np.abs(eig), axis=-1)
+
+
 def spectral_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
@@ -122,7 +142,7 @@ def solve_discrete_lyapunov(f, w) -> np.ndarray:
     if rho >= 1.0:
         raise StabilityError(f"spectral radius {rho:.6g} >= 1, no bounded solution")
     x = sym_part(sla.solve_discrete_lyapunov(f, w, method="bilinear"))
-    tol = 1e-10 * (1.0 + np.linalg.norm(w, "fro"))
+    tol = LYAPUNOV_RTOL * (1.0 + np.linalg.norm(w, "fro"))
     resid = np.linalg.norm(x - f @ x @ f.T - w, "fro")
     # iterative refinement recovers the contract on stiff instances
     # (monodromy radius close to one makes the direct solve lose digits)
@@ -138,6 +158,45 @@ def solve_discrete_lyapunov(f, w) -> np.ndarray:
     if resid > tol:
         raise NumericsError(f"Lyapunov residual {resid:.3g} exceeds tolerance")
     return x
+
+
+def _fro(stack) -> np.ndarray:
+    return np.sqrt(np.einsum("...ij,...ij->...", stack, stack))
+
+
+def solve_discrete_lyapunov_stacked(f, w):
+    """Solve X = F X F' + W for each item of (K, n, n) stacks of Schur-stable
+    F and symmetric W; returns (X, fallbacks).
+
+    Doubling (the Smith iteration): X <- X + F X F', F <- F F sums the
+    series sum_i F^i W F'^i in 2^j terms after j steps, for every item at
+    once; an item stops once its increment is below rounding. Any item
+    whose residual then misses the solve_discrete_lyapunov contract is
+    solved again by solve_discrete_lyapunov; fallbacks counts those items.
+    Near the unit circle, and more so when the powers of F grow before
+    they decay, the squared powers cost doubling digits that the direct
+    solver keeps.
+    """
+    x = w.copy()
+    live = np.arange(len(f))
+    power = f
+    for _ in range(_MAX_DOUBLINGS):
+        part = x[live]
+        step = power @ part @ power.transpose(0, 2, 1)
+        part += step
+        x[live] = part
+        # a non-finite increment also leaves, and then fails the residual
+        keep = _fro(step) > np.finfo(float).eps * _fro(part)
+        live, power = live[keep], power[keep]
+        if not live.size:
+            break
+        power = power @ power
+    x = 0.5 * (x + x.transpose(0, 2, 1))
+    resid = _fro(x - f @ x @ f.transpose(0, 2, 1) - w)
+    failed = np.flatnonzero(~(resid <= LYAPUNOV_RTOL * (1.0 + _fro(w))))
+    for i in failed:
+        x[i] = solve_discrete_lyapunov(f[i], w[i])
+    return x, len(failed)
 
 
 def solve_dare(a, b, q, r) -> np.ndarray:

@@ -5,25 +5,35 @@ irreducible core and with every rotation (rho(XY) = rho(YX), and the cost
 is the mean over the phases). So each length is searched one binary
 necklace at a time (Fredricksen-Kessler-Maiorana): each is evaluated once,
 memoized under its least rotation and shared across lengths, and expanded
-into words only for tie classes and tables. The dwell-time screen can
-optionally fast-accept cores it certifies (the screen is sufficient only,
-so by default nothing is rejected on its account; an explicit heuristic
-mode does reject). The screen counts blocks without wrap-around (0011 has
-two, 0110 three), so it judges every rotation's core on its own.
+into words only for tie classes and tables. The necklaces of a length
+that are not cached yet are evaluated in one stacked pass per period:
+batched monodromies and eigenvalues for the verdicts, and for the
+admissible ones a batched steady solve at phase 0 with the cost from the
+trace identity, so no per-phase covariance is formed (SequenceEvaluator).
+The dwell-time screen can optionally fast-accept cores it certifies (the
+screen is sufficient only, so by default nothing is rejected on its
+account; an explicit heuristic mode does reject). The screen counts blocks
+without wrap-around (0011 has two, 0110 three), so it judges every
+rotation's core on its own.
 """
 
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
 from . import linalg
 from .exceptions import DimensionError, DomainError
-from .covariance import steady_augmented_cov, steady_error_cov
+from .covariance import build_augmented, error_noise_term
+# the scalar steady solves that the batched costs reproduce (sequence_cost
+# on their phases), kept importable from here next to sequence_cost
+from .covariance import steady_augmented_cov, steady_error_cov  # noqa: F401
 from .plant import GainSet, ModeMatrices, SystemModel, mode_matrices
 from .sequence import (
     SwitchSequence,
     _as_bits,
     admissibility,
+    admissibility_stacked,
     dwell_feasible,
     uniform_growth_constant,
 )
@@ -40,6 +50,13 @@ __all__ = [
 
 #: costs within this relative tolerance are treated as tied
 COST_RTOL = 1e-9
+
+#: necklaces evaluated in one stacked pass; bounds the stacked arrays at
+#: about a megabyte each on the 12 x 12 joint system of the CW model
+_BATCH = 1024
+
+#: cache entry of a rotation the heuristic screen drops
+_REJECTED = (None, float("inf"))
 
 
 @dataclass(frozen=True)
@@ -143,13 +160,30 @@ class SearchResult:
 
 
 class SequenceEvaluator:
-    """Memoized per-necklace evaluation shared across search calls.
+    """Memoized, batched per-necklace evaluation shared across search calls.
 
     The cache maps a necklace's least rotation to one (report, cost) per
     rotation least[i:] + least[:i]: the exact result, computed once on the
     least rotation, or (None, inf) for a rotation the heuristic screen
     rejects. counts are per core (a necklace of period p adds p), except
     necklaces, the number of exact evaluations.
+
+    The necklaces of one call that are not cached yet and survive the
+    screen are evaluated together, stacked per period into (K, p) bit
+    arrays of at most _BATCH rows: the verdicts by admissibility_stacked,
+    and for the admissible rows the cost from one batched steady solve at
+    phase 0 through the trace identity
+
+        sum_k tr(Q P_k) = tr(S P_0) + sum_k tr(Q V_k),
+        S = sum_k Phi_k' Q Phi_k,
+
+    where Phi_k and V_k are the transition and the accumulated noise from
+    phase 0 to phase k, built along the word, so no other phase is
+    formed. The estimation cost runs on the n-dimensional error system
+    with Q = r_err. A state weight runs on the 2n-dimensional joint
+    system with Q = blockdiag(r_state, r_err), whose error block is the
+    error covariance. The solve is linalg.solve_discrete_lyapunov_stacked;
+    fallbacks counts the items it handed to the scalar solver.
     """
 
     def __init__(self, model: SystemModel, gains: GainSet, weights: CostWeights,
@@ -159,10 +193,33 @@ class SequenceEvaluator:
         self.weights = weights
         self.options = options
         self.mm: ModeMatrices = mode_matrices(model, gains)
+        self._system = self._cost_system()
         self._cache = {}
         self._screen_c = None
+        self.fallbacks = 0
         self.counts = dict.fromkeys(("cores_evaluated", "memo_hits", "screen_accepts",
                                      "screen_rejects", "necklaces"), 0)
+
+    def _cost_system(self):
+        """(per-mode transitions, per-mode noise, weight Q), each mode
+        stacked on axis 0, of the system whose steady covariance the cost
+        weighs; None when the cost is the actuation penalty alone."""
+        w = self.weights
+        if w.needs_state_cov:
+            aug = build_augmented(self.model, self.gains)
+            n = self.model.n
+            q = np.zeros((2 * n, 2 * n))
+            q[:n, :n] = w.r_state
+            if w.r_err is not None:
+                q[n:, n:] = w.r_err
+            return (np.stack(aug.a_modes),
+                    np.stack([aug.step_noise(eta) for eta in (0, 1)]), q)
+        if w.needs_error_cov:
+            noise = [error_noise_term(eta, self.mm.l, self.model.sigma_v, self.model.sigma_w)
+                     for eta in (0, 1)]
+            return (np.stack((self.mm.omega_tilde0, self.mm.omega_tilde1)),
+                    np.stack(noise), w.r_err)
+        return None
 
     def _screen_constant(self, period: int) -> float:
         # rigorous uniform constant over both families, valid for block
@@ -176,8 +233,6 @@ class SequenceEvaluator:
     def _screen_rejects(self, core: tuple) -> bool:
         """Dwell-screen one core and count the verdict; True when the
         heuristic mode drops the core without an exact check."""
-        if self.options.prefilter == "off":
-            return False
         try:
             c = self._screen_constant(len(core))
             passes = dwell_feasible(core, self.mm.spectral_radii, c).passes
@@ -190,36 +245,68 @@ class SequenceEvaluator:
             return True
         return False
 
-    def _evaluate_exact(self, core: tuple):
-        self.counts["necklaces"] += 1
-        report = admissibility(core, self.mm)
-        if not report.admissible:
-            return report, float("inf")
-        err = state = None
-        if self.weights.needs_error_cov:
-            err = steady_error_cov(core, self.mm, self.model.sigma_v, self.model.sigma_w)
-        if self.weights.needs_state_cov:
-            _, state = steady_augmented_cov(core, self.model, self.gains)
-        return report, sequence_cost(core, err, state, self.weights)
+    def _costs(self, bits: np.ndarray) -> np.ndarray:
+        """Normalized cost of each admissible row of a (K, p) bit array."""
+        period = bits.shape[1]
+        total = self.weights.r_eta * bits.sum(axis=1)
+        if self._system is None:
+            return total / period
+        modes, noise, q = self._system
+        phi, acc = modes[bits[:, 0]], noise[bits[:, 0]]  # Phi_1, V_1
+        s = np.broadcast_to(q, phi.shape).copy()  # Phi_0 = I; V_0 = 0 adds nothing
+        for column in bits.T[1:]:
+            s += phi.transpose(0, 2, 1) @ q @ phi
+            total += np.einsum("ij,kji->k", q, acc)
+            a = modes[column]
+            phi = a @ phi
+            acc = a @ acc @ a.transpose(0, 2, 1) + noise[column]
+        p0, fallbacks = linalg.solve_discrete_lyapunov_stacked(
+            phi, 0.5 * (acc + acc.transpose(0, 2, 1)))
+        self.fallbacks += fallbacks
+        return (total + np.einsum("kij,kji->k", s, p0)) / period
 
-    def rotations(self, least: tuple) -> tuple:
-        """(report, cost) of each rotation least[i:] + least[:i] of the
-        necklace whose least rotation is given."""
-        period = len(least)
-        if least in self._cache:
-            self.counts["memo_hits"] += period
-            return self._cache[least]
-        self.counts["cores_evaluated"] += period
-        rejected = [self._screen_rejects(least[i:] + least[:i]) for i in range(period)]
-        exact = None if all(rejected) else self._evaluate_exact(least)
-        value = self._cache[least] = tuple((None, float("inf")) if r else exact
-                                           for r in rejected)
-        return value
+    def _evaluate(self, bits: np.ndarray) -> list:
+        """(report, cost) of the necklace in each row of a (K, p) bit array."""
+        self.counts["necklaces"] += len(bits)
+        reports = admissibility_stacked(bits, self.mm)
+        costs = np.full(len(bits), np.inf)
+        rows = [i for i, report in enumerate(reports) if report.admissible]
+        if rows:
+            costs[rows] = self._costs(bits[rows])
+        return list(zip(reports, costs.tolist()))
+
+    def resolve(self, necklaces) -> list:
+        """(report, cost) of each rotation least[i:] + least[:i], for each
+        necklace given by its least rotation; the uncached ones are
+        evaluated in stacked batches. (Any other rotation given is
+        evaluated from its own phase 0 and cached under itself.)"""
+        fresh = {}  # period -> [(least, rejected rotations)]
+        for least in necklaces:
+            period = len(least)
+            if least in self._cache:
+                self.counts["memo_hits"] += period
+                continue
+            self.counts["cores_evaluated"] += period
+            rejected = [False] * period
+            if self.options.prefilter != "off":
+                rejected = [self._screen_rejects(least[i:] + least[:i]) for i in range(period)]
+            if all(rejected):
+                self._cache[least] = (_REJECTED,) * period
+            else:
+                fresh.setdefault(period, []).append((least, rejected))
+        for group in fresh.values():
+            for start in range(0, len(group), _BATCH):
+                chunk = group[start:start + _BATCH]
+                exact = self._evaluate(np.array([least for least, _ in chunk], dtype=np.intp))
+                for (least, rejected), value in zip(chunk, exact):
+                    self._cache[least] = (tuple(_REJECTED if r else value for r in rejected)
+                                          if any(rejected) else (value,) * len(least))
+        return [self._cache[least] for least in necklaces]
 
     def evaluate(self, core_bits: tuple):
         """(report, cost) of any core, served through its necklace."""
         least, shift = min((core_bits[i:] + core_bits[:i], i) for i in range(len(core_bits)))
-        return self.rotations(least)[-shift]  # core_bits is least rotated by -shift
+        return self.resolve([least])[0][-shift]  # core_bits is least rotated by -shift
 
 
 def _necklaces(length: int):
@@ -252,13 +339,15 @@ def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
     if evaluator is None:
         evaluator = SequenceEvaluator(model, gains, weights, options)
     counts_before = dict(evaluator.counts)
-    resolved = [(least, evaluator.rotations(least)) for least in _necklaces(length)]
-    finite = [cost for _, values in resolved for _, cost in values if np.isfinite(cost)]
-    bound = min(finite) * (1.0 + COST_RTOL) if finite else -np.inf  # ties within COST_RTOL
+    necklaces = list(_necklaces(length))
+    rotations = evaluator.resolve(necklaces)
+    lowest = [min(map(itemgetter(1), values)) for values in rotations]
+    best = min(lowest)
+    bound = best * (1.0 + COST_RTOL) if best < np.inf else -np.inf  # ties within COST_RTOL
     candidates = []  # (word, core, cost)
     table = []
-    for least, values in resolved:
-        if not (options.include_table or any(cost <= bound for _, cost in values)):
+    for least, values, low in zip(necklaces, rotations, lowest):
+        if not (options.include_table or low <= bound):
             continue
         for i, (_, cost) in enumerate(values):
             core = least[i:] + least[:i]

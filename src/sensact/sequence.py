@@ -28,6 +28,7 @@ __all__ = [
     "uniform_growth_constant",
     "dwell_feasible",
     "admissibility",
+    "admissibility_stacked",
     "is_contractive",
     "monodromy",
 ]
@@ -243,17 +244,25 @@ def is_contractive(rho: float) -> bool:
     return bool(rho < 1.0 - CONTRACTION_MARGIN)
 
 
+def _nilpotency_flags(used, mm: ModeMatrices) -> tuple:
+    """Which of (omega_bar0, omega_bar1, omega_tilde0, omega_tilde1) are
+    nilpotent and used, given whether modes 0 and 1 are used; raises
+    NilpotencyError if any (the contraction argument needs eigenvalues
+    that approach zero rather than jump there)."""
+    flags = tuple(bool(u and nil) for u, nil in zip(tuple(used) * 2, mm.nilpotent))
+    if any(flags):
+        raise NilpotencyError("a mode matrix used by this sequence is nilpotent")
+    return flags
+
+
 def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     """Exact admissibility verdict from the two monodromy spectral radii.
 
     Raises NilpotencyError when a mode matrix actually used by the
-    sequence is numerically nilpotent (the contraction argument needs
-    eigenvalues that approach zero rather than jump there).
+    sequence is numerically nilpotent.
     """
     bits = _as_bits(s)
-    flags = tuple(eta in bits and nil for eta, nil in zip((0, 1, 0, 1), mm.nilpotent))
-    if any(flags):
-        raise NilpotencyError("a mode matrix used by this sequence is nilpotent")
+    flags = _nilpotency_flags((0 in bits, 1 in bits), mm)
     prod_bar, prod_til = monodromy(bits, mm)
     qbar = linalg.spectral_radius(prod_bar)
     qtilde = linalg.spectral_radius(prod_til)
@@ -263,3 +272,29 @@ def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
         admissible=is_contractive(qbar) and is_contractive(qtilde),
         nilpotency_flags=flags,
     )
+
+
+def _stacked_products(modes, bits) -> np.ndarray:
+    """One-period products modes[eta_{p-1}] ... modes[eta_0] for each row of
+    a (K, p) bit array, given the per-mode matrices stacked as (2, d, d):
+    one batched product per step, in the order monodromy multiplies."""
+    prod = modes[bits[:, 0]]
+    for column in bits.T[1:]:
+        prod = modes[column] @ prod
+    return prod
+
+
+def admissibility_stacked(bits, mm: ModeMatrices) -> list:
+    """admissibility of each row of a (K, p) bit array: both monodromies
+    by stacked products and one batched eigvals per side. Raises
+    NilpotencyError when any row uses a nilpotent mode matrix."""
+    bits = np.asarray(bits, dtype=np.intp)
+    flags = _nilpotency_flags([bool(np.any(bits == eta)) for eta in (0, 1)], mm)
+    qbar = linalg.spectral_radii(
+        _stacked_products(np.stack((mm.omega_bar0, mm.omega_bar1)), bits))
+    qtilde = linalg.spectral_radii(
+        _stacked_products(np.stack((mm.omega_tilde0, mm.omega_tilde1)), bits))
+    return [AdmissibilityReport(qbar=a, qtilde=b,
+                                admissible=is_contractive(a) and is_contractive(b),
+                                nilpotency_flags=flags)
+            for a, b in zip(qbar.tolist(), qtilde.tolist())]

@@ -1,0 +1,237 @@
+"""The batched necklace evaluation against the scalar routines.
+
+Property suite on random stabilisable plants (B = C = I, so the three
+distinct mode matrices are drawn directly), with mode radii close to the
+contraction threshold 1 - CONTRACTION_MARGIN and rank-deficient mode
+matrices among the draws, plus deterministic checks of the solver
+fallback, nilpotency and the absence of scalar solves in a search.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import kron_dlyap, make_psd, make_stable
+
+import sensact.covariance as covariance_module
+import sensact.search as search_module
+from sensact import linalg
+from sensact.covariance import steady_augmented_cov, steady_error_cov
+from sensact.exceptions import NilpotencyError, NumericsError, StabilityError
+from sensact.plant import GainSet, SystemModel, mode_matrices
+from sensact.search import CostWeights, SequenceEvaluator, search_fixed_length, sequence_cost
+from sensact.sequence import (
+    CONTRACTION_MARGIN,
+    admissibility,
+    admissibility_stacked,
+)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+#: spectral radii of the drawn mode matrices: anywhere in a wide range, or
+#: on either side of the contraction threshold
+RADII = st.one_of(
+    st.floats(0.05, 1.2),
+    st.sampled_from([1.0 - CONTRACTION_MARGIN * f for f in (0.5, 0.99, 1.01, 2.0, 10.0)]),
+)
+
+WEIGHTS = st.sampled_from(["estimation", "blended", "state", "penalty"])
+
+
+@st.composite
+def plants(draw):
+    """A plant whose coast (A), feedback (A + BK) and observer (A + LC)
+    matrices are drawn with the given radii; some are rank-deficient, and
+    a rank-deficient draw with no spectral radius stays nilpotent."""
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(3):
+        m = rng.standard_normal((n, n))
+        if draw(st.booleans()):
+            m[:, 0] = m[:, 1:] @ rng.standard_normal(n - 1)
+        rho = max(abs(np.linalg.eigvals(m)))
+        if rho > 1e-6:
+            m *= draw(RADII) / rho
+        mats.append(m)
+    a, feedback, observer = mats
+    model = SystemModel(a=a, b=np.eye(n), c=np.eye(n),
+                        sigma_w=make_psd(rng, n, 0.1), sigma_v=make_psd(rng, n, 0.1))
+    return model, GainSet(k=feedback - a, l=observer - a)
+
+
+def make_weights(kind, n, rng):
+    if kind == "estimation":
+        return CostWeights.estimation(n)
+    if kind == "blended":
+        return CostWeights(r_err=np.eye(n), r_state=np.eye(n), r_eta=0.1)
+    if kind == "state":
+        return CostWeights(r_state=make_psd(rng, n))
+    return CostWeights(r_eta=1.0)
+
+
+#: costs are compared where the monodromy radius is at least this far
+#: below 1. Closer in, the steady covariance is ill-conditioned (the
+#: inverse of I - M (x) M grows like 1 / margin, more for non-normal M), and
+#: two solvers that both meet the residual contract can differ by more
+#: than 1e-9; verdicts are still compared there.
+COST_MARGIN = 1e-6
+
+
+def scalar_cost(word, model, gains, weights):
+    """The cost from the scalar steady phases, or None when the word is
+    not admissible; rejects the example when the word is within
+    COST_MARGIN of the unit circle or a scalar solve misses its own
+    contract (the batched path then has no oracle)."""
+    report = admissibility(word, mode_matrices(model, gains))
+    if not report.admissible:
+        return None
+    assume(max(report.qbar, report.qtilde) < 1.0 - COST_MARGIN)
+    try:
+        err = state = None
+        if weights.needs_error_cov:
+            err = steady_error_cov(word, mode_matrices(model, gains),
+                                   model.sigma_v, model.sigma_w)
+        if weights.needs_state_cov:
+            _, state = steady_augmented_cov(word, model, gains)
+    except (NumericsError, StabilityError):
+        assume(False)
+    return sequence_cost(word, err, state, weights)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(plants(), st.integers(1, 7), st.lists(st.integers(0, 2**7 - 1), min_size=1,
+                                                 max_size=8))
+    def test_stacked_verdict_is_scalar_verdict(self, plant, period, codes):
+        model, gains = plant
+        mm = mode_matrices(model, gains)
+        words = [tuple((code >> i) & 1 for i in range(period)) for code in codes]
+        try:
+            scalar = [admissibility(word, mm) for word in words]
+        except NilpotencyError:
+            with pytest.raises(NilpotencyError):
+                admissibility_stacked(np.array(words), mm)
+            return
+        assert admissibility_stacked(np.array(words), mm) == scalar
+
+    @PROPERTY
+    @given(plants(), WEIGHTS, st.lists(st.integers(0, 1), min_size=1, max_size=7))
+    def test_batched_cost_is_scalar_cost(self, plant, kind, word):
+        model, gains = plant
+        word = tuple(word)
+        weights = make_weights(kind, model.n, np.random.default_rng(len(word)))
+        try:
+            expected = scalar_cost(word, model, gains, weights)
+        except NilpotencyError:
+            with pytest.raises(NilpotencyError):
+                SequenceEvaluator(model, gains, weights).resolve([word])
+            return
+        # the word itself is the row evaluated, so a fallback sees the
+        # same monodromy as the scalar solve
+        (report, cost), = set(SequenceEvaluator(model, gains, weights).resolve([word])[0])
+        if expected is None:
+            assert not report.admissible and cost == np.inf
+        else:
+            assert report.admissible
+            assert cost == pytest.approx(expected, rel=1e-9)
+
+    @PROPERTY
+    @given(plants(), WEIGHTS, st.lists(st.integers(0, 1), min_size=2, max_size=7))
+    def test_rotation_invariance(self, plant, kind, word):
+        model, gains = plant
+        weights = make_weights(kind, model.n, np.random.default_rng(len(word)))
+        rotations = sorted({tuple(word[i:] + word[:i]) for i in range(len(word))})
+        try:
+            reports = admissibility_stacked(np.array(rotations), mode_matrices(model, gains))
+        except NilpotencyError:
+            return
+        radii = [max(r.qbar, r.qtilde) for r in reports]
+        # equal in exact arithmetic; only a radius within rounding of the
+        # threshold may land on different sides of it
+        assume(all(abs(rho - (1.0 - CONTRACTION_MARGIN)) > 1e-12 for rho in radii))
+        assert len({r.admissible for r in reports}) == 1
+        for rho, other in zip(radii, radii[1:]):
+            assert other == pytest.approx(rho, rel=1e-6, abs=1e-12)
+        assume(not reports[0].admissible or radii[0] < 1.0 - COST_MARGIN)
+        try:
+            # each rotation is its own row, evaluated from its own phase 0
+            values = SequenceEvaluator(model, gains, weights).resolve(rotations)
+        except NumericsError:
+            assume(False)
+        costs = [value[0][1] for value in values]
+        if not reports[0].admissible:
+            assert all(cost == np.inf for cost in costs)
+            return
+        for cost in costs[1:]:
+            assert cost == pytest.approx(costs[0], rel=1e-9)
+
+
+#: a sheared rotation at radius 1 - 3e-5: its powers grow before they
+#: decay, and doubling, which squares them, loses about 30 times the
+#: residual contract's digits, where the scalar solver keeps it with a
+#: factor of 5 to spare
+NEAR_UNIT = (1.0 - 3e-5) * (np.array([[1.0, 10.0], [0.0, 1.0]])
+                            @ np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+                            @ np.array([[1.0, -10.0], [0.0, 1.0]]))
+NEAR_UNIT_NOISE = np.diag([1e-3, 5e-4])
+
+
+class TestSolverContract:
+    def test_near_unit_circle_falls_back(self):
+        model = SystemModel(a=NEAR_UNIT, b=np.eye(2), c=np.eye(2), sigma_w=NEAR_UNIT_NOISE,
+                            sigma_v=np.eye(2))
+        gains = GainSet(k=np.zeros((2, 2)), l=np.zeros((2, 2)))  # every mode is A
+        weights = CostWeights.estimation(2)
+        evaluator = SequenceEvaluator(model, gains, weights)
+        report, cost = evaluator.evaluate((0,))
+        assert report.admissible and evaluator.fallbacks == 1
+        err = steady_error_cov("0", evaluator.mm, model.sigma_v, model.sigma_w)
+        assert cost == pytest.approx(sequence_cost("0", err, None, weights), rel=1e-9)
+        evaluator.evaluate((0,))  # served from the cache
+        assert evaluator.fallbacks == 1
+
+    def test_no_fallback_on_case_study(self, cw_model, cw_gains):
+        evaluator = SequenceEvaluator(cw_model, cw_gains, CostWeights.estimation(6))
+        search_fixed_length(10, cw_model, cw_gains, evaluator.weights, evaluator=evaluator)
+        # the long-actuation word of the covariance tests is far from the
+        # unit circle on the observer side (qtilde 0.29)
+        report, _ = evaluator.evaluate((1,) * 46 + (0, 0))
+        assert report.admissible and evaluator.fallbacks == 0
+
+    def test_stacked_solve_mixed_batch(self):
+        rng = np.random.default_rng(5)
+        f = np.stack([make_stable(rng, 2, rho) for rho in (0.2, 0.9, 0.99)] + [NEAR_UNIT])
+        w = np.stack([make_psd(rng, 2) for _ in range(3)] + [NEAR_UNIT_NOISE])
+        x, fallbacks = linalg.solve_discrete_lyapunov_stacked(f, w)
+        assert fallbacks == 1
+        for fi, wi, xi in zip(f, w, x):
+            resid = np.linalg.norm(xi - fi @ xi @ fi.T - wi)
+            assert resid <= linalg.LYAPUNOV_RTOL * (1.0 + np.linalg.norm(wi))
+            expected = kron_dlyap(fi, wi)
+            np.testing.assert_allclose(xi, expected, rtol=0, atol=1e-8 * np.abs(expected).max())
+
+    def test_nilpotent_mode_raises_from_search(self):
+        a = np.array([[0.5, 1.0], [0.0, 0.8]])
+        model = SystemModel(a=a, b=np.eye(2), c=np.eye(2), sigma_w=np.eye(2),
+                            sigma_v=np.eye(2))
+        # L = -A makes the sensing-step observer matrix A + LC zero
+        gains = GainSet(k=np.zeros((2, 2)), l=-a)
+        with pytest.raises(NilpotencyError):
+            search_fixed_length(3, model, gains, CostWeights.estimation(2))
+
+    def test_search_makes_no_scalar_solve(self, cw_model, cw_gains, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("scalar solve called")
+
+        for module, name in ((covariance_module, "steady_error_cov"),
+                             (search_module, "steady_error_cov"),
+                             (linalg, "solve_discrete_lyapunov")):
+            monkeypatch.setattr(module, name, refuse)
+        res = search_fixed_length(10, cw_model, cw_gains, CostWeights.estimation(6))
+        assert str(res.sequence) == "0001100011"
+        assert calls == []

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import CW_CONFIG
 
-from sensact.cli import main
+from sensact import __version__
+from sensact.cli import build_parser, main
 from sensact.exceptions import SchemaError
 from sensact.modelio import load_model, parse_matrix
 
@@ -303,3 +304,40 @@ class TestFullPipeline:
         assert main(["sim", "run", str(model), found, "--steps", "24", "--runs", "3",
                      "--seed", "2", "--out", str(tmp_path / "sim")]) == 0
         capsys.readouterr()
+
+
+class TestRepeatedCalls:
+    """One process runs many commands through one cached parser."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_leaks_between_calls(self, model_file, tmp_path, capsys):
+        first = tmp_path / "first.json"
+        assert main(["seq", "search", model_file, "--n", "4", "--table",
+                     "--json", str(first)]) == 0
+        assert "table" in json.loads(first.read_text())
+        first.unlink()
+        # neither --json nor --table carries into a call that omits them
+        assert main(["seq", "search", model_file, "--n", "4"]) == 0
+        assert not first.exists()
+        second = tmp_path / "second.json"
+        assert main(["seq", "search", model_file, "--n", "4", "--json", str(second)]) == 0
+        assert "table" not in json.loads(second.read_text())
+        assert main(["seq", "check", model_file, "0011"]) == 0
+        assert not first.exists()
+        assert main(["cov", "steady", model_file, "0011"]) == 0
+        out = capsys.readouterr().out
+        assert "steady state covariance" not in out  # --augmented was never given
+
+    def test_error_exit_and_version_unchanged(self, model_file, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["seq", "search", model_file])  # --n or --n-max is required
+            assert exc.value.code == 2
+            assert "one of the arguments --n --n-max is required" in capsys.readouterr().err
+            assert main(["seq", "check", model_file, "01x1"]) == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"sensact {__version__}\n"
