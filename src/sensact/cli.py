@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -276,6 +275,17 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _csv_rows(block, blank_nonfinite=False):
+    """The rows of a 2-D float array as comma-joined shortest reprs, cut
+    from one repr of the whole block: a float prints the same inside a
+    list, and its repr has no comma, bracket or blank, nor any letter but
+    those of inf and nan."""
+    text = repr(block.tolist())[2:-2]
+    if blank_nonfinite:
+        text = text.replace("-inf", "").replace("inf", "").replace("nan", "")
+    return text.replace(", ", ",").split("],[")
+
+
 def _write_trajectories(path, trajectories):
     n = trajectories[0].x.shape[1]
     m = trajectories[0].u.shape[1]
@@ -284,17 +294,16 @@ def _write_trajectories(path, trajectories):
               + [f"xh{i + 1}" for i in range(n)]
               + [f"u{i + 1}" for i in range(m)])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for run, traj in enumerate(trajectories):
-            # the final state has no step after it: blank eta and u cells
+            states = _csv_rows(np.hstack([traj.x, traj.xhat]))
+            # u cells are blank where u is non-finite (no control on sensing
+            # steps), and the final row's eta and u cells are blank: no step
+            # follows the final state
+            controls = _csv_rows(traj.u, blank_nonfinite=True) + ["," * (m - 1)]
             etas = [str(e) for e in traj.eta.tolist()] + [""]
-            us = traj.u.tolist() + [[math.nan] * m]
-            for k, (x, xh) in enumerate(zip(traj.x.tolist(), traj.xhat.tolist())):
-                writer.writerow([run, k, etas[k]]
-                                + [repr(v) for v in x]
-                                + [repr(v) for v in xh]
-                                + [repr(v) if math.isfinite(v) else "" for v in us[k]])
+            fh.write("".join(f"{run},{k},{eta},{x},{u}\r\n" for k, (eta, x, u)
+                             in enumerate(zip(etas, states, controls))))
 
 
 def _write_ensemble(path, stats):

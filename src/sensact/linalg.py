@@ -2,13 +2,17 @@
 discrete Lyapunov and Riccati solvers.
 
 Everything downstream (plant construction, sequence certification,
-covariance analysis) goes through these wrappers, which add input
-validation, typed errors and residual checks on top of LAPACK-backed
-scipy routines.
+covariance analysis) goes through these functions. They need numpy only:
+Pade-13 scaling and squaring for the exponential, a solve on the upper
+triangle of the Kronecker form for the Lyapunov equation, and doubling
+(SDA) polished by Newton-Hewer steps for the Riccati equation. Each adds
+input validation, typed errors and a residual check; a non-finite
+intermediate or result raises NumericsError, never a warning.
 """
 
+import functools
+
 import numpy as np
-import scipy.linalg as sla
 
 from .exceptions import DimensionError, DomainError, NumericsError, StabilityError
 
@@ -40,6 +44,24 @@ LYAPUNOV_RTOL = 1e-10
 #: doubling steps before a stacked Lyapunov solve gives up on an item;
 #: 2^64 terms of the series exhaust any radius below 1 - 1e-9
 _MAX_DOUBLINGS = 64
+
+#: [13/13] Pade coefficients b_0..b_13, and the 1-norm up to which that
+#: approximant of exp is exact to double rounding (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+#: the Riccati doubling runs on Q + _DARE_SHIFT (1 + ||Q||_F) I, positive
+#: definite, so that its limit is the stabilizing solution whenever (A, B)
+#: is stabilizable; Newton-Hewer steps on Q itself then remove the shift
+_DARE_SHIFT = 1e-8
+#: Riccati doubling converges quadratically: 64 steps exhaust any
+#: closed-loop radius that the Lyapunov steps after it can handle
+_MAX_SDA_STEPS = 64
+#: Newton-Hewer steps from the doubling start; two or three reach rounding
+_MAX_NEWTON_STEPS = 20
 
 
 def as_matrix(a, name="matrix") -> np.ndarray:
@@ -123,16 +145,73 @@ def frobenius_norm(m) -> float:
 
 
 def matrix_exponential(m) -> np.ndarray:
-    """exp(M) by scaling-and-squaring with Pade approximation."""
-    return sla.expm(as_square(m))
+    """exp(M) by Pade-13 scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 2005): scale M by 2^-s so that ||M||_1 <= theta_13,
+    take the [13/13] Pade approximant, and square it s times."""
+    m = as_square(m)
+    norm = np.abs(m).sum(axis=0).max(initial=0.0)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm else 0
+    m = m / 2.0**s
+    b = _PADE13
+    ident = np.eye(m.shape[0])
+    m2 = m @ m
+    m4 = m2 @ m2
+    m6 = m2 @ m4
+    u = m @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2)
+             + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident)
+    v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
+         + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
+    with np.errstate(all="ignore"):
+        e = np.linalg.solve(v - u, v + u)
+        for _ in range(s):
+            e = e @ e
+    if not np.all(np.isfinite(e)):
+        raise NumericsError("matrix exponential overflows")
+    return e
+
+
+@functools.cache
+def _folded_layout(n):
+    """Index layout of the Kronecker operator folded onto symmetric n x n
+    matrices: the upper-triangle positions (i, j) in row order; flat
+    indices into F of f_ik, f_jl, f_il and f_jk for row (i, j) and column
+    (k, l); and the column weights, 1/2 on the diagonal columns k = l,
+    where the two products coincide."""
+    i, j = np.triu_indices(n)
+    gathers = tuple(r[:, None] * n + c[None, :] for r, c in ((i, i), (j, j), (i, j), (j, i)))
+    weight = np.where(i == j, 0.5, 1.0)
+    for arr in (i, j, weight) + gathers:
+        arr.flags.writeable = False
+    return i, j, gathers, weight
+
+
+def _lyapunov_operator(f):
+    """X - F X F' on symmetric X, as a matrix acting on the n(n+1)/2
+    upper-triangle entries: row (i, j) reads
+    x_ij - sum_{k <= l} (f_ik f_jl + f_il f_jk) x_kl, halved for k = l."""
+    _, _, (ik, jl, il, jk), weight = _folded_layout(f.shape[0])
+    flat = f.ravel()
+    return np.eye(weight.size) - (flat[ik] * flat[jl] + flat[il] * flat[jk]) * weight
+
+
+def _solve_symmetric(op, w):
+    """The symmetric X with op @ triu(X) = triu(W), W symmetric."""
+    i, j, _, _ = _folded_layout(w.shape[0])
+    try:
+        half = np.linalg.solve(op, w[i, j])
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"Lyapunov operator is singular: {exc}") from exc
+    x = np.empty_like(w)
+    x[i, j] = x[j, i] = half
+    return x
 
 
 def solve_discrete_lyapunov(f, w) -> np.ndarray:
     """Unique solution X of X = F X F' + W for a Schur-stable F.
 
-    Uses the bilinear (Cayley) transformation to a Sylvester problem,
-    which keeps the solver algorithmically independent of the Kronecker
-    vectorization used as a test oracle.
+    X is symmetric, so the solve runs on its n(n+1)/2 upper-triangle
+    entries: one dense solve of the Kronecker operator I - F (x) F folded
+    onto symmetric matrices, followed by up to three refinement passes.
     """
     f = as_square(f, "F")
     w = check_symmetric(w, "W")
@@ -141,21 +220,24 @@ def solve_discrete_lyapunov(f, w) -> np.ndarray:
     rho = spectral_radius(f)
     if rho >= 1.0:
         raise StabilityError(f"spectral radius {rho:.6g} >= 1, no bounded solution")
-    x = sym_part(sla.solve_discrete_lyapunov(f, w, method="bilinear"))
+    op = _lyapunov_operator(f)
     tol = LYAPUNOV_RTOL * (1.0 + np.linalg.norm(w, "fro"))
-    resid = np.linalg.norm(x - f @ x @ f.T - w, "fro")
-    # iterative refinement recovers the contract on stiff instances
-    # (monodromy radius close to one makes the direct solve lose digits)
-    for _ in range(3):
-        if resid <= tol:
-            break
-        defect = sym_part(w - (x - f @ x @ f.T))
-        x = sym_part(x + sla.solve_discrete_lyapunov(f, defect, method="bilinear"))
-        new_resid = np.linalg.norm(x - f @ x @ f.T - w, "fro")
-        if new_resid >= resid:
-            break
-        resid = new_resid
-    if resid > tol:
+    with np.errstate(all="ignore"):
+        x = _solve_symmetric(op, w)
+        resid = np.linalg.norm(x - f @ x @ f.T - w, "fro")
+        # iterative refinement recovers the contract on stiff instances
+        # (monodromy radius close to one makes the direct solve lose digits)
+        for _ in range(3):
+            if resid <= tol:
+                break
+            defect = sym_part(w - (x - f @ x @ f.T))
+            x = x + _solve_symmetric(op, defect)
+            new_resid = np.linalg.norm(x - f @ x @ f.T - w, "fro")
+            if new_resid >= resid:
+                break
+            resid = new_resid
+    # a NaN residual fails this test too
+    if not resid <= tol:
         raise NumericsError(f"Lyapunov residual {resid:.3g} exceeds tolerance")
     return x
 
@@ -199,13 +281,77 @@ def solve_discrete_lyapunov_stacked(f, w):
     return x, len(failed)
 
 
+def _riccati_doubling(a, g, h):
+    """Structure-preserving doubling (Chu, Fan & Lin, 2005) for
+    P = A' P (I + G P)^-1 A + H:
+
+        A <- A (I + G H)^-1 A,  G <- G + A (I + G H)^-1 G A',
+        H <- H + A' H (I + G H)^-1 A,
+
+    whose H converges quadratically to the solution that stabilizes the
+    closed loop when H is positive definite and (A, G) stabilizable."""
+    n = a.shape[0]
+    ident = np.eye(n)
+    # overflow (an unstabilizable plant) ends in NumericsError, not a warning
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_SDA_STEPS):
+            try:
+                step = np.linalg.solve(ident + g @ h, np.hstack([a, g]))
+            except np.linalg.LinAlgError:
+                break
+            h_next = sym_part(h + a.T @ h @ step[:, :n])
+            g = sym_part(g + a @ step[:, n:] @ a.T)
+            a = a @ step[:, :n]
+            size = np.linalg.norm(h_next, "fro")
+            if not np.isfinite(size):
+                break
+            change = np.linalg.norm(h_next - h, "fro")
+            h = h_next
+            if change <= np.finfo(float).eps * size:
+                return h
+    raise NumericsError("Riccati doubling did not converge; "
+                        "(A, B) may not be stabilizable")
+
+
+def _newton_hewer(a, b, q, r, p):
+    """Newton-Hewer steps from a stabilizing P. With the gain
+    K = (R + B'PB)^-1 B'PA, Hewer's next iterate solves
+    P+ = (A - BK)' P+ (A - BK) + Q + K'RK; it is taken here as P + X,
+    where X = (A - BK)' X (A - BK) + Res(P) and Res(P) is the Riccati
+    residual, so that each Lyapunov solve works on a small correction
+    rather than on P itself. A step not smaller than the one before is
+    rounding noise and is dropped; iteration also stops when the
+    correction of an ill-conditioned closed loop misses the Lyapunov
+    contract. solve_dare's residual check then judges the last iterate."""
+    change = np.inf
+    for _ in range(_MAX_NEWTON_STEPS):
+        gain = np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+        resid = sym_part(a.T @ p @ a - a.T @ p @ b @ gain + q - p)
+        try:
+            step = solve_discrete_lyapunov((a - b @ gain).T, resid)
+        except StabilityError as exc:
+            raise NumericsError(f"Riccati iterate is not stabilizing: {exc}") from exc
+        except NumericsError:
+            break
+        last, change = change, np.linalg.norm(step, "fro")
+        if change >= last:
+            break
+        p = p + step
+        if change <= np.finfo(float).eps * np.linalg.norm(p, "fro"):
+            break
+    return p
+
+
 def solve_dare(a, b, q, r) -> np.ndarray:
     """Stabilizing solution P of the discrete-time algebraic Riccati
     equation P = A'PA - A'PB (R + B'PB)^-1 B'PA + Q.
 
-    R must be positive definite; (A, B) must be stabilizable. The result
-    is checked against the fixed-point residual and the closed-loop
-    spectral radius before being returned.
+    R must be positive definite; (A, B) must be stabilizable. Doubling on
+    a slightly shifted Q gives a stabilizing start, and Newton-Hewer
+    steps on Q itself (one Lyapunov solve each) polish it, so a singular
+    or zero Q still yields the stabilizing solution. The result is checked
+    against the fixed-point residual and the closed-loop spectral radius
+    before being returned.
     """
     a = as_square(a, "A")
     b = as_matrix(b, "B")
@@ -228,14 +374,15 @@ def solve_dare(a, b, q, r) -> np.ndarray:
             raise StabilityError("(A, B) is not stabilizable (B = 0, A unstable)")
         p = solve_discrete_lyapunov(a.T, q)
     else:
-        try:
-            p = sym_part(sla.solve_discrete_are(a, b, q, r))
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NumericsError(f"DARE solve failed: {exc}") from exc
+        g = sym_part(b @ np.linalg.solve(r, b.T))
+        shift = _DARE_SHIFT * (1.0 + np.linalg.norm(q, "fro"))
+        p = _riccati_doubling(a, g, q + shift * np.eye(n))
+        p = _newton_hewer(a, b, q, r, p)
 
     gain = np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
     resid = np.linalg.norm(p - (a.T @ p @ a - a.T @ p @ b @ gain + q), "fro")
-    if resid > 1e-8 * (1.0 + np.linalg.norm(p, "fro")):
+    # a NaN residual fails this test too
+    if not resid <= 1e-8 * (1.0 + np.linalg.norm(p, "fro")):
         raise NumericsError(f"Riccati residual {resid:.3g} exceeds tolerance")
     if spectral_radius(a - b @ gain) >= 1.0:
         raise NumericsError("DARE solution is not stabilizing")

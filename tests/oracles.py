@@ -1,15 +1,93 @@
 """Independent test oracles.
 
-These deliberately use different algorithms from the library code they
-check: the Kronecker vectorization solve for discrete Lyapunov equations
-(the library uses a bilinear/Sylvester route), one such solve per phase
-for periodic steady covariances (the library solves phase 0 once and
-propagates the recursion), literal word-repetition for sequence
-reducibility, and rejection-free boundary sampling for ellipsoid support
-functions.
+These deliberately use different algorithms or code from the library
+code they check: scipy's expm, QZ-based DARE solver and bilinear
+(Cayley/Sylvester) Lyapunov solver for the numpy-only kernels in
+sensact.linalg; the full Kronecker vectorization solve for discrete
+Lyapunov equations (close to the library's upper-triangle solve, but
+unrefined and on all n^2 unknowns); one such solve per phase for periodic
+steady covariances (the library solves phase 0 once and propagates the
+recursion); literal word-repetition for sequence reducibility;
+rejection-free boundary sampling for ellipsoid support functions; and a
+per-cell csv.writer for the trajectory CSV.
 """
 
+import csv
+import decimal
+import math
+
 import numpy as np
+import scipy.linalg as sla
+
+
+def scipy_expm(m):
+    """exp(M) by scipy (Al-Mohy & Higham 2009 scaling and squaring)."""
+    return sla.expm(np.asarray(m, dtype=float))
+
+
+def decimal_expm(m, digits=40):
+    """exp(M) in decimal arithmetic at the given number of digits: the
+    Taylor series of M / 2^s, with ||M / 2^s||_1 <= 1/2, squared s times.
+    A referee for scipy_expm, whose own relative error reaches 1e-12 on
+    some non-normal matrices of one-norm about 30."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 10
+        m = np.asarray(m, dtype=float)
+        n = m.shape[0]
+        norm = float(np.abs(m).sum(axis=0).max(initial=0.0))
+        s = max(0, math.ceil(math.log2(norm / 0.5))) if norm else 0
+        scale = decimal.Decimal(2) ** s
+        a = [[decimal.Decimal(float(v)) / scale for v in row] for row in m]
+
+        def mul(x, y):
+            return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+
+        total = [[decimal.Decimal(int(i == j)) for j in range(n)] for i in range(n)]
+        term = total
+        tiny = decimal.Decimal(10) ** -(digits + 5)
+        for k in range(1, 200):
+            term = [[v / k for v in row] for row in mul(term, a)]
+            total = [[t + v for t, v in zip(trow, vrow)] for trow, vrow in zip(total, term)]
+            if max(abs(v) for row in term for v in row) < tiny:
+                break
+        for _ in range(s):
+            total = mul(total, total)
+        return np.array([[float(v) for v in row] for row in total])
+
+
+def scipy_dare(a, b, q, r):
+    """Stabilizing DARE solution by scipy's generalized Schur (QZ) method."""
+    return sla.solve_discrete_are(a, b, q, r)
+
+
+def scipy_dlyap(f, w):
+    """Solve X = F X F' + W by scipy's bilinear (Cayley) transformation to
+    a continuous Lyapunov equation, solved by Bartels-Stewart."""
+    return sla.solve_discrete_lyapunov(f, w, method="bilinear")
+
+
+def write_trajectories_csv(path, trajectories):
+    """trajectories.csv written cell by cell through csv.writer: repr of
+    each float, blank u cells where u is non-finite, blank eta and u cells
+    on each run's final row."""
+    n = trajectories[0].x.shape[1]
+    m = trajectories[0].u.shape[1]
+    header = (["run", "k", "eta"]
+              + [f"x{i + 1}" for i in range(n)]
+              + [f"xh{i + 1}" for i in range(n)]
+              + [f"u{i + 1}" for i in range(m)])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for run, traj in enumerate(trajectories):
+            etas = [str(e) for e in traj.eta.tolist()] + [""]
+            us = traj.u.tolist() + [[math.nan] * m]
+            for k, (x, xh) in enumerate(zip(traj.x.tolist(), traj.xhat.tolist())):
+                writer.writerow([run, k, etas[k]]
+                                + [repr(v) for v in x]
+                                + [repr(v) for v in xh]
+                                + [repr(v) if math.isfinite(v) else "" for v in us[k]])
 
 
 def kron_dlyap(f, w):

@@ -1,11 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import CW_CONFIG
+from conftest import CW_CONFIG, REPO_ROOT
+from oracles import write_trajectories_csv
 
-from sensact import __version__
+from sensact import __version__, cli
 from sensact.cli import build_parser, main
 from sensact.exceptions import SchemaError
 from sensact.modelio import load_model, parse_matrix
@@ -94,6 +99,35 @@ class TestModelBuild:
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(cfg))
         assert main(["model", "build", str(path), "-o", str(tmp_path / "m.json")]) == 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_uncontrollable_unstable_mode_exit_3(self, tmp_path):
+        # discrete A = diag(1.5, 0.5), B = [0, 1]': B cannot reach the 1.5 mode
+        cfg = {
+            "plant": {"continuous": {"a": {"diag": [math.log(1.5), math.log(0.5)]},
+                                     "b": [[0.0], [1.0]]},
+                      "ts": 1.0, "c": [[1.0, 0.0]]},
+            "noise": {"sigma_w": {"eye": 2}, "sigma_v": [[1.0]]},
+            "gains": {"q": {"eye": 2}, "r": [[1.0]]},
+        }
+        path = tmp_path / "uncontrollable.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["model", "build", str(path), "-o", str(tmp_path / "m.json")]) == 3
+
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: importing the package and
+        # building the case-study model must not load it
+        script = ("import sys\n"
+                  "import sensact, sensact.cli\n"
+                  "code = sensact.cli.main(['model', 'build', sys.argv[1], '-o', sys.argv[2]])\n"
+                  "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "print(code, loaded)\n")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", script, str(CW_CONFIG),
+                               str(tmp_path / "m.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["model", "build", str(tmp_path / "nope.json"),
@@ -270,6 +304,24 @@ class TestSimRun:
                   "--seed", "77", "--out", str(d)])
         assert (d1 / "trajectories.csv").read_bytes() == (d2 / "trajectories.csv").read_bytes()
         assert (d1 / "ensemble.csv").read_bytes() == (d2 / "ensemble.csv").read_bytes()
+
+    @pytest.mark.parametrize("word", ["0011", "0001100011", "0", "1"])
+    def test_csv_bytes_match_reference_writer(self, model_file, tmp_path, monkeypatch, word):
+        # the block-repr writer against a per-cell csv.writer on the same runs
+        reference = tmp_path / "reference.csv"
+        write = cli._write_trajectories
+
+        def both(path, trajectories):
+            write(path, trajectories)
+            write_trajectories_csv(reference, trajectories)
+
+        monkeypatch.setattr(cli, "_write_trajectories", both)
+        out_dir = tmp_path / "sim"
+        assert main(["sim", "run", model_file, word, "--steps", "30", "--runs", "3",
+                     "--seed", "11", "--out", str(out_dir)]) == 0
+        written = (out_dir / "trajectories.csv").read_bytes()
+        assert written.count(b"\r\n") == 1 + 3 * 31
+        assert written == reference.read_bytes()
 
     def test_zero_bound_rejected_without_chance_section(self, tmp_path):
         # --bound 0 is a bound, not "no bound": it must fail validation even

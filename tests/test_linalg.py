@@ -1,10 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import kron_dlyap, make_psd, make_stable
+from oracles import (
+    decimal_expm,
+    kron_dlyap,
+    make_psd,
+    make_stable,
+    scipy_dare,
+    scipy_dlyap,
+    scipy_expm,
+)
 
 from sensact import linalg
-from sensact.exceptions import DimensionError, DomainError, StabilityError
+from sensact.covariance import build_augmented, error_noise_term
+from sensact.exceptions import DimensionError, DomainError, NumericsError, StabilityError
+from sensact.plant import CwParams, build_cw_continuous
 
 
 class TestSpectralRadius:
@@ -169,3 +181,122 @@ class TestNilpotency:
 
     def test_identity_not_flagged(self):
         assert not linalg.is_nilpotent(np.eye(5))
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+class TestTypedFailures:
+    """Solver failures are NumericsError, never a NaN result or a warning."""
+
+    def test_uncontrollable_unstable_mode_raises(self):
+        # the 1.5 mode is unstable and B cannot reach it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError):
+                linalg.solve_dare(np.diag([1.5, 0.5]), [[0.0], [1.0]], np.eye(2), [[1.0]])
+
+    def test_unit_circle_mode_without_weight_raises(self):
+        # Q = 0 leaves the uncontrollable unit-circle mode of A = I unweighted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError):
+                linalg.solve_dare(np.eye(2), [[0.0], [1.0]], np.zeros((2, 2)), [[1.0]])
+
+    def test_zero_q_returns_stabilizing_solution(self):
+        # Q = 0 also admits P = 0, which leaves the 1.5 mode unstable; the
+        # stabilizing solution mirrors it to 1/1.5 at cost p11 = 1.5^2 - 1
+        a = np.diag([1.5, 0.5])
+        b = np.array([[1.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = linalg.solve_dare(a, b, np.zeros((2, 2)), [[1.0]])
+        np.testing.assert_allclose(p, [[1.25, 0.0], [0.0, 0.0]], atol=1e-12)
+        gain = np.linalg.solve(1.0 + b.T @ p @ b, b.T @ p @ a)
+        assert linalg.spectral_radius(a - b @ gain) == pytest.approx(1.0 / 1.5)
+
+    def test_exponential_overflow_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError):
+                linalg.matrix_exponential([[1000.0]])
+
+
+class TestAgainstScipy:
+    """The numpy-only kernels against scipy's independent algorithms."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_exponential_random(self, seed):
+        # one-norms spread log-uniformly over 1e-3 .. 1e2; scipy is allowed
+        # its own distance from a 40-digit reference (1.3e-12 for seed 54)
+        rng = np.random.default_rng(3000 + seed)
+        n = int(rng.integers(1, 9))
+        m = rng.standard_normal((n, n))
+        m *= 10.0 ** rng.uniform(-3.0, 2.0) / np.abs(m).sum(axis=0).max()
+        out, exact, ref = linalg.matrix_exponential(m), decimal_expm(m), scipy_expm(m)
+        assert _rel(out, exact) <= 1e-13
+        assert _rel(out, ref) <= 1e-12 + _rel(ref, exact)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_exponential_jordan_block(self, lam, size):
+        # exp(lam I + t N) = e^lam sum_k (t N)^k / k!, exactly
+        nil = 3.0 * np.eye(size, k=1)
+        m = lam * np.eye(size) + nil
+        exact = np.exp(lam) * sum(np.linalg.matrix_power(nil, k) / np.prod(range(1, k + 1))
+                                  for k in range(size))
+        out = linalg.matrix_exponential(m)
+        assert _rel(out, exact) <= 1e-13
+        assert _rel(out, scipy_expm(m)) <= 1e-12
+
+    def test_exponential_cw_zoh_block(self):
+        a_c, b_c = build_cw_continuous(CwParams(mass=140.0, mean_motion=0.001, ts=30.0))
+        block = np.zeros((9, 9))
+        block[:6, :6] = a_c
+        block[:6, 6:] = b_c
+        block *= 30.0
+        assert _rel(linalg.matrix_exponential(block), scipy_expm(block)) <= 1e-12
+
+    def test_dare_random(self):
+        # 240 plants with spectral radius 0.2 .. 2 and Q = C'C of every rank
+        # from 0 (Q = 0) to n; tolerance relative to ||P||, plus 1e-12 for
+        # the P = 0 of a stable A with Q = 0
+        for seed in range(240):
+            rng = np.random.default_rng(4000 + seed)
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, 4))
+            a = rng.standard_normal((n, n))
+            a *= rng.uniform(0.2, 2.0) / linalg.spectral_radius(a)
+            b = rng.standard_normal((n, m))
+            c = rng.standard_normal((int(rng.integers(0, n + 1)), n))
+            r = make_psd(rng, m) + np.eye(m)
+            ref = scipy_dare(a, b, c.T @ c, r)
+            err = np.linalg.norm(linalg.solve_dare(a, b, c.T @ c, r) - ref)
+            assert err <= 1e-8 * np.linalg.norm(ref) + 1e-12, seed
+
+    @pytest.mark.parametrize("word", ["1" * 46 + "00", "1" * 60 + "0000", "0" * 40 + "111"])
+    @pytest.mark.parametrize("side", ["error", "joint"])
+    def test_lyapunov_stiff_cw_monodromy(self, cw_model, cw_gains, cw_mm, word, side):
+        bits = [int(ch) for ch in word]
+        if side == "error":
+            mats = [cw_mm.atilde(eta) for eta in bits]
+            noise = [error_noise_term(eta, cw_gains.l, cw_model.sigma_v, cw_model.sigma_w)
+                     for eta in bits]
+        else:
+            aug = build_augmented(cw_model, cw_gains)
+            mats = [aug.a_modes[eta] for eta in bits]
+            noise = [aug.step_noise(eta) for eta in bits]
+        f = np.eye(mats[0].shape[0])
+        w = np.zeros_like(f)
+        for a, q in zip(mats, noise):
+            f = a @ f
+            w = a @ w @ a.T + q
+        w = linalg.sym_part(w)
+        x = linalg.solve_discrete_lyapunov(f, w)
+        resid = np.linalg.norm(x - f @ x @ f.T - w)
+        assert resid <= linalg.LYAPUNOV_RTOL * (1.0 + np.linalg.norm(w))
+        # the joint operators are ill-conditioned (cond(I - F (x) F) up to
+        # 3e14); a last-bit change of the gains has moved the unrefined
+        # bilinear oracle's relative residual there to 5e-11
+        assert _rel(x, scipy_dlyap(f, w)) <= 1e-9
