@@ -81,28 +81,38 @@ def as_square(a, name="matrix") -> np.ndarray:
     return m
 
 
-def check_symmetric(a, name="matrix") -> np.ndarray:
+def check_symmetric(a, name="matrix", stacked=False) -> np.ndarray:
     """Validate symmetry to relative tolerance and return the exact
-    symmetric part (so downstream eigh calls are well posed)."""
-    m = as_square(a, name)
-    scale = 1.0 + np.linalg.norm(m, "fro")
-    if np.linalg.norm(m - m.T, "fro") > SYM_RTOL * scale:
+    symmetric part (so downstream eigh calls are well posed). With
+    stacked=True, a is a (..., n, n) stack, validated matrix by matrix: it
+    fails if any matrix does, with the message of the one-matrix check."""
+    m = np.asarray(a, dtype=float)
+    if not stacked:
+        m = as_square(m, name)
+    elif m.ndim < 3 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"{name} must be a stack of square matrices, got shape {m.shape}")
+    elif not np.all(np.isfinite(m)):
+        raise DomainError(f"{name} has non-finite entries")
+    axes = (-2, -1) if stacked else None
+    scale = 1.0 + np.linalg.norm(m, "fro", axes)
+    if np.any(np.linalg.norm(m - m.swapaxes(-1, -2), "fro", axes) > SYM_RTOL * scale):
         raise DomainError(f"{name} is not symmetric")
     return sym_part(m)
 
 
-def check_psd(a, name="matrix") -> np.ndarray:
-    """Validate symmetric positive semi-definiteness (to tolerance)."""
-    m = check_symmetric(a, name)
-    scale = 1.0 + np.linalg.norm(m, "fro")
-    if m.size and np.min(np.linalg.eigvalsh(m)) < -SYM_RTOL * scale:
+def check_psd(a, name="matrix", stacked=False) -> np.ndarray:
+    """Validate symmetric positive semi-definiteness (to tolerance), of one
+    matrix or, with stacked=True, of each matrix of a (..., n, n) stack."""
+    m = check_symmetric(a, name, stacked)
+    scale = 1.0 + np.linalg.norm(m, "fro", (-2, -1) if stacked else None)
+    if m.size and np.any(np.min(np.linalg.eigvalsh(m), axis=-1) < -SYM_RTOL * scale):
         raise DomainError(f"{name} is not positive semi-definite")
     return m
 
 
 def sym_part(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def psd_sqrt(a, name="matrix") -> np.ndarray:

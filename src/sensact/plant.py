@@ -172,10 +172,11 @@ def mode_matrices(model: SystemModel, gains: GainSet) -> ModeMatrices:
     bar1 = a + b @ k
     til0 = a + l @ c
     mats = (a, bar1, til0, a)
+    rho_a, rho_bar1, rho_til0 = linalg.spectral_radii(np.stack(mats[:3])).tolist()
     return ModeMatrices(
         a=a, b=b, k=k, l=l,
         omega_bar0=a, omega_bar1=bar1, omega_tilde0=til0, omega_tilde1=a,
-        spectral_radii=tuple(linalg.spectral_radius(m) for m in mats),
+        spectral_radii=(rho_a, rho_bar1, rho_til0, rho_a),
         fro_norms=tuple(linalg.frobenius_norm(m) for m in mats),
     )
 
