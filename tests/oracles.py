@@ -8,12 +8,14 @@ Lyapunov equations (close to the library's upper-triangle solve, but
 unrefined and on all n^2 unknowns); one such solve per phase for periodic
 steady covariances (the library solves phase 0 once and propagates the
 recursion); literal word-repetition for sequence reducibility;
-rejection-free boundary sampling for ellipsoid support functions; and a
-per-cell csv.writer for the trajectory CSV.
+rejection-free boundary sampling for ellipsoid support functions; a
+per-cell csv.writer for the trajectory CSV; and the stdlib's own indented
+json.dumps for the canonical JSON writer.
 """
 
 import csv
 import decimal
+import json
 import math
 
 import numpy as np
@@ -126,6 +128,12 @@ def brute_force_core(bits):
         if n % p == 0 and bits[:p] * (n // p) == bits:
             return bits[:p]
     raise AssertionError("unreachable")
+
+
+def stdlib_json(obj):
+    """The canonical JSON text by the stdlib encoder: sorted keys, 2-space
+    indent, no NaN or infinity, and a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def sampled_ellipsoid_support(p, alpha, direction, samples, seed=0):

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import CW_CONFIG
 from oracles import make_psd, sampled_ellipsoid_support
 
+import sensact.chance as chance_module
+from sensact import linalg
 from sensact.chance import (
     BoxConstraint,
     ChanceSpec,
@@ -11,9 +16,11 @@ from sensact.chance import (
     ellipsoid_support,
     verify_chance,
 )
-from sensact.covariance import steady_augmented_cov
+from sensact.cli import main
+from sensact.covariance import PeriodicCovariance, steady_augmented_cov
 from sensact.exceptions import DimensionError, DomainError, StabilityError
-from sensact.plant import SystemModel, synthesize_gains
+from sensact.plant import SystemModel, mode_matrices, synthesize_gains
+from sensact.sequence import admissibility
 
 
 class TestChebyshevAlpha:
@@ -172,3 +179,137 @@ class TestVerifyChance:
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["passes"] is True
         assert len(doc["phases"]) == 4
+
+
+def admissible_word(mm, period, seed):
+    """A seeded random admissible word of the given period."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10000):
+        bits = rng.integers(0, 2, period)
+        if admissibility(bits, mm).admissible:
+            return "".join(map(str, bits))
+    raise AssertionError(f"no admissible word of period {period}")
+
+
+def outcome(check, a, stacked=False):
+    """The matrix a check returns, or the type and message it raises."""
+    try:
+        return check(a, "P", stacked)
+    except (DimensionError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStackedChance:
+    """verify_chance checks all phases as one stack; every phase must
+    carry the values of the one-matrix routines, bit for bit."""
+
+    BOX = BoxConstraint(22.0, components=(0, 1, 2))
+
+    @pytest.mark.parametrize("period, seed", [(4, 0), (9, 1), (17, 2), (33, 3), (64, 4)])
+    def test_phases_equal_the_scalar_formulas(self, cw_model, cw_gains, period, seed):
+        word = admissible_word(mode_matrices(cw_model, cw_gains), period, seed)
+        _, state = steady_augmented_cov(word, cw_model, cw_gains)
+        # a nonzero mean exercises the margins' |mu| term
+        means = np.random.default_rng(seed).normal(0.0, 5.0, (period, cw_model.n))
+        report = verify_chance(word, cw_model, cw_gains, self.BOX, 0.05, mean_phases=means)
+        idx, widths = self.BOX.resolve(cw_model.n)
+        alpha = chebyshev_alpha(len(idx), 0.05)
+        assert len(report.phases) == period
+        for k, ph in enumerate(report.phases):
+            p_c = state[k][np.ix_(idx, idx)]
+            assert ph.phase == k
+            assert ph.radius == confidence_radius(p_c, alpha)
+            margins = tuple(
+                float(b) - abs(float(means[k, i])) - alpha * math.sqrt(max(p_c[j, j], 0.0))
+                for j, (i, b) in enumerate(zip(idx, widths)))
+            assert ph.margins == margins
+            assert ph.face_pass == all(m >= 0.0 for m in margins)
+            sphere = ph.radius + max(abs(float(means[k, i])) for i in idx) <= min(widths)
+            assert ph.sphere_pass == sphere
+
+    @pytest.fixture()
+    def one_bad_phase(self, cw_model, cw_gains, monkeypatch):
+        """Negate phase 2 of the state covariances that verify_chance
+        receives, so that one phase of the stack is not PSD; returns the
+        constrained block of that phase."""
+        real = steady_augmented_cov
+
+        def patched(s, model, gains):
+            joint, state = real(s, model, gains)
+            phases = list(state.phases)
+            phases[2] = -phases[2]
+            return joint, PeriodicCovariance(phases=tuple(phases), period=state.period)
+
+        monkeypatch.setattr(chance_module, "steady_augmented_cov", patched)
+        _, state = real("0011", cw_model, cw_gains)
+        return -state[2][np.ix_((0, 1, 2), (0, 1, 2))]
+
+    def test_non_psd_phase_raises_the_scalar_error(self, cw_model, cw_gains, one_bad_phase):
+        with pytest.raises(DomainError) as scalar:
+            confidence_radius(one_bad_phase, chebyshev_alpha(3, 0.05))
+        with pytest.raises(DomainError) as stacked:
+            verify_chance("0011", cw_model, cw_gains, self.BOX, 0.05)
+        assert str(stacked.value) == str(scalar.value) == "P is not positive semi-definite"
+
+    def test_non_psd_phase_exits_2(self, tmp_path, one_bad_phase, capsys):
+        model = str(tmp_path / "model.json")
+        assert main(["model", "build", str(CW_CONFIG), "-o", model]) == 0
+        assert main(["chance", "verify", model, "0011", "--bound", "22", "--delta", "0.05"]) == 2
+        assert "P is not positive semi-definite" in capsys.readouterr().err
+
+    def test_checks_agree_item_by_item(self):
+        rng = np.random.default_rng(11)
+        good = [make_psd(rng, 4) for _ in range(3)]
+        scale = 1.0 + np.linalg.norm(good[0], "fro")
+        tol = linalg.SYM_RTOL * scale
+        w, v = np.linalg.eigh(good[0])
+        skew = np.triu(np.ones((4, 4)), 1)
+        skew = (skew - skew.T) / np.linalg.norm(skew - skew.T, "fro")
+
+        def with_min_eig(value):
+            return (v * np.concatenate([[value], w[1:]])) @ v.T
+
+        items = good + [
+            np.zeros((4, 4)),
+            good[0] + 0.3 * tol * skew,          # asymmetric within tolerance
+            good[0] + 3.0 * tol * skew,          # asymmetric beyond it
+            with_min_eig(-0.3 * tol),            # negative eigenvalue within tolerance
+            with_min_eig(-3.0 * tol),            # beyond it
+            -good[1],
+        ]
+        expected = {
+            linalg.check_symmetric: [True] * 5 + [False, True, True, True],
+            linalg.check_psd: [True] * 5 + [False, True, False, False],
+        }
+        for check, accepts in expected.items():
+            for item, accepted in zip(items, accepts):
+                single = outcome(check, item)
+                stacked = outcome(check, np.stack([good[2], item, good[1]]), stacked=True)
+                assert isinstance(single, np.ndarray) == accepted
+                if accepted:
+                    assert np.array_equal(stacked[1], single)
+                else:
+                    assert stacked == single
+        accepted = np.stack(items[:5] + [items[6]])
+        assert np.array_equal(linalg.check_psd(accepted.reshape(2, 3, 4, 4), stacked=True),
+                              linalg.check_psd(accepted, stacked=True).reshape(2, 3, 4, 4))
+
+    def test_stack_shape_and_entries_checked(self):
+        for shape in ((3, 4, 5), (4, 4)):
+            with pytest.raises(DimensionError, match="stack of square matrices"):
+                linalg.check_psd(np.zeros(shape), "P", stacked=True)
+        bad = np.zeros((3, 2, 2))
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            linalg.check_psd(bad, "P", stacked=True)
+
+    def test_one_matrix_checks_reject_stacks(self):
+        # a stack passed where one matrix is expected must not broadcast
+        stack = np.stack([np.eye(2), 4.0 * np.eye(2)])
+        for check in (linalg.check_symmetric, linalg.check_psd):
+            with pytest.raises(DimensionError, match="must be 2-D"):
+                check(stack, "P")
+        with pytest.raises(DimensionError):
+            confidence_radius(stack, 1.0)
+        with pytest.raises(DimensionError):
+            ellipsoid_support(stack, 1.0, [1.0, 0.0])

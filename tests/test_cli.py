@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -340,6 +341,30 @@ class TestSimRun:
         blocker.write_text("a file, not a directory")
         assert main(["sim", "run", model_file, "0011", "--steps", "4", "--runs", "1",
                      "--seed", "1", "--out", str(blocker)]) == 4
+
+
+class TestCanonicalJson:
+    """Every JSON file the CLI writes is the stdlib's canonical text of its
+    own content: floats repr round-trip, so re-dumping what json.load reads
+    back must give the same bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["seq", "check", "{model}", "0011", "--dwell", "--chance", "--json", "{out}"],
+        ["seq", "search", "{model}", "--n", "8", "--table", "--json", "{out}"],
+        ["cov", "steady", "{model}", "0001100011", "--augmented", "--json", "{out}"],
+        ["chance", "verify", "{model}", "0001100011", "--bound", "22", "--json", "{out}"],
+        ["sim", "run", "{model}", "0011", "--steps", "12", "--runs", "2", "--seed", "3",
+         "--out", "{dir}"],
+    ], ids=["seq-check", "seq-search", "cov-steady", "chance-verify", "sim-meta"])
+    def test_outputs_are_stdlib_canonical(self, model_file, tmp_path, capsys, argv):
+        out, sim_dir = tmp_path / "out.json", tmp_path / "sim"
+        argv = [a.format(model=model_file, out=out, dir=sim_dir) for a in argv]
+        assert main(argv) == 0
+        capsys.readouterr()
+        files = [out] if argv[0] != "sim" else [sim_dir / "meta.json"]
+        for path in files + [pathlib.Path(model_file)]:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 class TestFullPipeline:

@@ -151,6 +151,21 @@ class TestModeMatrices:
         with pytest.raises(DimensionError):
             mode_matrices(cw_model, GainSet(k=np.zeros((2, 6)), l=np.zeros((6, 3))))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_radii_equal_one_matrix_radii(self, cw_model, cw_gains, seed):
+        # the batched eigenvalue call gives each matrix's own radius exactly
+        if seed == 0:
+            model, gains = cw_model, cw_gains
+        else:
+            rng = np.random.default_rng(seed)
+            n = 2 + seed
+            model = SystemModel(a=make_stable(rng, n, 1.1), b=np.eye(n), c=np.eye(n),
+                                sigma_w=make_psd(rng, n), sigma_v=make_psd(rng, n))
+            gains = GainSet(k=rng.standard_normal((n, n)), l=rng.standard_normal((n, n)))
+        mm = mode_matrices(model, gains)
+        mats = (mm.omega_bar0, mm.omega_bar1, mm.omega_tilde0, mm.omega_tilde1)
+        assert mm.spectral_radii == tuple(linalg.spectral_radius(m) for m in mats)
+
     def test_frobenius_feedback_norm(self, cw_mm):
         assert cw_mm.fro_norms[1] == pytest.approx(10.4716, abs=0.01)
 
