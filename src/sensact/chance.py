@@ -14,8 +14,8 @@ import numpy as np
 
 from . import linalg
 from .exceptions import DimensionError, DomainError
-from .covariance import steady_augmented_cov, steady_mean_phases
-from .plant import GainSet, SystemModel, TargetSpec, mode_matrices
+from .covariance import steady_augmented_cov
+from .plant import GainSet, SystemModel
 
 __all__ = [
     "ChanceSpec",
@@ -175,10 +175,10 @@ def verify_chance(s, model: SystemModel, gains: GainSet, box: BoxConstraint,
     state. The bounding-sphere verdict (radius + |mu|_inf <= min b_i) is
     recorded alongside as the conservative variant.
 
-    mean_phases defaults to the steady periodic mean (zero for an origin
-    target with no feedforward).
+    mean_phases defaults to zero: the steady periodic mean for an origin
+    target with no feedforward, which is unique once the schedule is
+    admissible (the control monodromy contracts).
     """
-    mm = mode_matrices(model, gains)
     _, state_covs = steady_augmented_cov(s, model, gains)  # validates admissibility
     n = model.n
     period = state_covs.period
@@ -186,7 +186,7 @@ def verify_chance(s, model: SystemModel, gains: GainSet, box: BoxConstraint,
     alpha = chebyshev_alpha(len(idx), delta)
 
     if mean_phases is None:
-        mean_phases = steady_mean_phases(mm, s, TargetSpec.origin(n, model.m))
+        mean_phases = np.zeros((period, n))
     mean_phases = np.asarray(mean_phases, dtype=float)
     if mean_phases.shape != (period, n):
         raise DimensionError(f"mean_phases must have shape {(period, n)}")

@@ -295,8 +295,13 @@ def steady_augmented_cov(s, model: SystemModel, gains: GainSet):
     full admissibility; the augmented monodromy inherits its spectrum
     from the two diagonal blocks, so both must contract.
     """
+    return _steady_augmented_cov(s, model, gains, mode_matrices(model, gains))
+
+
+def _steady_augmented_cov(s, model: SystemModel, gains: GainSet, mm: ModeMatrices):
+    """steady_augmented_cov on the caller's ModeMatrices of (model, gains),
+    so a command that already built them builds them once."""
     bits = _as_bits(s)
-    mm = mode_matrices(model, gains)
     report = admissibility(bits, mm)
     if not report.admissible:
         raise StabilityError(

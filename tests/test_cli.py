@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -341,6 +342,167 @@ class TestSimRun:
         blocker.write_text("a file, not a directory")
         assert main(["sim", "run", model_file, "0011", "--steps", "4", "--runs", "1",
                      "--seed", "1", "--out", str(blocker)]) == 4
+
+
+class TestForkedTrajectoryWriter:
+    """trajectories.csv is cut into contiguous chunks of runs, and forked
+    children format every chunk but the first; the bytes must not depend
+    on the worker count, and no child or temporary file may outlive the
+    command."""
+
+    @staticmethod
+    def force_workers(monkeypatch, cpus, min_rows):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(cli, "_MIN_ROWS_PER_WORKER", min_rows)
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks = []
+        real = os.fork
+
+        def counting():
+            forks.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting)
+        return forks
+
+    @staticmethod
+    def assert_no_children():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def run_sim(self, model_file, out_dir, runs, steps, word="0011"):
+        return main(["sim", "run", model_file, word, "--steps", str(steps), "--runs", str(runs),
+                     "--seed", "5", "--out", str(out_dir)])
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 7])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_bytes_match_reference_for_any_worker_count(self, model_file, tmp_path,
+                                                        monkeypatch, capsys, runs, cpus):
+        reference = tmp_path / "reference.csv"
+        write = cli._write_trajectories
+
+        def both(path, trajectories):
+            write(path, trajectories)
+            write_trajectories_csv(reference, trajectories)
+
+        monkeypatch.setattr(cli, "_write_trajectories", both)
+        self.force_workers(monkeypatch, cpus, min_rows=1)
+        forks = self.count_forks(monkeypatch)
+        out_dir = tmp_path / "sim"
+        # 21 rows of a run fit in the text layer's buffer, so a run's rows
+        # may still sit there when the children's chunks are copied in
+        assert self.run_sim(model_file, out_dir, runs, steps=20) == 0
+        capsys.readouterr()
+        assert (out_dir / "trajectories.csv").read_bytes() == reference.read_bytes()
+        assert len(forks) == min(cpus, runs) - 1
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "ensemble.csv", "meta.json", "trajectories.csv"]
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("runs, steps, workers", [
+        (1, 240, 1),   # one run is one chunk
+        (2, 20, 1),    # 42 rows, below the row floor
+        (7, 240, 3),   # 1687 rows, three floors' worth
+        (20, 240, 8),  # 4820 rows, capped by the CPUs
+    ])
+    def test_forks_follow_the_row_floor(self, model_file, tmp_path, monkeypatch, capsys,
+                                        runs, steps, workers):
+        self.force_workers(monkeypatch, 8, min_rows=500)
+        forks = self.count_forks(monkeypatch)
+        assert self.run_sim(model_file, tmp_path / "sim", runs, steps) == 0
+        capsys.readouterr()
+        assert len(forks) == workers - 1
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_writer_exits_4_and_leaves_nothing(self, model_file, tmp_path,
+                                                      monkeypatch, capsys, failing):
+        # a failing parent must kill its children, not wait for them
+        parent = os.getpid()
+        write_runs = cli._write_runs
+
+        def flaky(fh, trajectories, runs):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise OSError("formatting failed")
+            if failing == "parent":
+                time.sleep(60)
+            write_runs(fh, trajectories, runs)
+
+        monkeypatch.setattr(cli, "_write_runs", flaky)
+        self.force_workers(monkeypatch, 3, min_rows=1)
+        out_dir = tmp_path / "sim"
+        start = time.monotonic()
+        assert self.run_sim(model_file, out_dir, runs=3, steps=30) == 4
+        assert time.monotonic() - start < 30
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "wrote" not in captured.out
+        self.assert_no_children()
+        assert [p.name for p in out_dir.iterdir()] == ["trajectories.csv"]
+
+    def test_children_print_nothing(self, model_file, tmp_path):
+        # stdout is a buffered pipe, so the line printed before the command
+        # is still in the buffer when the writers fork: a child that flushed
+        # it or returned into the caller would print a line twice
+        script = ("import os, sys\n"
+                  "from sensact import cli\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+                  "cli._MIN_ROWS_PER_WORKER = 1\n"
+                  "print('before')\n"
+                  "code = cli.main(['sim', 'run', sys.argv[1], '0011', '--steps', '30',\n"
+                  "                 '--runs', '3', '--seed', '5', '--out', sys.argv[2]])\n"
+                  "print('exit', code)\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        done = subprocess.run([sys.executable, "-c", script, model_file, str(tmp_path / "sim")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "before" and lines[-1] == "exit 0"
+        assert lines.count("before") == 1
+        assert sum(line.startswith("wrote 3 runs x 30 steps") for line in lines) == 1
+        assert done.stderr == ""
+
+
+class TestOneModeMatricesPerCommand:
+    """cov steady --augmented and chance verify build the mode matrices of
+    the model once, and their JSON is unchanged by it."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        import sensact
+        from sensact import plant
+
+        made = []
+        real = plant.mode_matrices
+
+        def counting(model, gains):
+            made.append(1)
+            return real(model, gains)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "sensact" and getattr(module, "mode_matrices", None) is real:
+                monkeypatch.setattr(module, "mode_matrices", counting)
+        assert sensact.mode_matrices is counting
+        return made
+
+    @pytest.mark.parametrize("argv", [
+        ["cov", "steady", "{model}", "0001100011", "--augmented", "--json", "{out}"],
+        ["chance", "verify", "{model}", "0001100011", "--bound", "22", "--json", "{out}"],
+    ], ids=["cov-steady-augmented", "chance-verify"])
+    def test_one_call(self, model_file, tmp_path, capsys, calls, argv):
+        argv = [a.format(model=model_file, out=tmp_path / "out.json") for a in argv]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_inadmissible_word_still_exits_3(self, model_file, calls, capsys):
+        assert main(["cov", "steady", model_file, "01", "--augmented"]) == 3
+        assert main(["chance", "verify", model_file, "01", "--bound", "22"]) == 3
+        assert "not admissible" in capsys.readouterr().err
 
 
 class TestCanonicalJson:
