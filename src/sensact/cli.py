@@ -368,7 +368,7 @@ def _write_trajectories(path, trajectories):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(header)
             _write_runs(fh, trajectories, range(bounds[0], bounds[1]))
-            fh.flush()
+            fh.flush()  # the text layer may still hold chunk 0's last rows
             while children:
                 pid, tmp = children[0]
                 _, status = os.waitpid(pid, 0)
