@@ -448,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n-max", type=int, default=None,
                        help="search lengths 1..N until one is feasible")
     search.add_argument("--prefilter", default="off",
-                        choices=["off", "screen", "heuristic"])
+                        choices=["off", "screen", "heuristic"],
+                        help="accepted for compatibility; off and screen are identical "
+                             "(heuristic is refused)")
     search.add_argument("--all-lengths", action="store_true",
                         help="with --n-max, keep searching all lengths for the global optimum")
     search.add_argument("--table", action="store_true", help="include the per-word cost table")

@@ -10,33 +10,20 @@ that are not cached yet are evaluated in one stacked pass per period:
 batched monodromies and eigenvalues for the verdicts, and for the
 admissible ones a batched steady solve at phase 0 with the cost from the
 trace identity, so no per-phase covariance is formed (SequenceEvaluator).
-The dwell-time screen can optionally fast-accept cores it certifies (the
-screen is sufficient only, so by default nothing is rejected on its
-account; an explicit heuristic mode does reject). The screen counts blocks
-without wrap-around (0011 has two, 0110 three), so it judges every
-rotation's core on its own.
+The exact check decides every necklace. The search does not use the
+dwell-time screen: it is sufficient only, and it cannot spare the steady
+solve that the cost needs.
 """
 
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 import numpy as np
 
 from . import linalg
 from .exceptions import DimensionError, DomainError
 from .covariance import build_augmented, error_noise_term
-# the scalar steady solves that the batched costs reproduce (sequence_cost
-# on their phases), kept importable from here next to sequence_cost
-from .covariance import steady_augmented_cov, steady_error_cov  # noqa: F401
 from .plant import GainSet, ModeMatrices, SystemModel, mode_matrices
-from .sequence import (
-    SwitchSequence,
-    _as_bits,
-    admissibility,
-    admissibility_stacked,
-    dwell_feasible,
-    uniform_growth_constant,
-)
+from .sequence import SwitchSequence, _as_bits, admissibility, admissibility_stacked
 
 __all__ = [
     "CostWeights",
@@ -54,9 +41,6 @@ COST_RTOL = 1e-9
 #: necklaces evaluated in one stacked pass; bounds the stacked arrays at
 #: about a megabyte each on the 12 x 12 joint system of the CW model
 _BATCH = 1024
-
-#: cache entry of a rotation the heuristic screen drops
-_REJECTED = (None, float("inf"))
 
 
 @dataclass(frozen=True)
@@ -110,11 +94,9 @@ def sequence_cost(s, steady_err, steady_state, weights: CostWeights) -> float:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """prefilter: 'off' checks every core exactly; 'screen' lets a passing
-    dwell screen certify admissibility (never rejects); 'heuristic'
-    additionally rejects cores failing the screen without an exact check
-    (may miss admissible schedules; opt-in only). threads is accepted
-    for compatibility; evaluation is serial."""
+    """prefilter ('off' or 'screen') and threads are accepted for
+    compatibility and change nothing: every necklace is checked exactly,
+    and evaluation is serial."""
 
     prefilter: str = "off"
     all_lengths: bool = False
@@ -122,8 +104,12 @@ class SearchOptions:
     threads: int = 1
 
     def __post_init__(self):
-        if self.prefilter not in ("off", "screen", "heuristic"):
-            raise DomainError("prefilter must be 'off', 'screen' or 'heuristic'")
+        if self.prefilter == "heuristic":
+            raise DomainError("prefilter 'heuristic' is no longer available: the dwell "
+                              "screen is sufficient only, so it dropped admissible "
+                              "schedules; use 'off'")
+        if self.prefilter not in ("off", "screen"):
+            raise DomainError("prefilter must be 'off' or 'screen'")
         if self.threads < 1:
             raise DomainError("thread count must be at least 1")
 
@@ -133,8 +119,6 @@ class SearchCounts:
     enumerated: int = 0
     cores_evaluated: int = 0
     memo_hits: int = 0
-    screen_accepts: int = 0
-    screen_rejects: int = 0
     necklaces: int = 0  # exact evaluations; the other counts are per core
 
 
@@ -162,14 +146,12 @@ class SearchResult:
 class SequenceEvaluator:
     """Memoized, batched per-necklace evaluation shared across search calls.
 
-    The cache maps a necklace's least rotation to one (report, cost) per
-    rotation least[i:] + least[:i]: the exact result, computed once on the
-    least rotation, or (None, inf) for a rotation the heuristic screen
-    rejects. counts are per core (a necklace of period p adds p), except
-    necklaces, the number of exact evaluations.
+    The cache maps a necklace's least rotation to its exact (report,
+    cost), which every rotation shares. counts are per core (a necklace of
+    period p adds p), except necklaces, the number of exact evaluations.
 
-    The necklaces of one call that are not cached yet and survive the
-    screen are evaluated together, stacked per period into (K, p) bit
+    The necklaces of one call that are not cached yet are evaluated
+    together, stacked per period into (K, p) bit
     arrays of at most _BATCH rows: the verdicts by admissibility_stacked,
     and for the admissible rows the cost from one batched steady solve at
     phase 0 through the trace identity
@@ -186,19 +168,15 @@ class SequenceEvaluator:
     fallbacks counts the items it handed to the scalar solver.
     """
 
-    def __init__(self, model: SystemModel, gains: GainSet, weights: CostWeights,
-                 options: SearchOptions = SearchOptions()):
+    def __init__(self, model: SystemModel, gains: GainSet, weights: CostWeights):
         self.model = model
         self.gains = gains
         self.weights = weights
-        self.options = options
         self.mm: ModeMatrices = mode_matrices(model, gains)
         self._system = self._cost_system()
         self._cache = {}
-        self._screen_c = None
         self.fallbacks = 0
-        self.counts = dict.fromkeys(("cores_evaluated", "memo_hits", "screen_accepts",
-                                     "screen_rejects", "necklaces"), 0)
+        self.counts = dict.fromkeys(("cores_evaluated", "memo_hits", "necklaces"), 0)
 
     def _cost_system(self):
         """(per-mode transitions, per-mode noise, weight Q), each mode
@@ -220,30 +198,6 @@ class SequenceEvaluator:
             return (np.stack((self.mm.omega_tilde0, self.mm.omega_tilde1)),
                     np.stack(noise), w.r_err)
         return None
-
-    def _screen_constant(self, period: int) -> float:
-        # rigorous uniform constant over both families, valid for block
-        # lengths up to the period actually being screened
-        if self._screen_c is None or self._screen_c[0] < period:
-            mats = (self.mm.omega_bar0, self.mm.omega_bar1,
-                    self.mm.omega_tilde0, self.mm.omega_tilde1)
-            self._screen_c = (period, uniform_growth_constant(mats, period))
-        return self._screen_c[1]
-
-    def _screen_rejects(self, core: tuple) -> bool:
-        """Dwell-screen one core and count the verdict; True when the
-        heuristic mode drops the core without an exact check."""
-        try:
-            c = self._screen_constant(len(core))
-            passes = dwell_feasible(core, self.mm.spectral_radii, c).passes
-        except DomainError:
-            return False  # zero spectral radius etc.: fall back to exact
-        if passes:
-            self.counts["screen_accepts"] += 1
-        elif self.options.prefilter == "heuristic":
-            self.counts["screen_rejects"] += 1
-            return True
-        return False
 
     def _costs(self, bits: np.ndarray) -> np.ndarray:
         """Normalized cost of each admissible row of a (K, p) bit array."""
@@ -276,37 +230,26 @@ class SequenceEvaluator:
         return list(zip(reports, costs.tolist()))
 
     def resolve(self, necklaces) -> list:
-        """(report, cost) of each rotation least[i:] + least[:i], for each
-        necklace given by its least rotation; the uncached ones are
-        evaluated in stacked batches. (Any other rotation given is
-        evaluated from its own phase 0 and cached under itself.)"""
-        fresh = {}  # period -> [(least, rejected rotations)]
+        """(report, cost) of each necklace, given by its least rotation; the
+        uncached ones are evaluated in stacked batches. (Any other rotation
+        given is evaluated from its own phase 0 and cached under itself.)"""
+        fresh = {}  # period -> [least]
         for least in necklaces:
-            period = len(least)
             if least in self._cache:
-                self.counts["memo_hits"] += period
+                self.counts["memo_hits"] += len(least)
                 continue
-            self.counts["cores_evaluated"] += period
-            rejected = [False] * period
-            if self.options.prefilter != "off":
-                rejected = [self._screen_rejects(least[i:] + least[:i]) for i in range(period)]
-            if all(rejected):
-                self._cache[least] = (_REJECTED,) * period
-            else:
-                fresh.setdefault(period, []).append((least, rejected))
+            self.counts["cores_evaluated"] += len(least)
+            fresh.setdefault(len(least), []).append(least)
         for group in fresh.values():
             for start in range(0, len(group), _BATCH):
                 chunk = group[start:start + _BATCH]
-                exact = self._evaluate(np.array([least for least, _ in chunk], dtype=np.intp))
-                for (least, rejected), value in zip(chunk, exact):
-                    self._cache[least] = (tuple(_REJECTED if r else value for r in rejected)
-                                          if any(rejected) else (value,) * len(least))
+                self._cache.update(zip(chunk, self._evaluate(np.array(chunk, dtype=np.intp))))
         return [self._cache[least] for least in necklaces]
 
     def evaluate(self, core_bits: tuple):
         """(report, cost) of any core, served through its necklace."""
-        least, shift = min((core_bits[i:] + core_bits[:i], i) for i in range(len(core_bits)))
-        return self.resolve([least])[0][-shift]  # core_bits is least rotated by -shift
+        return self.resolve([min(core_bits[i:] + core_bits[:i]
+                                 for i in range(len(core_bits)))])[0]
 
 
 def _necklaces(length: int):
@@ -337,19 +280,18 @@ def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
     if length < 1:
         raise DomainError("sequence length must be positive")
     if evaluator is None:
-        evaluator = SequenceEvaluator(model, gains, weights, options)
+        evaluator = SequenceEvaluator(model, gains, weights)
     counts_before = dict(evaluator.counts)
     necklaces = list(_necklaces(length))
-    rotations = evaluator.resolve(necklaces)
-    lowest = [min(map(itemgetter(1), values)) for values in rotations]
-    best = min(lowest)
+    costs = [cost for _, cost in evaluator.resolve(necklaces)]
+    best = min(costs)
     bound = best * (1.0 + COST_RTOL) if best < np.inf else -np.inf  # ties within COST_RTOL
     candidates = []  # (word, core, cost)
     table = []
-    for least, values, low in zip(necklaces, rotations, lowest):
-        if not (options.include_table or low <= bound):
+    for least, cost in zip(necklaces, costs):
+        if not (options.include_table or cost <= bound):
             continue
-        for i, (_, cost) in enumerate(values):
+        for i in range(len(least)):
             core = least[i:] + least[:i]
             word = core * (length // len(least))
             if options.include_table:
@@ -387,7 +329,7 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
     across lengths, and the counts cover every length searched."""
     if n_max < 1:
         raise DomainError("maximum length must be positive")
-    evaluator = SequenceEvaluator(model, gains, weights, options)
+    evaluator = SequenceEvaluator(model, gains, weights)
     best = None
     enumerated = 0
     for length in range(1, n_max + 1):

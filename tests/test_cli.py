@@ -209,8 +209,7 @@ class TestSeqSearch:
         assert main(["seq", "search", model_file, "--n-max", "8", "--all-lengths",
                      "--json", str(out)]) == 0
         counts = json.loads(out.read_text())["counts"]
-        assert set(counts) == {"enumerated", "cores_evaluated", "memo_hits",
-                               "screen_accepts", "screen_rejects", "necklaces"}
+        assert set(counts) == {"enumerated", "cores_evaluated", "memo_hits", "necklaces"}
         assert counts["enumerated"] == 2**9 - 2
         assert counts["cores_evaluated"] + counts["memo_hits"] == 2**9 - 2
         # one exact evaluation per necklace of lengths 1..8, repeats cached
@@ -220,6 +219,11 @@ class TestSeqSearch:
         assert main(["seq", "search", model_file, "--n", "4",
                      "--prefilter", "screen"]) == 0
         assert "0011" in capsys.readouterr().out
+
+    def test_heuristic_prefilter_refused(self, model_file, capsys):
+        assert main(["seq", "search", model_file, "--n", "4",
+                     "--prefilter", "heuristic"]) == 2
+        assert "sufficient only" in capsys.readouterr().err
 
 
 class TestCovSteady:

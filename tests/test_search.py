@@ -6,6 +6,7 @@ import pytest
 from oracles import brute_force_core, make_psd, make_stable
 
 import sensact.search as search_module
+from sensact import linalg
 from sensact.covariance import steady_augmented_cov, steady_error_cov
 from sensact.exceptions import DimensionError, DomainError
 from sensact.plant import SystemModel, mode_matrices, synthesize_gains
@@ -18,12 +19,7 @@ from sensact.search import (
     search_up_to,
     sequence_cost,
 )
-from sensact.sequence import (
-    admissibility,
-    dwell_feasible,
-    irreducible_core,
-    uniform_growth_constant,
-)
+from sensact.sequence import admissibility, irreducible_core
 
 
 @pytest.fixture(scope="module")
@@ -141,22 +137,18 @@ class TestFixedLengthSearch:
         # every screen-accepted core must be genuinely admissible; with
         # sequences this short the conservative screen may accept none
         opts = SearchOptions(prefilter="screen")
-        evaluator = SequenceEvaluator(cw_model, cw_gains, est_weights, opts)
+        evaluator = SequenceEvaluator(cw_model, cw_gains, est_weights)
         res = search_fixed_length(8, cw_model, cw_gains, est_weights, opts, evaluator)
-        assert res.counts.screen_rejects == 0
         assert res.feasible
 
-    def test_heuristic_mode_is_explicit(self, cw_model, cw_gains, est_weights):
-        res = search_fixed_length(4, cw_model, cw_gains, est_weights,
-                                  SearchOptions(prefilter="heuristic"))
-        # the screen is conservative: S4 fails it, so heuristic mode
-        # misses the true optimum; that risk is the documented contract
-        if res.feasible:
-            assert str(res.sequence) != "0011"
-
-    def test_bad_prefilter_rejected(self):
-        with pytest.raises(DomainError):
-            SearchOptions(prefilter="sometimes")
+    @pytest.mark.parametrize("prefilter, match", [("sometimes", "prefilter"),
+                                                  ("heuristic", "heuristic")],
+                             ids=["sometimes", "heuristic"])
+    def test_bad_prefilter_rejected(self, prefilter, match):
+        # the dwell screen is sufficient only, so a mode that rejected on
+        # its account dropped admissible schedules
+        with pytest.raises(DomainError, match=match):
+            SearchOptions(prefilter=prefilter)
 
     def test_memoization_across_calls(self, cw_model, cw_gains, est_weights):
         # within one length the word -> core map is a bijection, so the
@@ -254,15 +246,6 @@ def _word_costs(length, model, gains, mm, weights):
     return costs
 
 
-def _screened(costs, length, mm):
-    """Drop every word whose core fails the dwell screen, judged core by
-    core with the uniform constant of the searched length."""
-    mats = (mm.omega_bar0, mm.omega_bar1, mm.omega_tilde0, mm.omega_tilde1)
-    c = uniform_growth_constant(mats, length)
-    return {word: cost if dwell_feasible(brute_force_core(word), mm.spectral_radii, c).passes
-            else None for word, cost in costs.items()}
-
-
 def _assert_matches_brute_force(res, costs):
     words = sorted(costs)
     assert [(w, c) for w, c, _ in res.table] == [(w, brute_force_core(w)) for w in words]
@@ -284,9 +267,8 @@ def _assert_matches_brute_force(res, costs):
 
 
 @pytest.fixture(scope="module")
-def screened_model():
-    """A stable random plant on which the dwell screen accepts some cores
-    and rejects others, including different rotations of one necklace."""
+def second_plant():
+    """A stable random two-state plant, a second input besides the CW model."""
     rng = np.random.default_rng(11)
     model = SystemModel(
         a=make_stable(rng, 2, 0.9),
@@ -318,35 +300,50 @@ class TestNecklaceSearch:
                                                      weights))
 
     @pytest.mark.parametrize("length", range(1, 9))
-    def test_heuristic_screens_every_rotation(self, length, screened_model):
-        model, gains, mm = screened_model
+    def test_second_plant(self, length, second_plant):
+        model, gains, mm = second_plant
         weights = CostWeights.estimation(2)
         res = search_fixed_length(length, model, gains, weights,
-                                  SearchOptions(prefilter="heuristic", include_table=True))
-        costs = _word_costs(length, model, gains, mm, weights)
-        _assert_matches_brute_force(res, _screened(costs, length, mm))
-        if length == 4:
-            # 0011 passes the screen while its rotation 0110 (one more
-            # block) fails, so the tie class is part of a necklace
-            assert [str(s) for s in res.tied] == ["0011", "1100"]
+                                  SearchOptions(include_table=True))
+        _assert_matches_brute_force(res, _word_costs(length, model, gains, mm, weights))
 
     def test_one_exact_evaluation_per_necklace(self, cw_model, cw_gains, est_weights,
                                                monkeypatch):
-        calls = {"admissibility": 0, "steady_error_cov": 0}
+        calls = {"admissibility": 0, "admissibility_stacked": 0, "stacked_solve": 0}
+        rows = {"admissibility_stacked": 0, "stacked_solve": 0}
 
-        def counted(name):
-            real = getattr(search_module, name)
-
+        def counted(name, real):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name in rows:
+                    rows[name] += len(args[0])
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(search_module, name, counted(name))
+        for name in ("admissibility", "admissibility_stacked"):
+            monkeypatch.setattr(search_module, name,
+                                counted(name, getattr(search_module, name)))
+        monkeypatch.setattr(linalg, "solve_discrete_lyapunov_stacked",
+                            counted("stacked_solve", linalg.solve_discrete_lyapunov_stacked))
         res = search_fixed_length(10, cw_model, cw_gains, est_weights)
-        # 108 binary necklaces of length 10, plus the winner's report
-        assert calls["admissibility"] <= 108 + 1
-        assert calls["steady_error_cov"] <= 108
+        # the 108 binary necklaces of length 10 have periods 1, 2, 5 and 10:
+        # one stacked verdict pass per period, one steady solve per
+        # admissible necklace, and a scalar report for the winner only
+        assert (calls["admissibility_stacked"], rows["admissibility_stacked"]) == (4, 108)
+        assert rows["stacked_solve"] == 58
+        assert calls["admissibility"] == 1
         assert res.counts.necklaces == 108
         assert res.counts.cores_evaluated == 2**10
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_batch_boundaries(self, batch, cw_model, cw_gains, est_weights, monkeypatch):
+        # periods split into chunks of _BATCH rows give the same search
+        opts = SearchOptions(include_table=True)
+        expected = search_fixed_length(10, cw_model, cw_gains, est_weights, opts)
+        monkeypatch.setattr(search_module, "_BATCH", batch)
+        res = search_fixed_length(10, cw_model, cw_gains, est_weights, opts)
+        assert res.sequence.bits == expected.sequence.bits
+        assert res.cost.hex() == expected.cost.hex()
+        assert [s.bits for s in res.tied] == [s.bits for s in expected.tied]
+        assert res.table == expected.table
+        assert res.counts == expected.counts
