@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .exceptions import DimensionError, DomainError
-from .covariance import steady_augmented_cov
+from .covariance import _steady_augmented_cov, steady_augmented_cov
 from .plant import GainSet, SystemModel
 
 __all__ = [
@@ -163,7 +163,7 @@ class ChanceReport:
 
 
 def verify_chance(s, model: SystemModel, gains: GainSet, box: BoxConstraint,
-                  delta: float, mean_phases=None) -> ChanceReport:
+                  delta: float, mean_phases=None, mm=None) -> ChanceReport:
     """Steady-state chance-constraint verification for a schedule.
 
     For every phase k and every box face +-e_i the exact test requires
@@ -177,9 +177,14 @@ def verify_chance(s, model: SystemModel, gains: GainSet, box: BoxConstraint,
 
     mean_phases defaults to zero: the steady periodic mean for an origin
     target with no feedforward, which is unique once the schedule is
-    admissible (the control monodromy contracts).
+    admissible (the control monodromy contracts). mm, when given, is the
+    caller's ModeMatrices of (model, gains), so they are not built again.
     """
-    _, state_covs = steady_augmented_cov(s, model, gains)  # validates admissibility
+    # both validate admissibility
+    if mm is None:
+        _, state_covs = steady_augmented_cov(s, model, gains)
+    else:
+        _, state_covs = _steady_augmented_cov(s, model, gains, mm)
     n = model.n
     period = state_covs.period
     idx, widths = box.resolve(n)

@@ -138,7 +138,7 @@ def cmd_seq_check(args) -> int:
         if box is None:
             raise SchemaError("chance check requested but no --bound given "
                               "and none in the model's config echo")
-        chance = verify_chance(seq, model, gains, box, float(delta))
+        chance = verify_chance(seq, model, gains, box, float(delta), mm=mm)
         out["chance"] = chance.to_dict()
         print(f"chance: alpha={chance.alpha:.4f} radii "
               f"[{chance.min_radius:.4f}, {chance.max_radius:.4f}] "
@@ -212,14 +212,14 @@ def cmd_cov_steady(args) -> int:
     out = {
         "sequence": str(seq),
         "period": err.period,
-        "error_phases": {str(k): err[k].tolist() for k in range(err.period)},
+        "error_phases": {str(k): err[k] for k in range(err.period)},
     }
     print(f"steady error covariance traces: "
           + " ".join(f"{np.trace(p):.6g}" for p in err))
     if args.augmented:
         joint, state = _steady_augmented_cov(seq, model, gains, mm)
-        out["state_phases"] = {str(k): state[k].tolist() for k in range(state.period)}
-        out["joint_phases"] = {str(k): joint[k].tolist() for k in range(joint.period)}
+        out["state_phases"] = {str(k): state[k] for k in range(state.period)}
+        out["joint_phases"] = {str(k): joint[k] for k in range(joint.period)}
         print(f"steady state covariance traces: "
               + " ".join(f"{np.trace(p):.6g}" for p in state))
     if args.json:

@@ -9,6 +9,7 @@ re-supplying weights.
 """
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 
@@ -47,9 +48,12 @@ class _Unsupported(Exception):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+# stands in for an array in _dump's text; never in the text otherwise,
+# since the encoder escapes every control character in str
+_ARRAY = "\x00"
 
 
-def _dump(obj, newline: str) -> str:
+def _dump(obj, newline: str, arrays: list) -> str:
     # scalars in the order json's encoder tests them
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -78,36 +82,86 @@ def _dump(obj, newline: str) -> str:
             if "n" in body:
                 raise _Unsupported
         else:
-            body = sep.join([_dump(v, inner) for v in obj])
+            body = sep.join([_dump(v, inner, arrays) for v in obj])
         return "[" + inner + body + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         if set(map(type, obj)) != {str}:
             raise _Unsupported
-        body = sep.join([_encode_str(key) + ": " + _dump(obj[key], inner)
+        body = sep.join([_encode_str(key) + ": " + _dump(obj[key], inner, arrays)
                          for key in sorted(obj)])
         return "{" + inner + body + newline + "}"
+    if isinstance(obj, np.ndarray):
+        if (type(obj) is np.ndarray and obj.dtype == np.float64
+                and obj.ndim in (1, 2) and obj.size):
+            arrays.append((obj, newline))
+            return _ARRAY
+        return _dump(obj.tolist(), newline, arrays)  # 0-d, empty, 3-D or not float64
     raise _Unsupported
+
+
+def _fill_arrays(text: str, arrays: list) -> str:
+    """Write the arrays _dump stood in for, formatting each distinct
+    float64 bit pattern among them once."""
+    values = np.concatenate([a.ravel() for a, _ in arrays])
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    if not np.isfinite(distinct).all():
+        raise _Unsupported
+    reprs = list(map(float.__repr__, distinct.tolist()))
+    # itemgetter of one index returns that item, not a 1-tuple
+    texts = operator.itemgetter(*inverse.tolist())(reprs) if len(values) > 1 else reprs
+    parts = text.split(_ARRAY)
+    out, start = [parts[0]], 0
+    for (a, newline), tail in zip(arrays, parts[1:]):
+        items = texts[start:start + a.size]
+        start += a.size
+        inner = newline + "  "
+        if a.ndim == 2:  # each row as _dump writes an all-float list
+            cols = a.shape[1]
+            row_inner = inner + "  "
+            row_sep = "," + row_inner
+            items = ["[" + row_inner + row_sep.join(items[i:i + cols]) + inner + "]"
+                     for i in range(0, a.size, cols)]
+        out += ["[", inner, ("," + inner).join(items), newline, "]", tail]
+    return "".join(out)
+
+
+_stdlib_default = json.JSONEncoder().default
+
+
+def _tolist(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return _stdlib_default(obj)  # raises the stdlib's TypeError
 
 
 def dump_json(obj) -> str:
     """Canonical JSON: sorted keys, 2-space indent, shortest-repr floats.
 
-    The text is byte for byte json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False) + "\\n". CPython's json runs its C encoder only when
+    obj may hold numpy arrays wherever it may hold a list; each is written
+    as its .tolist(). The text is byte for byte
+    json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n" of
+    that converted document. CPython's json runs its C encoder only when
     indent is None; with an indent it formats every element in Python
     generators, which made JSON output the largest cost of certifying a
     schedule (seq check, cov steady, chance verify).
-    This writer joins whole rows of floats with one float.__repr__ map
-    instead. Documents it does not cover (non-str keys, non-finite floats,
+    This writer joins whole rows of floats instead. Lists of floats take
+    one float.__repr__ map; the 1-D and 2-D float64 arrays of a document
+    share one: each distinct bit pattern among them is formatted once
+    (steady covariance phases are symmetric and repeat each other's
+    blocks). Documents it does not cover (non-str keys, non-finite floats,
     unknown types, cycles) go to json.dumps itself, so their output and
     their errors are the stdlib's.
     """
     try:
-        return _dump(obj, "\n") + "\n"
+        arrays = []
+        text = _dump(obj, "\n", arrays) + "\n"
+        return _fill_arrays(text, arrays) if arrays else text
     except (_Unsupported, RecursionError):
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                          default=_tolist) + "\n"
 
 
 def _fail(path, msg):

@@ -14,8 +14,10 @@ from oracles import write_trajectories_csv
 
 from sensact import __version__, cli
 from sensact.cli import build_parser, main
+from sensact.covariance import steady_augmented_cov, steady_error_cov
 from sensact.exceptions import SchemaError
 from sensact.modelio import load_model, parse_matrix
+from sensact.plant import mode_matrices
 
 
 class TestMatrixForms:
@@ -472,8 +474,8 @@ class TestForkedTrajectoryWriter:
 
 
 class TestOneModeMatricesPerCommand:
-    """cov steady --augmented and chance verify build the mode matrices of
-    the model once, and their JSON is unchanged by it."""
+    """cov steady --augmented, chance verify and seq check --chance build
+    the mode matrices of the model once, and their JSON is unchanged by it."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -496,7 +498,9 @@ class TestOneModeMatricesPerCommand:
     @pytest.mark.parametrize("argv", [
         ["cov", "steady", "{model}", "0001100011", "--augmented", "--json", "{out}"],
         ["chance", "verify", "{model}", "0001100011", "--bound", "22", "--json", "{out}"],
-    ], ids=["cov-steady-augmented", "chance-verify"])
+        ["seq", "check", "{model}", "0011", "--chance", "--bound", "22", "--delta", "0.05",
+         "--json", "{out}"],
+    ], ids=["cov-steady-augmented", "chance-verify", "seq-check-chance"])
     def test_one_call(self, model_file, tmp_path, capsys, calls, argv):
         argv = [a.format(model=model_file, out=tmp_path / "out.json") for a in argv]
         assert main(argv) == 0
@@ -531,6 +535,30 @@ class TestCanonicalJson:
         for path in files + [pathlib.Path(model_file)]:
             text = path.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestCovSteadyValues:
+    """The phases cov steady writes read back bit for bit as the matrices
+    the library computes, each under its own key and phase."""
+
+    def test_phases_read_back_exactly(self, model_file, tmp_path, capsys):
+        out = tmp_path / "cov.json"
+        assert main(["cov", "steady", model_file, "0001100011", "--augmented",
+                     "--json", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        model, gains, _ = load_model(model_file)
+        err = steady_error_cov("0001100011", mode_matrices(model, gains),
+                               model.sigma_v, model.sigma_w)
+        joint, state = steady_augmented_cov("0001100011", model, gains)
+        for key, phases in [("error_phases", err), ("state_phases", state),
+                            ("joint_phases", joint)]:
+            assert sorted(doc[key], key=int) == [str(k) for k in range(10)]
+            for k, expected in enumerate(phases):
+                written = np.array(doc[key][str(k)], dtype=np.float64)
+                assert written.shape == expected.shape
+                np.testing.assert_array_equal(written.view(np.uint64),
+                                              expected.view(np.uint64), err_msg=f"{key}[{k}]")
 
 
 class TestFullPipeline:
