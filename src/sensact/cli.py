@@ -204,6 +204,11 @@ def cmd_seq_search(args) -> int:
     return EXIT_OK
 
 
+def _traces(phases) -> str:
+    """The trace of each phase, formatted %.6g, from one stacked trace."""
+    return " ".join(f"{t:.6g}" for t in np.trace(np.stack(phases.phases), axis1=1, axis2=2))
+
+
 def cmd_cov_steady(args) -> int:
     model, gains, _ = _load(args)
     mm = mode_matrices(model, gains)
@@ -214,14 +219,12 @@ def cmd_cov_steady(args) -> int:
         "period": err.period,
         "error_phases": {str(k): err[k] for k in range(err.period)},
     }
-    print(f"steady error covariance traces: "
-          + " ".join(f"{np.trace(p):.6g}" for p in err))
+    print(f"steady error covariance traces: {_traces(err)}")
     if args.augmented:
         joint, state = _steady_augmented_cov(seq, model, gains, mm)
         out["state_phases"] = {str(k): state[k] for k in range(state.period)}
         out["joint_phases"] = {str(k): joint[k] for k in range(joint.period)}
-        print(f"steady state covariance traces: "
-              + " ".join(f"{np.trace(p):.6g}" for p in state))
+        print(f"steady state covariance traces: {_traces(state)}")
     if args.json:
         _write_text(args.json, dump_json(out))
     return EXIT_OK

@@ -93,10 +93,9 @@ class ContractionCertificate:
     monodromy_norm_sq: float
 
 
-def error_noise_term(eta: int, l, sigma_v, sigma_w) -> np.ndarray:
-    """One-step error-covariance noise R = (1 - eta) L Sigma_v L' + Sigma_w."""
-    if eta not in (0, 1):
-        raise DomainError("eta must be 0 or 1")
+def _noise_terms(l, sigma_v, sigma_w) -> tuple:
+    """The one-step error-covariance noise of both modes, (R_0, R_1),
+    validating L and the two noise covariances once."""
     l = linalg.as_matrix(l, "L")
     sigma_v = linalg.check_psd(sigma_v, "sigma_v")
     sigma_w = linalg.check_psd(sigma_w, "sigma_w")
@@ -104,13 +103,18 @@ def error_noise_term(eta: int, l, sigma_v, sigma_w) -> np.ndarray:
         raise DimensionError("L and sigma_v dimensions are inconsistent")
     if sigma_w.shape[0] != l.shape[0]:
         raise DimensionError("L and sigma_w dimensions are inconsistent")
-    if eta:
-        return sigma_w.copy()
-    return linalg.sym_part(l @ sigma_v @ l.T + sigma_w)
+    return linalg.sym_part(l @ sigma_v @ l.T + sigma_w), sigma_w
+
+
+def error_noise_term(eta: int, l, sigma_v, sigma_w) -> np.ndarray:
+    """One-step error-covariance noise R = (1 - eta) L Sigma_v L' + Sigma_w."""
+    if eta not in (0, 1):
+        raise DomainError("eta must be 0 or 1")
+    return _noise_terms(l, sigma_v, sigma_w)[eta]
 
 
 def _error_noise_seq(mm: ModeMatrices, sigma_v, sigma_w, bits):
-    noise = [error_noise_term(eta, mm.l, sigma_v, sigma_w) for eta in (0, 1)]
+    noise = _noise_terms(mm.l, sigma_v, sigma_w)
     return [noise[eta] for eta in bits]
 
 

@@ -69,7 +69,7 @@ def as_matrix(a, name="matrix") -> np.ndarray:
     m = np.atleast_2d(np.asarray(a, dtype=float))
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError(f"{name} has non-finite entries")
     return m
 

@@ -8,6 +8,7 @@ binary64) and embed a config echo so downstream commands can run without
 re-supplying weights.
 """
 
+import functools
 import json
 import operator
 import os
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .chance import BoxConstraint
 from .exceptions import SchemaError
 from .plant import (
@@ -24,6 +26,7 @@ from .plant import (
     TargetSpec,
     build_cw_continuous,
     discretize_zoh,
+    gain_set,
     synthesize_gains,
 )
 from .search import CostWeights
@@ -101,9 +104,30 @@ def _dump(obj, newline: str, arrays: list) -> str:
     raise _Unsupported
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(shape: tuple, newline: str) -> tuple:
+    """(before, closing) for a 1-D or 2-D float array of this shape that
+    _dump met at this indent: the text before each of its floats, in
+    order, and the text after the last one. The same indentation as
+    _dump's for an all-float list, or a list of them. Bounded, since a
+    document's arrays come in few shapes and indents."""
+    inner = newline + "  "
+    if len(shape) == 1:
+        return ("[" + inner,) + ("," + inner,) * (shape[0] - 1), newline + "]"
+    rows, cols = shape
+    row_inner = inner + "  "
+    within = ("," + row_inner,) * (cols - 1)
+    row = (inner + "]," + inner + "[" + row_inner,) + within
+    before = ("[" + inner + "[" + row_inner,) + within + row * (rows - 1)
+    return before, inner + "]" + newline + "]"
+
+
 def _fill_arrays(text: str, arrays: list) -> str:
     """Write the arrays _dump stood in for, formatting each distinct
-    float64 bit pattern among them once."""
+    float64 bit pattern among them once. The document is one "".join of
+    its text around the arrays, interleaved with each array's float reprs
+    and the separators _layout caches per (shape, indent); no row is
+    joined on its own."""
     values = np.concatenate([a.ravel() for a, _ in arrays])
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     distinct = bits.view(np.float64)
@@ -113,18 +137,17 @@ def _fill_arrays(text: str, arrays: list) -> str:
     # itemgetter of one index returns that item, not a 1-tuple
     texts = operator.itemgetter(*inverse.tolist())(reprs) if len(values) > 1 else reprs
     parts = text.split(_ARRAY)
-    out, start = [parts[0]], 0
+    # per array: a separator and a repr per float, its closing, the text after it
+    out = [parts[0]] * (1 + 2 * (len(values) + len(arrays)))
+    at = start = 0
     for (a, newline), tail in zip(arrays, parts[1:]):
-        items = texts[start:start + a.size]
-        start += a.size
-        inner = newline + "  "
-        if a.ndim == 2:  # each row as _dump writes an all-float list
-            cols = a.shape[1]
-            row_inner = inner + "  "
-            row_sep = "," + row_inner
-            items = ["[" + row_inner + row_sep.join(items[i:i + cols]) + inner + "]"
-                     for i in range(0, a.size, cols)]
-        out += ["[", inner, ("," + inner).join(items), newline, "]", tail]
+        before, closing = _layout(a.shape, newline)
+        end = at + 2 * a.size
+        out[at + 1:end:2] = before
+        out[at + 2:end + 1:2] = texts[start:start + a.size]
+        out[end + 1] = closing
+        out[end + 2] = tail
+        at, start = end + 2, start + a.size
     return "".join(out)
 
 
@@ -384,7 +407,22 @@ def model_to_dict(model: SystemModel, gains: GainSet, summary=None, config_echo=
     return doc
 
 
+def _model_array(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array; SchemaError naming the key when it is
+    not numeric or is ragged."""
+    try:
+        return np.array(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"model file key {key!r}: not a numeric matrix") from None
+
+
 def model_from_dict(doc: dict):
+    """(SystemModel, GainSet, config echo or None) of a model file's
+    document. A key that is missing or not numeric raises SchemaError
+    naming it, as do gains K (key "k") and L (key "l") whose shapes are not
+    (m, n) and (n, p); the model's own checks cover the plant matrices.
+    The GainSet radii rho(A + BK) and rho(A + LC) come from one batched
+    eigvals call."""
     if not isinstance(doc, dict) or doc.get("kind") != MODEL_KIND:
         raise SchemaError("not a sensact model file")
     if doc.get("version") != MODEL_VERSION:
@@ -392,23 +430,24 @@ def model_from_dict(doc: dict):
     for key in ("a", "b", "c", "sigma_w", "sigma_v", "k", "l", "ts"):
         if key not in doc:
             raise SchemaError(f"model file missing key {key!r}")
+    try:
+        ts = float(doc["ts"])
+    except (TypeError, ValueError):
+        raise SchemaError("model file key 'ts': not a number") from None
     model = SystemModel(
-        a=np.array(doc["a"], dtype=float),
-        b=np.array(doc["b"], dtype=float),
-        c=np.array(doc["c"], dtype=float),
-        sigma_w=np.array(doc["sigma_w"], dtype=float),
-        sigma_v=np.array(doc["sigma_v"], dtype=float),
-        ts=float(doc["ts"]),
+        a=_model_array(doc, "a"),
+        b=_model_array(doc, "b"),
+        c=_model_array(doc, "c"),
+        sigma_w=_model_array(doc, "sigma_w"),
+        sigma_v=_model_array(doc, "sigma_v"),
+        ts=ts,
     )
-    k = np.array(doc["k"], dtype=float)
-    l = np.array(doc["l"], dtype=float)
-    from . import linalg  # late import keeps module load order simple
-    gains = GainSet(
-        k=k, l=l,
-        rho_feedback=linalg.spectral_radius(model.a + model.b @ k),
-        rho_observer=linalg.spectral_radius(model.a + l @ model.c),
-    )
-    return model, gains, doc.get("config")
+    k = linalg.as_matrix(_model_array(doc, "k"), "K")
+    l = linalg.as_matrix(_model_array(doc, "l"), "L")
+    for key, m, shape in (("k", k, (model.m, model.n)), ("l", l, (model.n, model.p))):
+        if m.shape != shape:
+            raise SchemaError(f"model file key {key!r}: shape {m.shape}, expected {shape}")
+    return model, gain_set(model, k, l), doc.get("config")
 
 
 def save_model(path, model, gains, summary=None, config_echo=None):

@@ -32,6 +32,7 @@ __all__ = [
     "discretize_zoh",
     "synthesize_lqr_gain",
     "synthesize_observer_gain",
+    "gain_set",
     "mode_matrices",
     "check_equilibrium",
 ]
@@ -155,9 +156,13 @@ class ModeMatrices:
     @cached_property
     def nilpotent(self) -> tuple:
         """Numerical nilpotency of (omega_bar0, omega_bar1, omega_tilde0,
-        omega_tilde1), tested once per instance."""
-        return tuple(linalg.is_nilpotent(m) for m in
-                     (self.omega_bar0, self.omega_bar1, self.omega_tilde0, self.omega_tilde1))
+        omega_tilde1), tested once per instance; A, which mode_matrices
+        passes as both omega_bar0 and omega_tilde1, is tested once."""
+        bar0, bar1, til0 = (linalg.is_nilpotent(m) for m in
+                            (self.omega_bar0, self.omega_bar1, self.omega_tilde0))
+        if self.omega_tilde1 is self.omega_bar0:
+            return bar0, bar1, til0, bar0
+        return bar0, bar1, til0, linalg.is_nilpotent(self.omega_tilde1)
 
 
 def mode_matrices(model: SystemModel, gains: GainSet) -> ModeMatrices:
@@ -171,13 +176,16 @@ def mode_matrices(model: SystemModel, gains: GainSet) -> ModeMatrices:
         raise DimensionError(f"L has shape {l.shape}, expected {(model.n, model.p)}")
     bar1 = a + b @ k
     til0 = a + l @ c
-    mats = (a, bar1, til0, a)
-    rho_a, rho_bar1, rho_til0 = linalg.spectral_radii(np.stack(mats[:3])).tolist()
+    # A is both omega_bar0 and omega_tilde1: three distinct matrices, all
+    # finite 2-D float arrays already
+    distinct = (a, bar1, til0)
+    rho_a, rho_bar1, rho_til0 = linalg.spectral_radii(np.stack(distinct)).tolist()
+    fro_a, fro_bar1, fro_til0 = (float(np.linalg.norm(m, "fro")) for m in distinct)
     return ModeMatrices(
         a=a, b=b, k=k, l=l,
         omega_bar0=a, omega_bar1=bar1, omega_tilde0=til0, omega_tilde1=a,
         spectral_radii=(rho_a, rho_bar1, rho_til0, rho_a),
-        fro_norms=tuple(linalg.frobenius_norm(m) for m in mats),
+        fro_norms=(fro_a, fro_bar1, fro_til0, fro_a),
     )
 
 
@@ -271,9 +279,13 @@ def synthesize_gains(model: SystemModel, q_ctrl, r_ctrl, q_obs=None, r_obs=None)
         r_obs = r_ctrl
     k = synthesize_lqr_gain(model.a, model.b, q_ctrl, r_ctrl)
     l = synthesize_observer_gain(model.a, model.c, q_obs, r_obs)
-    return GainSet(
-        k=k,
-        l=l,
-        rho_feedback=linalg.spectral_radius(model.a + model.b @ k),
-        rho_observer=linalg.spectral_radius(model.a + l @ model.c),
-    )
+    return gain_set(model, k, l)
+
+
+def gain_set(model: SystemModel, k, l) -> GainSet:
+    """GainSet of the gains K and L of model, its radii rho(A + BK) and
+    rho(A + LC) taken in one batched eigvals call. K and L must be finite
+    2-D float arrays of shapes (m, n) and (n, p)."""
+    rho_feedback, rho_observer = linalg.spectral_radii(
+        np.stack((model.a + model.b @ k, model.a + l @ model.c))).tolist()
+    return GainSet(k=k, l=l, rho_feedback=rho_feedback, rho_observer=rho_observer)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .exceptions import DimensionError, DomainError
-from .covariance import build_augmented, error_noise_term
+from .covariance import _noise_terms, build_augmented
 from .plant import GainSet, ModeMatrices, SystemModel, mode_matrices
 from .sequence import SwitchSequence, _as_bits, admissibility, admissibility_stacked
 
@@ -193,8 +193,7 @@ class SequenceEvaluator:
             return (np.stack(aug.a_modes),
                     np.stack([aug.step_noise(eta) for eta in (0, 1)]), q)
         if w.needs_error_cov:
-            noise = [error_noise_term(eta, self.mm.l, self.model.sigma_v, self.model.sigma_w)
-                     for eta in (0, 1)]
+            noise = _noise_terms(self.mm.l, self.model.sigma_v, self.model.sigma_w)
             return (np.stack((self.mm.omega_tilde0, self.mm.omega_tilde1)),
                     np.stack(noise), w.r_err)
         return None

@@ -226,15 +226,20 @@ def dwell_feasible(s, rates, c: float) -> DwellFeasibility:
     )
 
 
+def _side_products(bits, mm: ModeMatrices) -> np.ndarray:
+    """Both one-period products as one (2, n, n) stack, (control,
+    observer): the mode matrices of both sides are stacked per mode, so
+    each step is one batched product, index 0 applied first."""
+    modes = np.array(((mm.omega_bar0, mm.omega_tilde0), (mm.omega_bar1, mm.omega_tilde1)))
+    prod = modes[bits[0]]
+    for eta in bits[1:]:
+        prod = modes[eta] @ prod
+    return prod
+
+
 def monodromy(s, mm: ModeMatrices):
     """Ordered one-period products (control, observer); index 0 applied first."""
-    bits = _as_bits(s)
-    n = mm.n
-    prod_bar = np.eye(n)
-    prod_til = np.eye(n)
-    for eta in bits:
-        prod_bar = mm.abar(eta) @ prod_bar
-        prod_til = mm.atilde(eta) @ prod_til
+    prod_bar, prod_til = _side_products(_as_bits(s), mm)
     return prod_bar, prod_til
 
 
@@ -258,14 +263,17 @@ def _nilpotency_flags(used, mm: ModeMatrices) -> tuple:
 def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     """Exact admissibility verdict from the two monodromy spectral radii.
 
+    Both monodromies are built together, one stacked (2, n, n) product per
+    step, and their radii come from one batched eigvals call. The product
+    order is that of each side multiplied out on its own, so the radii are
+    bit for bit those of spectral_radius on the two separate products, as
+    admissibility_stacked's are.
     Raises NilpotencyError when a mode matrix actually used by the
     sequence is numerically nilpotent.
     """
     bits = _as_bits(s)
     flags = _nilpotency_flags((0 in bits, 1 in bits), mm)
-    prod_bar, prod_til = monodromy(bits, mm)
-    qbar = linalg.spectral_radius(prod_bar)
-    qtilde = linalg.spectral_radius(prod_til)
+    qbar, qtilde = linalg.spectral_radii(_side_products(bits, mm)).tolist()
     return AdmissibilityReport(
         qbar=qbar,
         qtilde=qtilde,

@@ -9,14 +9,18 @@ unrefined and on all n^2 unknowns); one such solve per phase for periodic
 steady covariances (the library solves phase 0 once and propagates the
 recursion); literal word-repetition for sequence reducibility;
 rejection-free boundary sampling for ellipsoid support functions; a
-per-cell csv.writer for the trajectory CSV; and the stdlib's own indented
-json.dumps for the canonical JSON writer.
+per-cell csv.writer for the trajectory CSV; the stdlib's own indented
+json.dumps for the canonical JSON writer; two one-side monodromy products
+from the identity, each with its own eigvals call, for the stacked
+admissibility radii; and a row-by-row array writer for the interleaved
+one-join array writer.
 """
 
 import csv
 import decimal
 import json
 import math
+import operator
 
 import numpy as np
 import scipy.linalg as sla
@@ -134,6 +138,43 @@ def stdlib_json(obj):
     """The canonical JSON text by the stdlib encoder: sorted keys, 2-space
     indent, no NaN or infinity, and a final newline."""
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def two_product_radii(bits, mm):
+    """(qbar, qtilde): the spectral radii of the control and observer
+    one-period products, each multiplied out from the identity on its
+    own, index 0 applied first, with one eigvals call per product."""
+    prod_bar = np.eye(mm.n)
+    prod_til = np.eye(mm.n)
+    for eta in bits:
+        prod_bar = mm.abar(eta) @ prod_bar
+        prod_til = mm.atilde(eta) @ prod_til
+    return tuple(float(np.max(np.abs(np.linalg.eigvals(m)))) for m in (prod_bar, prod_til))
+
+
+def rowwise_fill_arrays(text, arrays):
+    """The array writer of sensact.modelio before its single join: text
+    holds one NUL per (array, newline) of arrays; each is written with
+    one join per row and one per array, every distinct bit pattern
+    formatted once."""
+    values = np.concatenate([a.ravel() for a, _ in arrays])
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    reprs = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    texts = operator.itemgetter(*inverse.tolist())(reprs) if len(values) > 1 else reprs
+    parts = text.split("\x00")
+    out, start = [parts[0]], 0
+    for (a, newline), tail in zip(arrays, parts[1:]):
+        items = texts[start:start + a.size]
+        start += a.size
+        inner = newline + "  "
+        if a.ndim == 2:
+            cols = a.shape[1]
+            row_inner = inner + "  "
+            row_sep = "," + row_inner
+            items = ["[" + row_inner + row_sep.join(items[i:i + cols]) + inner + "]"
+                     for i in range(0, a.size, cols)]
+        out += ["[", inner, ("," + inner).join(items), newline, "]", tail]
+    return "".join(out)
 
 
 def sampled_ellipsoid_support(p, alpha, direction, samples, seed=0):

@@ -4,15 +4,19 @@ Property suite on random stabilisable plants (B = C = I, so the three
 distinct mode matrices are drawn directly), with mode radii close to the
 contraction threshold 1 - CONTRACTION_MARGIN and rank-deficient mode
 matrices among the draws, plus deterministic checks of the solver
-fallback, nilpotency and the absence of scalar solves in a search.
+fallback, nilpotency and the absence of scalar solves in a search. The
+radii of both admissibility routines are held bit for bit to the
+two-product oracle of tests/oracles.py, which does not stack the sides.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import kron_dlyap, make_psd, make_stable
+from oracles import kron_dlyap, make_psd, make_stable, two_product_radii
 
 import sensact.covariance as covariance_module
 from sensact import linalg
@@ -113,6 +117,7 @@ class TestProperties:
             with pytest.raises(NilpotencyError):
                 admissibility_stacked(np.array(words), mm)
             return
+        assert [(r.qbar, r.qtilde) for r in scalar] == [two_product_radii(w, mm) for w in words]
         assert admissibility_stacked(np.array(words), mm) == scalar
 
     @PROPERTY
@@ -165,6 +170,20 @@ class TestProperties:
             return
         for cost in costs[1:]:
             assert cost == pytest.approx(costs[0], rel=1e-9)
+
+
+def cw_words():
+    """Every word of period 1 to 8, and four seeded words of each period
+    from 9 to 64."""
+    rng = np.random.default_rng(14)
+    words = [w for p in range(1, 9) for w in itertools.product((0, 1), repeat=p)]
+    return words + [tuple(rng.integers(0, 2, p).tolist()) for p in range(9, 65) for _ in range(4)]
+
+
+def test_cw_radii_are_two_product_radii(cw_mm):
+    for word in cw_words():
+        report = admissibility(word, cw_mm)
+        assert (report.qbar, report.qtilde) == two_product_radii(word, cw_mm), word
 
 
 #: a sheared rotation at radius 1 - 3e-5: its powers grow before they

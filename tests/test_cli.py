@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import CW_CONFIG, REPO_ROOT
-from oracles import write_trajectories_csv
+from oracles import make_psd, write_trajectories_csv
 
-from sensact import __version__, cli
+from sensact import __version__, cli, linalg
 from sensact.cli import build_parser, main
 from sensact.covariance import steady_augmented_cov, steady_error_cov
 from sensact.exceptions import SchemaError
-from sensact.modelio import load_model, parse_matrix
-from sensact.plant import mode_matrices
+from sensact.modelio import load_model, parse_matrix, save_model
+from sensact.plant import GainSet, SystemModel, mode_matrices
 
 
 class TestMatrixForms:
@@ -176,6 +176,115 @@ class TestSeqCheck:
         assert doc["admissible"] is True
         assert doc["core"] == "0011"
         assert "dwell_screen" in doc
+
+
+def _drop_last_column(rows):
+    return [row[:-1] for row in rows]
+
+
+def _first_entry(value):
+    return lambda rows: [[value] + rows[0][1:]] + rows[1:]
+
+
+class TestMalformedModelFile:
+    """A model file whose matrices or ts cannot be read, or whose gains
+    have the wrong shape, is an input error: exit 2 with the key named,
+    never a traceback."""
+
+    @pytest.mark.parametrize("key, edit, message", [
+        ("k", lambda rows: rows[:-1], "model file key 'k': shape (2, 6), expected (3, 6)"),
+        ("k", _drop_last_column, "model file key 'k': shape (3, 5), expected (3, 6)"),
+        ("l", _drop_last_column, "model file key 'l': shape (6, 2), expected (6, 3)"),
+        ("l", lambda rows: rows[:-1], "model file key 'l': shape (5, 3), expected (6, 3)"),
+        ("ts", lambda ts: "thirty", "model file key 'ts': not a number"),
+        ("a", _first_entry("x"), "model file key 'a': not a numeric matrix"),
+        ("sigma_w", _first_entry("x"), "model file key 'sigma_w': not a numeric matrix"),
+        ("k", _first_entry("x"), "model file key 'k': not a numeric matrix"),
+        ("a", _drop_last_column, "A must be square, got shape (6, 5)"),
+        ("a", lambda rows: rows[:1] + _drop_last_column(rows[1:]),
+         "model file key 'a': not a numeric matrix"),
+        ("k", _first_entry(math.nan), "K has non-finite entries"),
+        ("l", _first_entry(math.inf), "L has non-finite entries"),
+    ], ids=["k-rows", "k-columns", "l-columns", "l-rows", "ts-text", "a-text",
+            "sigma_w-text", "k-text", "a-not-square", "a-ragged", "k-nan", "l-inf"])
+    def test_exit_2_naming_the_key(self, model_file, tmp_path, key, edit, message):
+        doc = json.loads(pathlib.Path(model_file).read_text(encoding="utf-8"))
+        doc[key] = edit(doc[key])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run([sys.executable, "-m", "sensact", "seq", "check", str(bad), "0011"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"error: {message}\n"
+
+
+class TestRepeatedWork:
+    """Each command takes each eigenvalue decomposition once: one batched
+    call for the model's two gain radii, one for the mode radii, one per
+    admissibility decision and one per steady-covariance side, plus the
+    Lyapunov solver's own stability guard and the growth constant's radii."""
+
+    @pytest.mark.parametrize("argv, count", [
+        (["seq", "check", "{model}", "0011"], 3),
+        (["seq", "check", "{model}", "0011", "--dwell"], 5),
+        (["cov", "steady", "{model}", "0011", "--augmented"], 7),
+        (["chance", "verify", "{model}", "0011", "--bound", "22", "--delta", "0.05"], 5),
+    ], ids=["seq-check", "seq-check-dwell", "cov-steady-augmented", "chance-verify"])
+    def test_eigvals_calls(self, model_file, capsys, monkeypatch, argv, count):
+        calls = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or real(a))
+        assert main([a.format(model=model_file) for a in argv]) == 0
+        capsys.readouterr()
+        assert len(calls) == count
+
+    def test_three_nilpotency_tests_per_mode_matrices(self, cw_model, cw_gains, monkeypatch):
+        calls = []
+        real = linalg.is_nilpotent
+        monkeypatch.setattr(linalg, "is_nilpotent", lambda m: calls.append(1) or real(m))
+        mm = mode_matrices(cw_model, cw_gains)
+        flags = mm.nilpotent
+        assert mm.nilpotent is flags
+        assert len(calls) == 3
+        assert flags == tuple(real(m) for m in (mm.omega_bar0, mm.omega_bar1,
+                                                mm.omega_tilde0, mm.omega_tilde1))
+
+
+def _contractive_plant(n, seed):
+    """A plant with B = C = I whose three mode matrices have spectral
+    norm 0.8, so that every word is admissible."""
+    rng = np.random.default_rng(seed)
+    a, feedback, observer = (m * (0.8 / np.linalg.norm(m, 2))
+                             for m in rng.standard_normal((3, n, n)))
+    model = SystemModel(a=a, b=np.eye(n), c=np.eye(n), sigma_w=make_psd(rng, n, 0.1),
+                        sigma_v=make_psd(rng, n, 0.1))
+    return model, GainSet(k=feedback - a, l=observer - a)
+
+
+class TestCovSteadyTraces:
+    """The trace lines of cov steady, formatted per phase with np.trace."""
+
+    @pytest.mark.parametrize("plant, word", [
+        ("cw", "0001100011"), ("cw", "0011"), ("random-11", "0110100"), ("random-11", "1"),
+    ])
+    def test_trace_lines(self, model_file, tmp_path, capsys, plant, word):
+        if plant == "cw":
+            path = model_file
+            model, gains, _ = load_model(path)
+        else:
+            model, gains = _contractive_plant(11, 14)
+            path = str(tmp_path / "plant.json")
+            save_model(path, model, gains)
+        assert main(["cov", "steady", path, word, "--augmented"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        err = steady_error_cov(word, mode_matrices(model, gains), model.sigma_v, model.sigma_w)
+        _, state = steady_augmented_cov(word, model, gains)
+        assert lines == [
+            "steady error covariance traces: " + " ".join(f"{np.trace(p):.6g}" for p in err),
+            "steady state covariance traces: " + " ".join(f"{np.trace(p):.6g}" for p in state),
+        ]
 
 
 class TestSeqDwell:

@@ -3,7 +3,8 @@
 modelio.dump_json must give byte for byte the text of json.dumps with
 indent=2, sort_keys=True and allow_nan=False plus a newline, and raise
 the same exception, with the same message, wherever that call raises.
-Numpy arrays in a document are held to that call on their .tolist().
+Numpy arrays in a document are held to that call on their .tolist(),
+and to the row-by-row array writer of tests/oracles.py.
 """
 
 import json
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import stdlib_json
+from oracles import rowwise_fill_arrays, stdlib_json
 
+from sensact import modelio
 from sensact.modelio import dump_json
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -188,6 +190,11 @@ class TestArrays:
     def test_same_outcome_with_non_finite_floats(self, doc):
         assert outcome(dump_json, doc) == outcome(stdlib_json, plain(doc))
 
+    @PROPERTY
+    @given(array_documents(FINITE))
+    def test_same_text_as_rowwise_writer(self, doc):
+        assert dump_json(doc) == rowwise_json(doc)
+
     def test_one_unique_pass_per_document(self, monkeypatch):
         seen = []
         real = np.unique
@@ -242,3 +249,33 @@ def test_array_errors_match_stdlib(doc, like):
     expected = outcome(stdlib_json, like)
     assert isinstance(expected, tuple)
     assert outcome(dump_json, doc) == expected
+
+
+def rowwise_json(doc):
+    """dump_json's text with its arrays written by the row-by-row oracle."""
+    arrays = []
+    text = modelio._dump(doc, "\n", arrays) + "\n"
+    return rowwise_fill_arrays(text, arrays) if arrays else text
+
+
+SQUARE = np.array([[1.5, -0.25, 3.0], [0.0, -0.0, 7e-9], [2.0, 1.5, 1e300]])
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"m": np.array([[0.5]])}, id="1x1"),
+    pytest.param({"m": np.array([[0.1, 0.2, -0.3, 0.1]])}, id="1xk"),
+    pytest.param({"m": np.array([[0.1], [0.2], [-0.3], [0.1]])}, id="kx1"),
+    pytest.param({"v": np.array([2.5])}, id="1-d-length-1"),
+    pytest.param({"a": SQUARE, "b": {"c": [SQUARE.T, {"d": SQUARE[::-1]}]}},
+                 id="one-shape-three-indents"),
+    pytest.param([np.array([0.5]), [np.array([0.25])], np.array([[0.5], [1.0]]),
+                  {"x": [np.array([[0.5], [1.0]])]}], id="one-column-shapes-two-indents"),
+])
+def test_layouts_match_rowwise_writer_and_stdlib(doc):
+    text = dump_json(doc)
+    assert text == rowwise_json(doc)
+    assert text == stdlib_json(plain(doc))
+
+
+def test_layout_cache_is_bounded():
+    assert modelio._layout.cache_info().maxsize == 64
