@@ -422,7 +422,9 @@ def model_from_dict(doc: dict):
     naming it, as do gains K (key "k") and L (key "l") whose shapes are not
     (m, n) and (n, p); the model's own checks cover the plant matrices.
     The GainSet radii rho(A + BK) and rho(A + LC) come from one batched
-    eigvals call."""
+    eigvals call. The config echo must be absent, null or an object, and
+    its chance, sim and cost sections objects where present; their
+    contents are read, and checked, by the commands that use them."""
     if not isinstance(doc, dict) or doc.get("kind") != MODEL_KIND:
         raise SchemaError("not a sensact model file")
     if doc.get("version") != MODEL_VERSION:
@@ -447,7 +449,15 @@ def model_from_dict(doc: dict):
     for key, m, shape in (("k", k, (model.m, model.n)), ("l", l, (model.n, model.p))):
         if m.shape != shape:
             raise SchemaError(f"model file key {key!r}: shape {m.shape}, expected {shape}")
-    return model, gain_set(model, k, l), doc.get("config")
+    config = doc.get("config")
+    if config is not None and not isinstance(config, dict):
+        raise SchemaError(f"model file key 'config': expected an object, "
+                          f"got {type(config).__name__}")
+    for section in ("chance", "sim", "cost"):
+        if section in (config or {}) and not isinstance(config[section], dict):
+            raise SchemaError(f"model file key 'config.{section}': expected an object, "
+                              f"got {type(config[section]).__name__}")
+    return model, gain_set(model, k, l), config
 
 
 def save_model(path, model, gains, summary=None, config_echo=None):

@@ -5,11 +5,12 @@ irreducible core and with every rotation (rho(XY) = rho(YX), and the cost
 is the mean over the phases). So each length is searched one binary
 necklace at a time (Fredricksen-Kessler-Maiorana): each is evaluated once,
 memoized under its least rotation and shared across lengths, and expanded
-into words only for tie classes and tables. The necklaces of a length
-that are not cached yet are evaluated in one stacked pass per period:
-batched monodromies and eigenvalues for the verdicts, and for the
-admissible ones a batched steady solve at phase 0 with the cost from the
-trace identity, so no per-phase covariance is formed (SequenceEvaluator).
+into words only for tie classes and tables. The necklaces of a call that
+are not cached yet, of any periods (with all_lengths, of every length),
+are evaluated in one stacked pass per chunk: batched monodromies and
+eigenvalues for the verdicts, and for the admissible ones a batched
+steady solve at phase 0 with the cost from the trace identity, so no
+per-phase covariance is formed (SequenceEvaluator).
 The exact check decides every necklace. The search does not use the
 dwell-time screen: it is sufficient only, and it cannot spare the steady
 solve that the cost needs.
@@ -23,7 +24,15 @@ from . import linalg
 from .exceptions import DimensionError, DomainError
 from .covariance import _noise_terms, build_augmented
 from .plant import GainSet, ModeMatrices, SystemModel, mode_matrices
-from .sequence import SwitchSequence, _as_bits, admissibility, admissibility_stacked
+from .sequence import (
+    SwitchSequence,
+    _as_bits,
+    _by_period,
+    _collect,
+    _retire,
+    admissibility,
+    admissibility_stacked,
+)
 
 __all__ = [
     "CostWeights",
@@ -38,9 +47,12 @@ __all__ = [
 #: costs within this relative tolerance are treated as tied
 COST_RTOL = 1e-9
 
-#: necklaces evaluated in one stacked pass; bounds the stacked arrays at
-#: about a megabyte each on the 12 x 12 joint system of the CW model
-_BATCH = 1024
+#: necklaces evaluated in one stacked pass, rows of any period. At 512
+#: rows a step's operands stay in a 2 MiB L2 cache: the stacked (K, 2, 6, 6)
+#: side products of the CW model are 295 kB, its 12 x 12 joint-system
+#: stacks 590 kB; at 1024 rows the product loop of a period-16 chunk took
+#: 1.7 times as long per row (Xeon VM, 2 MiB L2 per core)
+_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -151,20 +163,22 @@ class SequenceEvaluator:
     period p adds p), except necklaces, the number of exact evaluations.
 
     The necklaces of one call that are not cached yet are evaluated
-    together, stacked per period into (K, p) bit
-    arrays of at most _BATCH rows: the verdicts by admissibility_stacked,
-    and for the admissible rows the cost from one batched steady solve at
-    phase 0 through the trace identity
+    together, whatever their periods, longest first in chunks of at most
+    _BATCH rows: each chunk gets one admissibility_stacked pass for the
+    verdicts, and for its admissible rows the cost from one batched steady
+    solve at phase 0 through the trace identity
 
         sum_k tr(Q P_k) = tr(S P_0) + sum_k tr(Q V_k),
         S = sum_k Phi_k' Q Phi_k,
 
     where Phi_k and V_k are the transition and the accumulated noise from
     phase 0 to phase k, built along the word, so no other phase is
-    formed. The estimation cost runs on the n-dimensional error system
-    with Q = r_err. A state weight runs on the 2n-dimensional joint
-    system with Q = blockdiag(r_state, r_err), whose error block is the
-    error covariance. The solve is linalg.solve_discrete_lyapunov_stacked;
+    formed; each row's sum is divided by its own period. A necklace met
+    twice in one call is evaluated once, and the repeat counts as a memo
+    hit, as in a later call. The estimation cost runs on the
+    n-dimensional error system with Q = r_err. A state weight runs on the
+    2n-dimensional joint system with Q = blockdiag(r_state, r_err), whose
+    error block is the error covariance. The solve is linalg.solve_discrete_lyapunov_stacked;
     fallbacks counts the items it handed to the scalar solver.
     """
 
@@ -198,51 +212,64 @@ class SequenceEvaluator:
                     np.stack(noise), w.r_err)
         return None
 
-    def _costs(self, bits: np.ndarray) -> np.ndarray:
-        """Normalized cost of each admissible row of a (K, p) bit array."""
-        period = bits.shape[1]
+    def _costs(self, rows) -> np.ndarray:
+        """Normalized cost of each bit row, admissible rows of any lengths,
+        in input order: the rows are walked longest first, as in
+        admissibility_stacked, and each row's one-period transition and
+        accumulated noise are kept once it has taken its last step."""
+        order, periods, bits, live = _by_period(rows)
         total = self.weights.r_eta * bits.sum(axis=1)
-        if self._system is None:
-            return total / period
-        modes, noise, q = self._system
-        phi, acc = modes[bits[:, 0]], noise[bits[:, 0]]  # Phi_1, V_1
-        s = np.broadcast_to(q, phi.shape).copy()  # Phi_0 = I; V_0 = 0 adds nothing
-        for column in bits.T[1:]:
-            s += phi.transpose(0, 2, 1) @ q @ phi
-            total += np.einsum("ij,kji->k", q, acc)
-            a = modes[column]
-            phi = a @ phi
-            acc = a @ acc @ a.transpose(0, 2, 1) + noise[column]
-        p0, fallbacks = linalg.solve_discrete_lyapunov_stacked(
-            phi, 0.5 * (acc + acc.transpose(0, 2, 1)))
-        self.fallbacks += fallbacks
-        return (total + np.einsum("kij,kji->k", s, p0)) / period
+        if self._system is not None:
+            modes, noise, q = self._system
+            phi, acc = modes[bits[:, 0]], noise[bits[:, 0]]  # Phi_1, V_1
+            done = []
+            s_all = np.broadcast_to(q, phi.shape).copy()  # Phi_0 = I; V_0 = 0 adds nothing
+            s, part = s_all, total
+            for k in range(1, bits.shape[1]):
+                n = live[k]
+                phi, acc = _retire(n, (phi, acc), done)
+                s, part = s[:n], part[:n]
+                s += phi.transpose(0, 2, 1) @ q @ phi
+                part += np.einsum("ij,kji->k", q, acc)
+                column = bits[:n, k]
+                a = modes[column]
+                phi = a @ phi
+                acc = a @ acc @ a.transpose(0, 2, 1) + noise[column]
+            phi, acc = _collect((phi, acc), done)
+            p0, fallbacks = linalg.solve_discrete_lyapunov_stacked(
+                phi, 0.5 * (acc + acc.transpose(0, 2, 1)))
+            self.fallbacks += fallbacks
+            total = total + np.einsum("kij,kji->k", s_all, p0)
+        costs = np.empty(len(order))
+        costs[order] = total / periods
+        return costs
 
-    def _evaluate(self, bits: np.ndarray) -> list:
-        """(report, cost) of the necklace in each row of a (K, p) bit array."""
-        self.counts["necklaces"] += len(bits)
-        reports = admissibility_stacked(bits, self.mm)
-        costs = np.full(len(bits), np.inf)
-        rows = [i for i, report in enumerate(reports) if report.admissible]
-        if rows:
-            costs[rows] = self._costs(bits[rows])
+    def _evaluate(self, rows) -> list:
+        """(report, cost) of the necklace in each bit row, rows of any lengths."""
+        self.counts["necklaces"] += len(rows)
+        reports = admissibility_stacked(rows, self.mm)
+        costs = np.full(len(rows), np.inf)
+        admissible = [i for i, report in enumerate(reports) if report.admissible]
+        if admissible:
+            costs[admissible] = self._costs([rows[i] for i in admissible])
         return list(zip(reports, costs.tolist()))
 
     def resolve(self, necklaces) -> list:
         """(report, cost) of each necklace, given by its least rotation; the
-        uncached ones are evaluated in stacked batches. (Any other rotation
-        given is evaluated from its own phase 0 and cached under itself.)"""
-        fresh = {}  # period -> [least]
+        uncached ones are evaluated in stacked chunks of any periods. (Any
+        other rotation given is evaluated from its own phase 0 and cached
+        under itself.)"""
+        fresh = {}  # insertion-ordered set of the necklaces to evaluate
         for least in necklaces:
-            if least in self._cache:
+            if least in self._cache or least in fresh:
                 self.counts["memo_hits"] += len(least)
                 continue
             self.counts["cores_evaluated"] += len(least)
-            fresh.setdefault(len(least), []).append(least)
-        for group in fresh.values():
-            for start in range(0, len(group), _BATCH):
-                chunk = group[start:start + _BATCH]
-                self._cache.update(zip(chunk, self._evaluate(np.array(chunk, dtype=np.intp))))
+            fresh[least] = None
+        fresh = sorted(fresh, key=len, reverse=True)
+        for start in range(0, len(fresh), _BATCH):
+            chunk = fresh[start:start + _BATCH]
+            self._cache.update(zip(chunk, self._evaluate(chunk)))
         return [self._cache[least] for least in necklaces]
 
     def evaluate(self, core_bits: tuple):
@@ -270,6 +297,50 @@ def _necklaces(length: int):
             yield tuple(a[:i + 1])
 
 
+def _select(length: int, necklaces: list, values: list, include_table: bool) -> SearchResult:
+    """The cheapest word of one length from the (report, cost) of each of
+    its necklaces: ties within COST_RTOL go to the shortest core, then the
+    lexicographically smallest word. The winner's report and the counts
+    are left to the caller."""
+    costs = [cost for _, cost in values]
+    best = min(costs)
+    bound = best * (1.0 + COST_RTOL) if best < np.inf else -np.inf  # ties within COST_RTOL
+    candidates = []  # (word, core, cost)
+    table = []
+    for least, cost in zip(necklaces, costs):
+        if not (include_table or cost <= bound):
+            continue
+        for i in range(len(least)):
+            core = least[i:] + least[:i]
+            word = core * (length // len(least))
+            if include_table:
+                table.append((word, core, cost if np.isfinite(cost) else None))
+            if cost <= bound:
+                candidates.append((word, core, cost))
+    table.sort(key=lambda row: row[0])
+    if not candidates:
+        return SearchResult(sequence=None, cost=float("inf"), report=None, core=None,
+                            length=length, table=tuple(table))
+    winner = min(candidates, key=lambda c: (len(c[1]), c[0]))
+    return SearchResult(
+        sequence=SwitchSequence(winner[0]),
+        cost=winner[2],
+        report=None,
+        core=SwitchSequence(winner[1]),
+        length=length,
+        tied=tuple(SwitchSequence(c[0]) for c in sorted(candidates, key=lambda c: c[0])),
+        table=tuple(table),
+    )
+
+
+def _finish(result: SearchResult, counts: SearchCounts, mm: ModeMatrices) -> SearchResult:
+    """The result with its counts and, when feasible, the winning word's
+    own admissibility report."""
+    if result.feasible:
+        result = replace(result, report=admissibility(result.sequence, mm))
+    return replace(result, counts=counts)
+
+
 def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
                         weights: CostWeights, options: SearchOptions = SearchOptions(),
                         evaluator: SequenceEvaluator = None) -> SearchResult:
@@ -282,41 +353,10 @@ def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
         evaluator = SequenceEvaluator(model, gains, weights)
     counts_before = dict(evaluator.counts)
     necklaces = list(_necklaces(length))
-    costs = [cost for _, cost in evaluator.resolve(necklaces)]
-    best = min(costs)
-    bound = best * (1.0 + COST_RTOL) if best < np.inf else -np.inf  # ties within COST_RTOL
-    candidates = []  # (word, core, cost)
-    table = []
-    for least, cost in zip(necklaces, costs):
-        if not (options.include_table or cost <= bound):
-            continue
-        for i in range(len(least)):
-            core = least[i:] + least[:i]
-            word = core * (length // len(least))
-            if options.include_table:
-                table.append((word, core, cost if np.isfinite(cost) else None))
-            if cost <= bound:
-                candidates.append((word, core, cost))
-    table.sort(key=lambda row: row[0])
-
+    result = _select(length, necklaces, evaluator.resolve(necklaces), options.include_table)
     counts = SearchCounts(enumerated=2**length,
                           **{k: evaluator.counts[k] - counts_before[k] for k in counts_before})
-    if not candidates:
-        return SearchResult(sequence=None, cost=float("inf"), report=None, core=None,
-                            length=length, counts=counts, table=tuple(table))
-    # ties: shortest core first, then lexicographic word order
-    winner = min(candidates, key=lambda c: (len(c[1]), c[0]))
-    word = SwitchSequence(winner[0])
-    return SearchResult(
-        sequence=word,
-        cost=winner[2],
-        report=admissibility(word, evaluator.mm),
-        core=SwitchSequence(winner[1]),
-        length=length,
-        tied=tuple(SwitchSequence(c[0]) for c in sorted(candidates, key=lambda c: c[0])),
-        counts=counts,
-        table=tuple(table),
-    )
+    return _finish(result, counts, evaluator.mm)
 
 
 def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
@@ -324,22 +364,35 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
     """Search lengths 1, 2, ... until one admits an admissible schedule
     (returning that length's optimum), or exhaust n_max and report
     infeasibility. With all_lengths set, every length up to n_max is
-    searched and the global optimum returned. The necklace cache is shared
-    across lengths, and the counts cover every length searched."""
+    searched, the necklaces of all of them in one resolve call, and the
+    global optimum returned (the shortest length on ties within
+    COST_RTOL). The necklace cache is shared across lengths, and the
+    counts cover every length searched."""
     if n_max < 1:
         raise DomainError("maximum length must be positive")
     evaluator = SequenceEvaluator(model, gains, weights)
-    best = None
-    enumerated = 0
-    for length in range(1, n_max + 1):
-        result = search_fixed_length(length, model, gains, weights, options, evaluator)
-        enumerated += 2**length
-        if result.feasible:
-            if best is None or result.cost < best.cost * (1.0 - COST_RTOL):
-                best = result
-            if not options.all_lengths:
+    results = []
+    if options.all_lengths:
+        groups = [list(_necklaces(length)) for length in range(1, n_max + 1)]
+        values = evaluator.resolve([least for group in groups for least in group])
+        start = 0
+        for length, group in enumerate(groups, 1):
+            results.append(_select(length, group, values[start:start + len(group)],
+                                   options.include_table))
+            start += len(group)
+    else:
+        for length in range(1, n_max + 1):
+            necklaces = list(_necklaces(length))
+            results.append(_select(length, necklaces, evaluator.resolve(necklaces),
+                                   options.include_table))
+            if results[-1].feasible:
                 break
+    best = None
+    for result in results:
+        if result.feasible and (best is None or result.cost < best.cost * (1.0 - COST_RTOL)):
+            best = result
     if best is None:
         best = SearchResult(sequence=None, cost=float("inf"), report=None, core=None,
                             length=n_max)
-    return replace(best, counts=SearchCounts(enumerated=enumerated, **evaluator.counts))
+    counts = SearchCounts(enumerated=sum(2**r.length for r in results), **evaluator.counts)
+    return _finish(best, counts, evaluator.mm)

@@ -145,11 +145,9 @@ def dwell_counts(s) -> DwellSummary:
     return DwellSummary(n0=len(bits) - n1, n1=n1, ns=ns)
 
 
-_FAMILIES = {
-    "control": lambda mm: (mm.omega_bar0, mm.omega_bar1),
-    "observer": lambda mm: (mm.omega_tilde0, mm.omega_tilde1),
-    "all": lambda mm: (mm.omega_bar0, mm.omega_bar1, mm.omega_tilde0, mm.omega_tilde1),
-}
+#: indices of each family into (omega_bar0, omega_bar1, omega_tilde0,
+#: omega_tilde1), the order of ModeMatrices.spectral_radii and fro_norms
+_FAMILIES = {"control": (0, 1), "observer": (2, 3), "all": (0, 1, 2, 3)}
 
 
 def growth_constant(mm: ModeMatrices, kstar: int = 1, family: str = "control",
@@ -160,21 +158,25 @@ def growth_constant(mm: ModeMatrices, kstar: int = 1, family: str = "control",
 
     over the selected matrix family. The default (kstar=1, control pair)
     matches the case-study computation; search_kstar instead scans
-    kstar <= max_kstar and keeps the minimizing c.
+    kstar <= max_kstar and keeps the minimizing c. The radii, and at
+    kstar=1 the norms, are those ModeMatrices recorded on construction.
     """
     if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}, expected one of {sorted(_FAMILIES)}")
     if kstar < 1:
         raise DomainError("kstar must be a positive integer")
-    mats = _FAMILIES[family](mm)
-    radii = [linalg.spectral_radius(m) for m in mats]
+    index = _FAMILIES[family]
+    modes = (mm.omega_bar0, mm.omega_bar1, mm.omega_tilde0, mm.omega_tilde1)
+    radii = [mm.spectral_radii[i] for i in index]
     if min(radii) < 1e-12:
         raise DomainError("growth constant undefined: a mode matrix has zero spectral radius")
 
     def c_for(k: int) -> float:
+        if k == 1:
+            return max(mm.fro_norms[i] / r for i, r in zip(index, radii))
         return max(
-            linalg.frobenius_norm(np.linalg.matrix_power(m, k)) ** (1.0 / k) / r
-            for m, r in zip(mats, radii)
+            linalg.frobenius_norm(np.linalg.matrix_power(modes[i], k)) ** (1.0 / k) / r
+            for i, r in zip(index, radii)
         )
 
     if search_kstar:
@@ -226,11 +228,17 @@ def dwell_feasible(s, rates, c: float) -> DwellFeasibility:
     )
 
 
+def _side_modes(mm: ModeMatrices) -> np.ndarray:
+    """The mode matrices of both sides stacked per mode as (2, 2, n, n):
+    [eta] is (control, observer) of mode eta."""
+    return np.array(((mm.omega_bar0, mm.omega_tilde0), (mm.omega_bar1, mm.omega_tilde1)))
+
+
 def _side_products(bits, mm: ModeMatrices) -> np.ndarray:
     """Both one-period products as one (2, n, n) stack, (control,
     observer): the mode matrices of both sides are stacked per mode, so
     each step is one batched product, index 0 applied first."""
-    modes = np.array(((mm.omega_bar0, mm.omega_tilde0), (mm.omega_bar1, mm.omega_tilde1)))
+    modes = _side_modes(mm)
     prod = modes[bits[0]]
     for eta in bits[1:]:
         prod = modes[eta] @ prod
@@ -282,27 +290,72 @@ def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     )
 
 
-def _stacked_products(modes, bits) -> np.ndarray:
-    """One-period products modes[eta_{p-1}] ... modes[eta_0] for each row of
-    a (K, p) bit array, given the per-mode matrices stacked as (2, d, d):
-    one batched product per step, in the order monodromy multiplies."""
-    prod = modes[bits[:, 0]]
-    for column in bits.T[1:]:
-        prod = modes[column] @ prod
-    return prod
+def _by_period(rows):
+    """Bit rows of any lengths, longest first: (order, periods, bits, live).
+    order is the stable period-descending permutation of the rows, periods
+    their lengths in that order, bits the (K, p_max) array of the rows in
+    that order, zero-padded, and live[k] the number of rows longer than k,
+    so that the rows that still take step k are the prefix bits[:live[k]]."""
+    periods = np.fromiter(map(len, rows), np.intp, len(rows))
+    order = np.argsort(-periods, kind="stable")
+    rows = [rows[i] for i in order.tolist()]
+    periods = periods[order]
+    live = np.searchsorted(-periods, -np.arange(periods[0] + 1), side="left").tolist()
+    bits = np.zeros((len(rows), periods[0]), dtype=np.intp)
+    for p in range(1, periods[0] + 1):  # the rows of period p are [live[p], live[p - 1])
+        if live[p] < live[p - 1]:
+            bits[live[p]:live[p - 1], :p] = rows[live[p]:live[p - 1]]
+    return order, periods, bits, live
 
 
-def admissibility_stacked(bits, mm: ModeMatrices) -> list:
-    """admissibility of each row of a (K, p) bit array: both monodromies
-    by stacked products and one batched eigvals per side. Raises
-    NilpotencyError when any row uses a nilpotent mode matrix."""
-    bits = np.asarray(bits, dtype=np.intp)
-    flags = _nilpotency_flags([bool(np.any(bits == eta)) for eta in (0, 1)], mm)
-    qbar = linalg.spectral_radii(
-        _stacked_products(np.stack((mm.omega_bar0, mm.omega_bar1)), bits))
-    qtilde = linalg.spectral_radii(
-        _stacked_products(np.stack((mm.omega_tilde0, mm.omega_tilde1)), bits))
+def _retire(n, stacks, done: list):
+    """The stacks narrowed to their first n rows (views). The rows past n
+    have taken their last step and are written to done once; done stays
+    empty until rows first retire, and then holds one full-length array
+    per stack."""
+    if n == len(stacks[0]):
+        return stacks
+    if not done:
+        done.extend(np.empty_like(stack) for stack in stacks)
+    for stack, out in zip(stacks, done):
+        out[n:len(stack)] = stack[n:]
+    return tuple(stack[:n] for stack in stacks)
+
+
+def _collect(stacks, done: list) -> tuple:
+    """Every row of the stacks after the last step: the stacks themselves
+    when no row retired early, else done with the last rows written in."""
+    if not done:
+        return tuple(stacks)
+    _retire(0, stacks, done)
+    return tuple(done)
+
+
+def _stacked_products(modes, bits, live) -> np.ndarray:
+    """One-period products modes[eta_{p-1}] ... modes[eta_0] of each row of
+    period-descending padded bits (see _by_period), given the per-mode
+    matrices stacked on axis 0: one batched product per step over the rows
+    still live, in the order monodromy multiplies."""
+    prod, done = modes[bits[:, 0]], []
+    for k in range(1, bits.shape[1]):
+        prod, = _retire(live[k], (prod,), done)
+        prod = modes[bits[:live[k], k]] @ prod
+    return _collect((prod,), done)[0]
+
+
+def admissibility_stacked(rows, mm: ModeMatrices) -> list:
+    """admissibility of each bit row, in input order; the rows may have any
+    lengths (a (K, p) array is one period). Both sides are multiplied as
+    one stacked (K, 2, n, n) product per step, the rows ordered longest
+    first so that the rows still live are a prefix, and all radii come
+    from one batched eigvals call. Raises NilpotencyError when any row
+    uses a nilpotent mode matrix."""
+    order, periods, bits, live = _by_period(rows)
+    ones = bits.sum(axis=1)
+    flags = _nilpotency_flags((bool(np.any(ones < periods)), bool(np.any(ones > 0))), mm)
+    radii = np.empty((len(order), 2))
+    radii[order] = linalg.spectral_radii(_stacked_products(_side_modes(mm), bits, live))
     return [AdmissibilityReport(qbar=a, qtilde=b,
                                 admissible=is_contractive(a) and is_contractive(b),
                                 nilpotency_flags=flags)
-            for a, b in zip(qbar.tolist(), qtilde.tolist())]
+            for a, b in radii.tolist()]

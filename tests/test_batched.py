@@ -121,6 +121,22 @@ class TestProperties:
         assert admissibility_stacked(np.array(words), mm) == scalar
 
     @PROPERTY
+    @given(plants(), st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=9),
+                              min_size=1, max_size=10))
+    def test_ragged_verdict_is_scalar_verdict(self, plant, words):
+        # rows of mixed lengths in any order come back in input order
+        model, gains = plant
+        mm = mode_matrices(model, gains)
+        words = [tuple(word) for word in words]
+        try:
+            scalar = [admissibility(word, mm) for word in words]
+        except NilpotencyError:
+            with pytest.raises(NilpotencyError):
+                admissibility_stacked(words, mm)
+            return
+        assert admissibility_stacked(words, mm) == scalar
+
+    @PROPERTY
     @given(plants(), WEIGHTS, st.lists(st.integers(0, 1), min_size=1, max_size=7))
     def test_batched_cost_is_scalar_cost(self, plant, kind, word):
         model, gains = plant
@@ -140,6 +156,28 @@ class TestProperties:
         else:
             assert report.admissible
             assert cost == pytest.approx(expected, rel=1e-9)
+
+    @PROPERTY
+    @given(plants(), WEIGHTS, st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=7),
+                                       min_size=1, max_size=10))
+    def test_mixed_period_resolve_is_per_necklace(self, plant, kind, words):
+        model, gains = plant
+        words = [tuple(word) for word in words]
+        weights = make_weights(kind, model.n, np.random.default_rng(len(words)))
+        try:
+            together = SequenceEvaluator(model, gains, weights).resolve(words)
+        except NilpotencyError:
+            # some word uses a nilpotent mode, and its own evaluation says so
+            with pytest.raises(NilpotencyError):
+                for word in words:
+                    SequenceEvaluator(model, gains, weights).resolve([word])
+            return
+        except NumericsError:
+            assume(False)
+        # rows of every period in one stacked pass, bit for bit the values
+        # of evaluating each row alone
+        assert together == [SequenceEvaluator(model, gains, weights).resolve([word])[0]
+                            for word in words]
 
     @PROPERTY
     @given(plants(), WEIGHTS, st.lists(st.integers(0, 1), min_size=2, max_size=7))

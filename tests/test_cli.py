@@ -187,9 +187,10 @@ def _first_entry(value):
 
 
 class TestMalformedModelFile:
-    """A model file whose matrices or ts cannot be read, or whose gains
-    have the wrong shape, is an input error: exit 2 with the key named,
-    never a traceback."""
+    """A model file whose matrices or ts cannot be read, whose gains have
+    the wrong shape, or whose config echo or one of its chance, sim and
+    cost sections is not an object, is an input error: exit 2 with the key
+    named, never a traceback."""
 
     @pytest.mark.parametrize("key, edit, message", [
         ("k", lambda rows: rows[:-1], "model file key 'k': shape (2, 6), expected (3, 6)"),
@@ -219,16 +220,45 @@ class TestMalformedModelFile:
         assert "Traceback" not in done.stderr
         assert done.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("section, value, argv", [
+        (None, ["x"], ["chance", "verify", "{bad}", "0011", "--bound", "22", "--delta", "0.05"]),
+        (None, ["x"], ["sim", "run", "{bad}", "0011", "--runs", "2", "--steps", "3",
+                       "--out", "{out}"]),
+        (None, ["x"], ["seq", "search", "{bad}", "--n", "4"]),
+        ("chance", [1], ["chance", "verify", "{bad}", "0011", "--bound", "22"]),
+        ("sim", [1], ["sim", "run", "{bad}", "0011", "--out", "{out}"]),
+        ("cost", "x", ["seq", "search", "{bad}", "--n", "4"]),
+    ], ids=["config-chance-verify", "config-sim-run", "config-seq-search",
+            "chance-section", "sim-section", "cost-section"])
+    def test_config_echo_not_an_object(self, model_file, tmp_path, section, value, argv):
+        doc = json.loads(pathlib.Path(model_file).read_text(encoding="utf-8"))
+        if section is None:
+            doc["config"], key = value, "config"
+        else:
+            doc["config"][section], key = value, f"config.{section}"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        argv = [a.format(bad=bad, out=tmp_path / "out") for a in argv]
+        done = subprocess.run([sys.executable, "-m", "sensact", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr == (f"error: model file key {key!r}: expected an object, "
+                               f"got {type(value).__name__}\n")
+
 
 class TestRepeatedWork:
     """Each command takes each eigenvalue decomposition once: one batched
     call for the model's two gain radii, one for the mode radii, one per
     admissibility decision and one per steady-covariance side, plus the
-    Lyapunov solver's own stability guard and the growth constant's radii."""
+    Lyapunov solver's own stability guard. The growth constant of --dwell
+    takes no eigenvalues: it reads the mode radii (and, at kstar=1, the
+    Frobenius norms) that ModeMatrices recorded."""
 
     @pytest.mark.parametrize("argv, count", [
         (["seq", "check", "{model}", "0011"], 3),
-        (["seq", "check", "{model}", "0011", "--dwell"], 5),
+        (["seq", "check", "{model}", "0011", "--dwell"], 3),
         (["cov", "steady", "{model}", "0011", "--augmented"], 7),
         (["chance", "verify", "{model}", "0011", "--bound", "22", "--delta", "0.05"], 5),
     ], ids=["seq-check", "seq-check-dwell", "cov-steady-augmented", "chance-verify"])

@@ -1,4 +1,6 @@
+import collections
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,6 +179,9 @@ class TestSearchUpTo:
         assert res.feasible
         assert res.length == 4
         assert str(res.sequence) == "0011"
+        # the winner, ties and report are those of the length-4 search alone
+        expected = search_fixed_length(4, cw_model, cw_gains, est_weights)
+        assert res == replace(expected, counts=res.counts)
 
     def test_infeasible_up_to_three(self, cw_model, cw_gains, est_weights):
         res = search_up_to(3, cw_model, cw_gains, est_weights)
@@ -327,17 +332,18 @@ class TestNecklaceSearch:
                             counted("stacked_solve", linalg.solve_discrete_lyapunov_stacked))
         res = search_fixed_length(10, cw_model, cw_gains, est_weights)
         # the 108 binary necklaces of length 10 have periods 1, 2, 5 and 10:
-        # one stacked verdict pass per period, one steady solve per
-        # admissible necklace, and a scalar report for the winner only
-        assert (calls["admissibility_stacked"], rows["admissibility_stacked"]) == (4, 108)
-        assert rows["stacked_solve"] == 58
+        # one stacked verdict pass over all of them, one stacked steady
+        # solve over the 58 admissible ones, and a scalar report for the
+        # winner only
+        assert (calls["admissibility_stacked"], rows["admissibility_stacked"]) == (1, 108)
+        assert (calls["stacked_solve"], rows["stacked_solve"]) == (1, 58)
         assert calls["admissibility"] == 1
         assert res.counts.necklaces == 108
         assert res.counts.cores_evaluated == 2**10
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_batch_boundaries(self, batch, cw_model, cw_gains, est_weights, monkeypatch):
-        # periods split into chunks of _BATCH rows give the same search
+        # necklaces split into chunks of _BATCH rows give the same search
         opts = SearchOptions(include_table=True)
         expected = search_fixed_length(10, cw_model, cw_gains, est_weights, opts)
         monkeypatch.setattr(search_module, "_BATCH", batch)
@@ -347,3 +353,74 @@ class TestNecklaceSearch:
         assert [s.bits for s in res.tied] == [s.bits for s in expected.tied]
         assert res.table == expected.table
         assert res.counts == expected.counts
+
+    @pytest.mark.parametrize("weights", [CostWeights.estimation(6),
+                                         CostWeights(r_err=np.eye(6), r_state=np.eye(6),
+                                                     r_eta=0.1)],
+                             ids=["estimation", "blended"])
+    def test_batch_cuts_a_period_boundary(self, weights, cw_model, cw_gains, monkeypatch):
+        # the 108 necklaces of length 10, longest first, are 99 of period
+        # 10, 6 of period 5, 1 of period 2 and 2 of period 1; 100-row chunks
+        # end one row into period 5, so both chunks mix periods
+        opts = SearchOptions(include_table=True)
+        expected = search_fixed_length(10, cw_model, cw_gains, weights, opts)
+        chunks = []
+        real = search_module.admissibility_stacked
+
+        def recorded(rows, mm):
+            chunks.append(sorted(collections.Counter(map(len, rows)).items(), reverse=True))
+            return real(rows, mm)
+
+        monkeypatch.setattr(search_module, "admissibility_stacked", recorded)
+        monkeypatch.setattr(search_module, "_BATCH", 100)
+        res = search_fixed_length(10, cw_model, cw_gains, weights, opts)
+        assert chunks == [[(10, 99), (5, 1)], [(5, 5), (2, 1), (1, 2)]]
+        assert res == expected
+        assert res.cost.hex() == expected.cost.hex()
+
+
+class TestOneResolvePerSearch:
+    """search_up_to with all_lengths resolves the necklaces of every length
+    in one call; each length's winner, ties and table, and the counts, are
+    those of one search_fixed_length call per length on a shared
+    evaluator."""
+
+    @pytest.mark.parametrize("n_max", [1, 4, 7, 10])
+    def test_all_lengths_is_sequential_search(self, n_max, cw_model, cw_gains, est_weights,
+                                              monkeypatch):
+        opts = SearchOptions(all_lengths=True, include_table=True)
+        evaluator = SequenceEvaluator(cw_model, cw_gains, est_weights)
+        sequential = [search_fixed_length(length, cw_model, cw_gains, est_weights, opts,
+                                          evaluator)
+                      for length in range(1, n_max + 1)]
+        resolves = []
+        selected = []
+        real_resolve, real_select = SequenceEvaluator.resolve, search_module._select
+
+        def resolve(self, necklaces):
+            resolves.append(len(necklaces))
+            return real_resolve(self, necklaces)
+
+        def select(*args):
+            selected.append(real_select(*args))
+            return selected[-1]
+
+        monkeypatch.setattr(SequenceEvaluator, "resolve", resolve)
+        monkeypatch.setattr(search_module, "_select", select)
+        res = search_up_to(n_max, cw_model, cw_gains, est_weights, opts)
+        assert len(resolves) == 1
+        assert [r.length for r in selected] == list(range(1, n_max + 1))
+        for one, seq in zip(selected, sequential):
+            assert (one.sequence, one.core, one.tied, one.table) == \
+                (seq.sequence, seq.core, seq.tied, seq.table)
+            assert one.cost.hex() == seq.cost.hex()
+        best = None
+        for seq in sequential:
+            if seq.feasible and (best is None or seq.cost < best.cost * (1.0 - COST_RTOL)):
+                best = seq
+        assert res.counts == search_module.SearchCounts(enumerated=2**(n_max + 1) - 2,
+                                                        **evaluator.counts)
+        if best is None:
+            assert not res.feasible and res.length == n_max
+            return
+        assert res == replace(best, counts=res.counts)

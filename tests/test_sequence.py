@@ -140,7 +140,7 @@ class TestGrowthConstant:
         mm = ModeMatrices(
             a=d, b=np.zeros((2, 1)), k=np.zeros((1, 2)), l=np.zeros((2, 1)),
             omega_bar0=d, omega_bar1=d, omega_tilde0=d, omega_tilde1=d,
-            spectral_radii=(0.5,) * 4, fro_norms=(0.0,) * 4,
+            spectral_radii=(0.5,) * 4, fro_norms=(np.linalg.norm(d, "fro"),) * 4,
         )
         expected = np.linalg.norm(d, "fro") / 0.5
         assert growth_constant(mm) == pytest.approx(expected)
@@ -158,6 +158,26 @@ class TestGrowthConstant:
     def test_at_least_one(self, cw_mm):
         for family in ("control", "observer", "all"):
             assert growth_constant(cw_mm, family=family) >= 1.0
+
+    @pytest.mark.parametrize("family", ["control", "observer", "all"])
+    @pytest.mark.parametrize("kwargs", [{"kstar": 1}, {"kstar": 3}, {"search_kstar": True}],
+                             ids=["kstar-1", "kstar-3", "search-kstar"])
+    def test_recorded_radii_and_norms_are_per_matrix_values(self, cw_mm, family, kwargs):
+        # the radii mode_matrices takes in one batched eigvals call, and its
+        # Frobenius norms, give bit for bit the per-matrix computation
+        mats = {"control": (cw_mm.omega_bar0, cw_mm.omega_bar1),
+                "observer": (cw_mm.omega_tilde0, cw_mm.omega_tilde1),
+                "all": (cw_mm.omega_bar0, cw_mm.omega_bar1,
+                        cw_mm.omega_tilde0, cw_mm.omega_tilde1)}[family]
+        radii = [linalg.spectral_radius(m) for m in mats]
+
+        def c_for(k):
+            return max(linalg.frobenius_norm(np.linalg.matrix_power(m, k)) ** (1.0 / k) / r
+                       for m, r in zip(mats, radii))
+
+        expected = (min(c_for(k) for k in range(1, 21)) if kwargs.get("search_kstar")
+                    else c_for(kwargs["kstar"]))
+        assert growth_constant(cw_mm, family=family, **kwargs) == expected
 
     def test_nilpotent_guard(self):
         z = np.zeros((2, 2))
