@@ -155,10 +155,13 @@ def _contraction_radius(big_m, side: str) -> float:
     return rho
 
 
-def _steady_phases(a_seq, w_seq, side: str) -> PeriodicCovariance:
+def _steady_phases(a_seq, w_seq, side) -> PeriodicCovariance:
+    """Steady phases P_0 ... P_{N-1}; side names the monodromy whose radius
+    is checked, None when the caller has decided that it contracts."""
     big_m, big_w = _phase_monodromy(a_seq, w_seq)
-    _contraction_radius(big_m, side)
-    p = linalg.solve_discrete_lyapunov(big_m, big_w)
+    if side is not None:
+        _contraction_radius(big_m, side)
+    p = linalg._solve_lyapunov(big_m, big_w)
     phases = [p]
     for a, w in zip(a_seq[:-1], w_seq[:-1]):
         p = linalg.sym_part(a @ p @ a.T + w)
@@ -296,8 +299,9 @@ def steady_augmented_cov(s, model: SystemModel, gains: GainSet):
 
     Returns (joint, state) where joint holds the 2n x 2n phase
     covariances and state their upper-left n x n state blocks. Requires
-    full admissibility; the augmented monodromy inherits its spectrum
-    from the two diagonal blocks, so both must contract.
+    full admissibility; the augmented monodromy is block-triangular and
+    inherits its spectrum from the two diagonal blocks, so the
+    admissibility verdict on both decides it.
     """
     return _steady_augmented_cov(s, model, gains, mode_matrices(model, gains))
 
@@ -315,7 +319,7 @@ def _steady_augmented_cov(s, model: SystemModel, gains: GainSet, mm: ModeMatrice
     aug = build_augmented(model, gains)
     noise = [aug.step_noise(eta) for eta in (0, 1)]
     a_seq = [aug.a_modes[eta] for eta in bits]
-    joint = _steady_phases(a_seq, [noise[eta] for eta in bits], "joint")
+    joint = _steady_phases(a_seq, [noise[eta] for eta in bits], None)
     n = model.n
     state = PeriodicCovariance(
         phases=tuple(p[:n, :n].copy() for p in joint), period=joint.period

@@ -230,6 +230,12 @@ def solve_discrete_lyapunov(f, w) -> np.ndarray:
     rho = spectral_radius(f)
     if rho >= 1.0:
         raise StabilityError(f"spectral radius {rho:.6g} >= 1, no bounded solution")
+    return _solve_lyapunov(f, w)
+
+
+def _solve_lyapunov(f, w) -> np.ndarray:
+    """solve_discrete_lyapunov without its stability guard, for a caller
+    that has validated F and W and decided that F contracts."""
     op = _lyapunov_operator(f)
     tol = LYAPUNOV_RTOL * (1.0 + np.linalg.norm(w, "fro"))
     with np.errstate(all="ignore"):

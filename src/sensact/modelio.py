@@ -12,6 +12,7 @@ import functools
 import json
 import operator
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,18 +204,25 @@ def _expect_keys(obj, path, required, optional=()):
 
 
 def parse_matrix(spec, path) -> np.ndarray:
-    """Nested lists, {"eye": n[, "scale": s]}, or {"diag": [...]}."""
+    """Nested lists, {"eye": n[, "scale": s]}, or {"diag": [...]}, with n a
+    positive integer and s and the diagonal entries finite numbers."""
     if isinstance(spec, dict):
         if "eye" in spec:
             _expect_keys(spec, path, ["eye"], ["scale"])
-            return float(spec.get("scale", 1.0)) * np.eye(int(spec["eye"]))
+            size = spec["eye"]
+            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+                _fail(f"{path}.eye", "expected a positive integer")
+            return _number(spec.get("scale", 1.0), f"{path}.scale") * np.eye(size)
         if "diag" in spec:
             _expect_keys(spec, path, ["diag"])
-            return np.diag([float(v) for v in spec["diag"]])
+            entries = spec["diag"]
+            if not isinstance(entries, list) or not entries:
+                _fail(f"{path}.diag", "expected a non-empty list of numbers")
+            return np.diag([_number(v, f"{path}.diag[{i}]") for i, v in enumerate(entries)])
         _fail(path, "matrix object must use 'eye' or 'diag'")
     try:
         m = np.array(spec, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         _fail(path, "not a numeric matrix")
     if m.ndim == 1 and m.size:
         m = m.reshape(1, -1)
@@ -228,14 +236,20 @@ def _number(obj, path, positive=False):
         _fail(path, "expected a number")
     if positive and obj <= 0:
         _fail(path, "must be positive")
+    if not abs(obj) <= sys.float_info.max:  # inf, NaN or an int past float range
+        _fail(path, "expected a finite number")
     return float(obj)
 
 
 def load_config(path) -> dict:
-    """Read and validate a config file; returns the parsed dict."""
+    """Read and validate a config file; returns the parsed dict. The
+    non-standard constants NaN and Infinity are refused."""
+    def refuse(name):
+        raise SchemaError(f"{path}: {name} is not a finite number")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from exc

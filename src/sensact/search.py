@@ -4,13 +4,13 @@ A word shares its admissibility verdict and normalized cost with its
 irreducible core and with every rotation (rho(XY) = rho(YX), and the cost
 is the mean over the phases). So each length is searched one binary
 necklace at a time (Fredricksen-Kessler-Maiorana): each is evaluated once,
-memoized under its least rotation and shared across lengths, and expanded
-into words only for tie classes and tables. The necklaces of a call that
-are not cached yet, of any periods (with all_lengths, of every length),
-are evaluated in one stacked pass per chunk: batched monodromies and
-eigenvalues for the verdicts, and for the admissible ones a batched
-steady solve at phase 0 with the cost from the trace identity, so no
-per-phase covariance is formed (SequenceEvaluator).
+memoized under its least rotation as one cost (inf when inadmissible),
+and expanded into words only for tie classes and tables. The uncached
+necklaces of a call, of any periods, are evaluated in one stacked pass
+per chunk: batched monodromies, verdicts from radius bounds of their
+powers with eigenvalues only for the sides those leave open, and for the
+admissible ones a batched steady solve at phase 0 with the cost from the
+trace identity, so no per-phase covariance is formed (SequenceEvaluator).
 The exact check decides every necklace. The search does not use the
 dwell-time screen: it is sufficient only, and it cannot spare the steady
 solve that the cost needs.
@@ -31,7 +31,7 @@ from .sequence import (
     _collect,
     _retire,
     admissibility,
-    admissibility_stacked,
+    contractive_stacked,
 )
 
 __all__ = [
@@ -158,15 +158,17 @@ class SearchResult:
 class SequenceEvaluator:
     """Memoized, batched per-necklace evaluation shared across search calls.
 
-    The cache maps a necklace's least rotation to its exact (report,
-    cost), which every rotation shares. counts are per core (a necklace of
-    period p adds p), except necklaces, the number of exact evaluations.
+    The cache maps a necklace's least rotation to its exact cost (inf when
+    not admissible), which every rotation shares. counts are per core (a
+    necklace of period p adds p), except necklaces, the number of exact
+    evaluations.
 
     The necklaces of one call that are not cached yet are evaluated
     together, whatever their periods, longest first in chunks of at most
-    _BATCH rows: each chunk gets one admissibility_stacked pass for the
-    verdicts, and for its admissible rows the cost from one batched steady
-    solve at phase 0 through the trace identity
+    _BATCH rows: each chunk gets one contractive_stacked pass for the
+    verdicts (eigvals only for the sides its radius bounds leave open),
+    and for its admissible rows the cost from one batched steady solve at
+    phase 0 through the trace identity
 
         sum_k tr(Q P_k) = tr(S P_0) + sum_k tr(Q V_k),
         S = sum_k Phi_k' Q Phi_k,
@@ -215,7 +217,7 @@ class SequenceEvaluator:
     def _costs(self, rows) -> np.ndarray:
         """Normalized cost of each bit row, admissible rows of any lengths,
         in input order: the rows are walked longest first, as in
-        admissibility_stacked, and each row's one-period transition and
+        contractive_stacked, and each row's one-period transition and
         accumulated noise are kept once it has taken its last step."""
         order, periods, bits, live = _by_period(rows)
         total = self.weights.r_eta * bits.sum(axis=1)
@@ -244,21 +246,20 @@ class SequenceEvaluator:
         costs[order] = total / periods
         return costs
 
-    def _evaluate(self, rows) -> list:
-        """(report, cost) of the necklace in each bit row, rows of any lengths."""
+    def _evaluate(self, rows) -> np.ndarray:
+        """Cost of the necklace in each bit row (inf if not admissible)."""
         self.counts["necklaces"] += len(rows)
-        reports = admissibility_stacked(rows, self.mm)
+        admissible = np.flatnonzero(contractive_stacked(rows, self.mm)).tolist()
         costs = np.full(len(rows), np.inf)
-        admissible = [i for i, report in enumerate(reports) if report.admissible]
         if admissible:
             costs[admissible] = self._costs([rows[i] for i in admissible])
-        return list(zip(reports, costs.tolist()))
+        return costs
 
     def resolve(self, necklaces) -> list:
-        """(report, cost) of each necklace, given by its least rotation; the
-        uncached ones are evaluated in stacked chunks of any periods. (Any
-        other rotation given is evaluated from its own phase 0 and cached
-        under itself.)"""
+        """Cost of each necklace, given by its least rotation, inf where it
+        is not admissible; the uncached ones are evaluated in stacked
+        chunks of any periods. (Any other rotation given is evaluated from
+        its own phase 0 and cached under itself.)"""
         fresh = {}  # insertion-ordered set of the necklaces to evaluate
         for least in necklaces:
             if least in self._cache or least in fresh:
@@ -269,13 +270,13 @@ class SequenceEvaluator:
         fresh = sorted(fresh, key=len, reverse=True)
         for start in range(0, len(fresh), _BATCH):
             chunk = fresh[start:start + _BATCH]
-            self._cache.update(zip(chunk, self._evaluate(chunk)))
+            self._cache.update(zip(chunk, self._evaluate(chunk).tolist()))
         return [self._cache[least] for least in necklaces]
 
     def evaluate(self, core_bits: tuple):
-        """(report, cost) of any core, served through its necklace."""
-        return self.resolve([min(core_bits[i:] + core_bits[:i]
-                                 for i in range(len(core_bits)))])[0]
+        """(admissibility report, cost served through its necklace) of any core."""
+        least = min(core_bits[i:] + core_bits[:i] for i in range(len(core_bits)))
+        return admissibility(core_bits, self.mm), self.resolve([least])[0]
 
 
 def _necklaces(length: int):
@@ -297,12 +298,11 @@ def _necklaces(length: int):
             yield tuple(a[:i + 1])
 
 
-def _select(length: int, necklaces: list, values: list, include_table: bool) -> SearchResult:
-    """The cheapest word of one length from the (report, cost) of each of
-    its necklaces: ties within COST_RTOL go to the shortest core, then the
+def _select(length: int, necklaces: list, costs: list, include_table: bool) -> SearchResult:
+    """The cheapest word of one length from the cost of each of its
+    necklaces: ties within COST_RTOL go to the shortest core, then the
     lexicographically smallest word. The winner's report and the counts
     are left to the caller."""
-    costs = [cost for _, cost in values]
     best = min(costs)
     bound = best * (1.0 + COST_RTOL) if best < np.inf else -np.inf  # ties within COST_RTOL
     candidates = []  # (word, core, cost)
@@ -374,10 +374,10 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
     results = []
     if options.all_lengths:
         groups = [list(_necklaces(length)) for length in range(1, n_max + 1)]
-        values = evaluator.resolve([least for group in groups for least in group])
+        costs = evaluator.resolve([least for group in groups for least in group])
         start = 0
         for length, group in enumerate(groups, 1):
-            results.append(_select(length, group, values[start:start + len(group)],
+            results.append(_select(length, group, costs[start:start + len(group)],
                                    options.include_table))
             start += len(group)
     else:

@@ -28,7 +28,7 @@ __all__ = [
     "uniform_growth_constant",
     "dwell_feasible",
     "admissibility",
-    "admissibility_stacked",
+    "contractive_stacked",
     "is_contractive",
     "monodromy",
 ]
@@ -37,6 +37,11 @@ __all__ = [
 # treated as non-contractive; keeps verdicts platform-stable when the true
 # radius sits exactly on the unit circle (e.g. ZOH orbital dynamics)
 CONTRACTION_MARGIN = 1e-9
+
+#: squarings behind contractive_stacked's radius bounds, which decide a side
+#: only when they clear the threshold by a slack far above their rounding
+_SQUARINGS = 4
+_CERTIFICATE_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -251,10 +256,11 @@ def monodromy(s, mm: ModeMatrices):
     return prod_bar, prod_til
 
 
-def is_contractive(rho: float) -> bool:
+def is_contractive(rho):
     """The one stability contract: a one-period product with spectral
-    radius rho contracts when rho < 1 - CONTRACTION_MARGIN."""
-    return bool(rho < 1.0 - CONTRACTION_MARGIN)
+    radius rho (or each of an array) contracts when rho < 1 - CONTRACTION_MARGIN."""
+    verdict = np.less(rho, 1.0 - CONTRACTION_MARGIN)
+    return verdict if verdict.ndim else bool(verdict)
 
 
 def _nilpotency_flags(used, mm: ModeMatrices) -> tuple:
@@ -275,7 +281,7 @@ def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     step, and their radii come from one batched eigvals call. The product
     order is that of each side multiplied out on its own, so the radii are
     bit for bit those of spectral_radius on the two separate products, as
-    admissibility_stacked's are.
+    contractive_stacked's verdicts are.
     Raises NilpotencyError when a mode matrix actually used by the
     sequence is numerically nilpotent.
     """
@@ -343,19 +349,39 @@ def _stacked_products(modes, bits, live) -> np.ndarray:
     return _collect((prod,), done)[0]
 
 
-def admissibility_stacked(rows, mm: ModeMatrices) -> list:
-    """admissibility of each bit row, in input order; the rows may have any
-    lengths (a (K, p) array is one period). Both sides are multiplied as
-    one stacked (K, 2, n, n) product per step, the rows ordered longest
-    first so that the rows still live are a prefix, and all radii come
-    from one batched eigvals call. Raises NilpotencyError when any row
-    uses a nilpotent mode matrix."""
+def _radius_bounds(prods):
+    """(|tr M^k| / n)^(1/k) <= rho(M) <= ||M^k||_F^(1/k), k = 2^_SQUARINGS,
+    for each M of a (..., n, n) stack (Horn & Johnson, Matrix Analysis,
+    Cor. 5.6.14). Each square is divided by its Frobenius norm, whose log
+    is carried, so no power overflows; a zero or non-finite norm gives NaN."""
+    with np.errstate(all="ignore"):
+        norm = linalg._fro(prods)
+        power, log_scale = prods / norm[..., None, None], np.log(norm)
+        for _ in range(_SQUARINGS):
+            power = power @ power
+            norm = linalg._fro(power)
+            power /= norm[..., None, None]
+            log_scale = 2.0 * log_scale + np.log(norm)
+        upper = np.exp(log_scale / 2**_SQUARINGS)
+        trace = np.abs(np.trace(power, axis1=-2, axis2=-1)) / prods.shape[-1]
+        return upper * trace ** (1.0 / 2**_SQUARINGS), upper
+
+
+def contractive_stacked(rows, mm: ModeMatrices) -> np.ndarray:
+    """admissibility's verdict on each bit row, in input order, rows of any
+    lengths. Both sides are multiplied as one stacked (K, 2, n, n) product
+    per step, the rows longest first so that the rows still live are a
+    prefix. A side is decided by its _radius_bounds where one clears the
+    threshold by _CERTIFICATE_SLACK, else (NaN bounds too) by one batched
+    eigvals call, which raises NumericsError on a non-finite product.
+    Raises NilpotencyError when any row uses a nilpotent mode matrix."""
     order, periods, bits, live = _by_period(rows)
     ones = bits.sum(axis=1)
-    flags = _nilpotency_flags((bool(np.any(ones < periods)), bool(np.any(ones > 0))), mm)
-    radii = np.empty((len(order), 2))
-    radii[order] = linalg.spectral_radii(_stacked_products(_side_modes(mm), bits, live))
-    return [AdmissibilityReport(qbar=a, qtilde=b,
-                                admissible=is_contractive(a) and is_contractive(b),
-                                nilpotency_flags=flags)
-            for a, b in radii.tolist()]
+    _nilpotency_flags((bool(np.any(ones < periods)), bool(np.any(ones > 0))), mm)
+    prods = _stacked_products(_side_modes(mm), bits, live)
+    lower, upper = _radius_bounds(prods)
+    sides = upper < 1.0 - CONTRACTION_MARGIN - _CERTIFICATE_SLACK
+    undecided = ~(sides | (lower > 1.0 - CONTRACTION_MARGIN + _CERTIFICATE_SLACK))
+    if undecided.any():
+        sides[undecided] = is_contractive(linalg.spectral_radii(prods[undecided]))
+    return sides.all(axis=1)[np.argsort(order)]

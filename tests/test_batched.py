@@ -5,8 +5,11 @@ distinct mode matrices are drawn directly), with mode radii close to the
 contraction threshold 1 - CONTRACTION_MARGIN and rank-deficient mode
 matrices among the draws, plus deterministic checks of the solver
 fallback, nilpotency and the absence of scalar solves in a search. The
-radii of both admissibility routines are held bit for bit to the
-two-product oracle of tests/oracles.py, which does not stack the sides.
+radii of admissibility are held bit for bit to the two-product oracle of
+tests/oracles.py, which does not stack the sides, and the verdicts of
+contractive_stacked, whose radius bounds decide most sides without
+eigenvalues, to the eigvals verdicts of admissibility, also on defective
+mode matrices within 1e-5 of the threshold.
 """
 
 import itertools
@@ -23,11 +26,21 @@ from sensact import linalg
 from sensact.covariance import steady_augmented_cov, steady_error_cov
 from sensact.exceptions import NilpotencyError, NumericsError, StabilityError
 from sensact.plant import GainSet, SystemModel, mode_matrices
-from sensact.search import CostWeights, SequenceEvaluator, search_fixed_length, sequence_cost
+from sensact.search import (
+    CostWeights,
+    SequenceEvaluator,
+    _necklaces,
+    search_fixed_length,
+    sequence_cost,
+)
 from sensact.sequence import (
     CONTRACTION_MARGIN,
+    _by_period,
+    _side_modes,
+    _stacked_products,
     admissibility,
-    admissibility_stacked,
+    contractive_stacked,
+    is_contractive,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -42,15 +55,35 @@ RADII = st.one_of(
 WEIGHTS = st.sampled_from(["estimation", "blended", "state", "penalty"])
 
 
+#: radii of the defective draws: 1e-7, 2e-6 and 1e-5 to either side of the
+#: threshold, inside and outside the slack of the certificate's bounds
+DEFECTIVE_RADII = st.sampled_from([1.0 - CONTRACTION_MARGIN + sign * gap
+                                   for sign in (-1.0, 1.0) for gap in (1e-7, 2e-6, 1e-5)])
+
+
+def jordan_draw(rng, n, size, rho):
+    """S J S^-1 for a random S, where J holds a Jordan block of the given
+    size at rho and, below it, random eigenvalues of modulus under rho."""
+    j = np.diag(np.concatenate([np.full(size, rho), rng.uniform(-rho, rho, n - size) / 2]))
+    j[np.arange(size - 1), np.arange(1, size)] = 1.0
+    s = rng.standard_normal((n, n)) + n * np.eye(n)
+    return s @ j @ np.linalg.inv(s)
+
+
 @st.composite
-def plants(draw):
+def plants(draw, defective=False):
     """A plant whose coast (A), feedback (A + BK) and observer (A + LC)
     matrices are drawn with the given radii; some are rank-deficient, and
-    a rank-deficient draw with no spectral radius stays nilpotent."""
+    a rank-deficient draw with no spectral radius stays nilpotent. With
+    defective set, each matrix may instead hold a Jordan block of size 2
+    or 3 at a radius near the contraction threshold."""
     n = draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mats = []
     for _ in range(3):
+        if defective and draw(st.booleans()):
+            mats.append(jordan_draw(rng, n, draw(st.integers(2, n)), draw(DEFECTIVE_RADII)))
+            continue
         m = rng.standard_normal((n, n))
         if draw(st.booleans()):
             m[:, 0] = m[:, 1:] @ rng.standard_normal(n - 1)
@@ -115,10 +148,11 @@ class TestProperties:
             scalar = [admissibility(word, mm) for word in words]
         except NilpotencyError:
             with pytest.raises(NilpotencyError):
-                admissibility_stacked(np.array(words), mm)
+                contractive_stacked(np.array(words), mm)
             return
         assert [(r.qbar, r.qtilde) for r in scalar] == [two_product_radii(w, mm) for w in words]
-        assert admissibility_stacked(np.array(words), mm) == scalar
+        assert contractive_stacked(np.array(words), mm).tolist() == \
+            [r.admissible for r in scalar]
 
     @PROPERTY
     @given(plants(), st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=9),
@@ -132,9 +166,24 @@ class TestProperties:
             scalar = [admissibility(word, mm) for word in words]
         except NilpotencyError:
             with pytest.raises(NilpotencyError):
-                admissibility_stacked(words, mm)
+                contractive_stacked(words, mm)
             return
-        assert admissibility_stacked(words, mm) == scalar
+        assert contractive_stacked(words, mm).tolist() == [r.admissible for r in scalar]
+
+    @PROPERTY
+    @given(plants(defective=True), st.lists(st.lists(st.integers(0, 1), min_size=1,
+                                                     max_size=6), min_size=1, max_size=10))
+    def test_certificate_verdict_is_eigvals_verdict(self, plant, words):
+        # defective mode matrices within 1e-5 of the threshold, where the
+        # eigenvalues of a Jordan block of size 3 move by about 1e-5
+        model, gains = plant
+        mm = mode_matrices(model, gains)
+        words = [tuple(word) for word in words]
+        try:
+            scalar = [admissibility(word, mm).admissible for word in words]
+        except NilpotencyError:
+            return
+        assert contractive_stacked(words, mm).tolist() == scalar
 
     @PROPERTY
     @given(plants(), WEIGHTS, st.lists(st.integers(0, 1), min_size=1, max_size=7))
@@ -149,12 +198,11 @@ class TestProperties:
                 SequenceEvaluator(model, gains, weights).resolve([word])
             return
         # the word itself is the row evaluated, so a fallback sees the
-        # same monodromy as the scalar solve
-        (report, cost), = SequenceEvaluator(model, gains, weights).resolve([word])
+        # same monodromy as the scalar solve; inf is the inadmissible verdict
+        cost, = SequenceEvaluator(model, gains, weights).resolve([word])
         if expected is None:
-            assert not report.admissible and cost == np.inf
+            assert cost == np.inf
         else:
-            assert report.admissible
             assert cost == pytest.approx(expected, rel=1e-9)
 
     @PROPERTY
@@ -185,8 +233,9 @@ class TestProperties:
         model, gains = plant
         weights = make_weights(kind, model.n, np.random.default_rng(len(word)))
         rotations = sorted({tuple(word[i:] + word[:i]) for i in range(len(word))})
+        mm = mode_matrices(model, gains)
         try:
-            reports = admissibility_stacked(np.array(rotations), mode_matrices(model, gains))
+            reports = [admissibility(rotation, mm) for rotation in rotations]
         except NilpotencyError:
             return
         radii = [max(r.qbar, r.qtilde) for r in reports]
@@ -194,15 +243,16 @@ class TestProperties:
         # threshold may land on different sides of it
         assume(all(abs(rho - (1.0 - CONTRACTION_MARGIN)) > 1e-12 for rho in radii))
         assert len({r.admissible for r in reports}) == 1
+        verdicts = contractive_stacked(np.array(rotations), mm)
+        assert verdicts.tolist() == [reports[0].admissible] * len(rotations)
         for rho, other in zip(radii, radii[1:]):
             assert other == pytest.approx(rho, rel=1e-6, abs=1e-12)
         assume(not reports[0].admissible or radii[0] < 1.0 - COST_MARGIN)
         try:
             # each rotation is its own row, evaluated from its own phase 0
-            values = SequenceEvaluator(model, gains, weights).resolve(rotations)
+            costs = SequenceEvaluator(model, gains, weights).resolve(rotations)
         except NumericsError:
             assume(False)
-        costs = [cost for _, cost in values]
         if not reports[0].admissible:
             assert all(cost == np.inf for cost in costs)
             return
@@ -222,6 +272,65 @@ def test_cw_radii_are_two_product_radii(cw_mm):
     for word in cw_words():
         report = admissibility(word, cw_mm)
         assert (report.qbar, report.qtilde) == two_product_radii(word, cw_mm), word
+
+
+def test_cw_certificate_verdict_is_eigvals_verdict(cw_mm):
+    # every binary necklace of length up to 18 (31042 cores), each side
+    # decided by eigvals alone against contractive_stacked
+    cores = sorted({least for length in range(1, 19) for least in _necklaces(length)})
+    order, _, bits, live = _by_period(cores)
+    radii = linalg.spectral_radii(_stacked_products(_side_modes(cw_mm), bits, live))
+    expected = np.empty(len(cores), dtype=bool)
+    expected[order] = is_contractive(radii).all(axis=1)
+    assert np.array_equal(contractive_stacked(cores, cw_mm), expected)
+
+
+class TestCertificateEdges:
+    @staticmethod
+    def diagonal_plant(a, feedback):
+        """B = C = I, L = 0: control modes a and feedback, observer modes a."""
+        n = len(a)
+        model = SystemModel(a=np.diag(a), b=np.eye(n), c=np.eye(n), sigma_w=np.eye(n),
+                            sigma_v=np.eye(n))
+        return mode_matrices(model, GainSet(k=np.diag(feedback) - np.diag(a),
+                                            l=np.zeros((n, n))))
+
+    def test_zero_product_is_contractive(self, monkeypatch):
+        mm = self.diagonal_plant([0.5, 0.0], [0.0, 0.5])
+        report = admissibility((0, 1), mm)
+        assert report.qbar == 0.0 and report.admissible
+        # the zero control product has no norm to bound, so eigvals decides it
+        rows = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or real(a))
+        assert contractive_stacked([(0, 1)], mm).tolist() == [True]
+        assert rows == [1]
+
+    @pytest.mark.parametrize("diagonal, verdict, rows", [
+        ((-2e-6, None), True, 0), ((-5e-7, None), True, 2),
+        ((5e-7, 5e-7), False, 2), ((2e-6, 2e-6), False, 0),
+    ])
+    def test_bounds_decide_outside_the_slack(self, monkeypatch, diagonal, verdict, rows):
+        # diag(r, 0) has upper bound r, diag(r, r) lower bound r, up to
+        # rounding; within the slack of the threshold eigvals decides both
+        # sides, and outside it neither
+        threshold = 1.0 - CONTRACTION_MARGIN
+        a = [0.0 if gap is None else threshold + gap for gap in diagonal]
+        mm = self.diagonal_plant(a, [0.5, 0.5])
+        calls = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(len(m)) or real(m))
+        assert contractive_stacked([(0,)], mm).tolist() == [verdict]
+        assert sum(calls) == rows
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("word", [(0,) * 6, (0, 1) * 3])
+    def test_non_finite_product_raises(self, word):
+        # mode matrices of norm 1e60 overflow in six steps
+        mm = self.diagonal_plant([1e60, 0.5], [0.5, 1e60])
+        with pytest.raises(NumericsError):
+            contractive_stacked([word], mm)
 
 
 #: a sheared rotation at radius 1 - 3e-5: its powers grow before they

@@ -87,6 +87,41 @@ class TestModelBuild:
         assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"eye": "x"}, "$.noise.sigma_w.eye"),
+        ({"eye": -1}, "$.noise.sigma_w.eye"),
+        ({"eye": True}, "$.noise.sigma_w.eye"),
+        ({"eye": 6, "scale": "x"}, "$.noise.sigma_w.scale"),
+        ({"diag": "x"}, "$.noise.sigma_w.diag"),
+        ({"diag": []}, "$.noise.sigma_w.diag"),
+        ({"diag": [1.0, "x"]}, "$.noise.sigma_w.diag[1]"),
+        ([[10**400]], "$.noise.sigma_w"),
+    ], ids=["eye-text", "eye-negative", "eye-bool", "scale-text", "diag-text",
+            "diag-empty", "diag-entry-text", "int-past-float-range"])
+    def test_malformed_matrix_shorthand_exit_2(self, tmp_path, capsys, spec, key):
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(CW_CONFIG.read_text())
+        cfg["noise"]["sigma_w"] = spec
+        bad.write_text(json.dumps(cfg))
+        assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("number, message", [
+        ("NaN", "{bad}: NaN is not a finite number"),
+        ("Infinity", "{bad}: Infinity is not a finite number"),
+        ("-Infinity", "{bad}: -Infinity is not a finite number"),
+        ("1e999", "$.noise.sigma_w.scale: expected a finite number"),
+    ])
+    def test_non_finite_scale_exit_2(self, tmp_path, capsys, number, message):
+        bad = tmp_path / "bad.json"
+        text = CW_CONFIG.read_text()
+        assert '"sigma_w": {"eye": 6, "scale": 1e-4}' in text
+        bad.write_text(text.replace('"scale": 1e-4', f'"scale": {number}'))
+        assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
+
     def test_invalid_json_exit_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"plant": \n !')
@@ -251,16 +286,19 @@ class TestMalformedModelFile:
 class TestRepeatedWork:
     """Each command takes each eigenvalue decomposition once: one batched
     call for the model's two gain radii, one for the mode radii, one per
-    admissibility decision and one per steady-covariance side, plus the
-    Lyapunov solver's own stability guard. The growth constant of --dwell
-    takes no eigenvalues: it reads the mode radii (and, at kstar=1, the
-    Frobenius norms) that ModeMatrices recorded."""
+    admissibility decision and one for the error covariance's observer
+    side. The steady solves have no stability guard of their own, and the
+    joint covariance takes no radius of its block-triangular monodromy:
+    the admissibility verdict on its two diagonal blocks decides it. The
+    growth constant of --dwell takes no eigenvalues: it reads the mode
+    radii (and, at kstar=1, the Frobenius norms) that ModeMatrices
+    recorded."""
 
     @pytest.mark.parametrize("argv, count", [
         (["seq", "check", "{model}", "0011"], 3),
         (["seq", "check", "{model}", "0011", "--dwell"], 3),
-        (["cov", "steady", "{model}", "0011", "--augmented"], 7),
-        (["chance", "verify", "{model}", "0011", "--bound", "22", "--delta", "0.05"], 5),
+        (["cov", "steady", "{model}", "0011", "--augmented"], 4),
+        (["chance", "verify", "{model}", "0011", "--bound", "22", "--delta", "0.05"], 3),
     ], ids=["seq-check", "seq-check-dwell", "cov-steady-augmented", "chance-verify"])
     def test_eigvals_calls(self, model_file, capsys, monkeypatch, argv, count):
         calls = []

@@ -358,14 +358,16 @@ class TestSinglePeriodSolve:
 
     @pytest.fixture
     def solve_count(self, monkeypatch):
+        # the unguarded solve behind solve_discrete_lyapunov, which the
+        # steady phases call directly, so every solve is counted
         calls = []
-        solve = linalg.solve_discrete_lyapunov
+        solve = linalg._solve_lyapunov
 
         def counting(f, w):
             calls.append(f.shape)
             return solve(f, w)
 
-        monkeypatch.setattr(linalg, "solve_discrete_lyapunov", counting)
+        monkeypatch.setattr(linalg, "_solve_lyapunov", counting)
         return calls
 
     @staticmethod

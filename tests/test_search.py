@@ -314,8 +314,8 @@ class TestNecklaceSearch:
 
     def test_one_exact_evaluation_per_necklace(self, cw_model, cw_gains, est_weights,
                                                monkeypatch):
-        calls = {"admissibility": 0, "admissibility_stacked": 0, "stacked_solve": 0}
-        rows = {"admissibility_stacked": 0, "stacked_solve": 0}
+        calls = {"admissibility": 0, "contractive_stacked": 0, "stacked_solve": 0}
+        rows = {"contractive_stacked": 0, "stacked_solve": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -325,7 +325,7 @@ class TestNecklaceSearch:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("admissibility", "admissibility_stacked"):
+        for name in ("admissibility", "contractive_stacked"):
             monkeypatch.setattr(search_module, name,
                                 counted(name, getattr(search_module, name)))
         monkeypatch.setattr(linalg, "solve_discrete_lyapunov_stacked",
@@ -335,11 +335,24 @@ class TestNecklaceSearch:
         # one stacked verdict pass over all of them, one stacked steady
         # solve over the 58 admissible ones, and a scalar report for the
         # winner only
-        assert (calls["admissibility_stacked"], rows["admissibility_stacked"]) == (1, 108)
+        assert (calls["contractive_stacked"], rows["contractive_stacked"]) == (1, 108)
         assert (calls["stacked_solve"], rows["stacked_solve"]) == (1, 58)
         assert calls["admissibility"] == 1
         assert res.counts.necklaces == 108
         assert res.counts.cores_evaluated == 2**10
+
+    def test_eigvals_only_for_open_sides(self, cw_model, cw_gains, est_weights,
+                                         monkeypatch):
+        # of the 216 sides of the 108 necklaces of length 10, the radius
+        # bounds leave 4 open: one batched eigvals call for those, and one
+        # for the winner's two sides in its scalar report
+        evaluator = SequenceEvaluator(cw_model, cw_gains, est_weights)
+        rows = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or real(a))
+        res = search_fixed_length(10, cw_model, cw_gains, est_weights, evaluator=evaluator)
+        assert rows == [4, 2]
+        assert str(res.sequence) == "0001100011"
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_batch_boundaries(self, batch, cw_model, cw_gains, est_weights, monkeypatch):
@@ -365,13 +378,13 @@ class TestNecklaceSearch:
         opts = SearchOptions(include_table=True)
         expected = search_fixed_length(10, cw_model, cw_gains, weights, opts)
         chunks = []
-        real = search_module.admissibility_stacked
+        real = search_module.contractive_stacked
 
         def recorded(rows, mm):
             chunks.append(sorted(collections.Counter(map(len, rows)).items(), reverse=True))
             return real(rows, mm)
 
-        monkeypatch.setattr(search_module, "admissibility_stacked", recorded)
+        monkeypatch.setattr(search_module, "contractive_stacked", recorded)
         monkeypatch.setattr(search_module, "_BATCH", 100)
         res = search_fixed_length(10, cw_model, cw_gains, weights, opts)
         assert chunks == [[(10, 99), (5, 1)], [(5, 5), (2, 1), (1, 2)]]
