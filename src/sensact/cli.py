@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .chance import verify_chance
-from .covariance import _steady_augmented_cov, steady_error_cov
+from .covariance import _steady_augmented_cov, _steady_error_cov
 from .exceptions import (
     DimensionError,
     DomainError,
@@ -32,8 +32,8 @@ from .exceptions import (
     StabilityError,
 )
 from .modelio import (
-    box_from_config,
     build_from_config,
+    chance_from_config,
     cost_weights_from_config,
     dump_json,
     load_config,
@@ -60,10 +60,12 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
+#: the four mode matrices, in the order of ModeMatrices.spectral_radii
+_MODES = ("coast", "feedback", "observer", "actuate")
+
+
 def _radii_line(mm) -> str:
-    r = mm.spectral_radii
-    return (f"rho(coast)={r[0]:.4f}  rho(feedback)={r[1]:.4f}  "
-            f"rho(observer)={r[2]:.4f}  rho(actuate)={r[3]:.4f}")
+    return "  ".join(f"rho({name})={r:.4f}" for name, r in zip(_MODES, mm.spectral_radii))
 
 
 def cmd_model_build(args) -> int:
@@ -71,21 +73,8 @@ def cmd_model_build(args) -> int:
     model, gains = build_from_config(cfg)
     mm = mode_matrices(model, gains)
     c = growth_constant(mm)
-    summary = {
-        "spectral_radii": {
-            "coast": mm.spectral_radii[0],
-            "feedback": mm.spectral_radii[1],
-            "observer": mm.spectral_radii[2],
-            "actuate": mm.spectral_radii[3],
-        },
-        "fro_norms": {
-            "coast": mm.fro_norms[0],
-            "feedback": mm.fro_norms[1],
-            "observer": mm.fro_norms[2],
-            "actuate": mm.fro_norms[3],
-        },
-        "growth_constant": c,
-    }
+    summary = {"spectral_radii": dict(zip(_MODES, mm.spectral_radii)),
+               "fro_norms": dict(zip(_MODES, mm.fro_norms)), "growth_constant": c}
     save_model(args.out, model, gains, summary=summary, config_echo=cfg)
     print(_radii_line(mm))
     print(f"growth constant c = {c:.4f}")
@@ -130,11 +119,10 @@ def cmd_seq_check(args) -> int:
         print(f"dwell screen: c={c:.4f} lhs_ctrl={feas.lhs_ctrl:.4f} "
               f"lhs_obs={feas.lhs_obs:.4f} passes={'yes' if feas.passes else 'no'}")
     if args.chance:
-        delta = args.delta if args.delta is not None else (cfg.get("chance") or {}).get("delta")
+        box, delta = chance_from_config(cfg, args.bound, args.delta)
         if delta is None:
             raise SchemaError("chance check requested but no --delta given "
                               "and none in the model's config echo")
-        box = box_from_config(cfg, bound=args.bound)
         if box is None:
             raise SchemaError("chance check requested but no --bound given "
                               "and none in the model's config echo")
@@ -213,7 +201,7 @@ def cmd_cov_steady(args) -> int:
     model, gains, _ = _load(args)
     mm = mode_matrices(model, gains)
     seq = SwitchSequence.from_string(args.bits)
-    err = steady_error_cov(seq, mm, model.sigma_v, model.sigma_w)
+    err = _steady_error_cov(seq, mm, model.sigma_v, model.sigma_w)
     out = {
         "sequence": str(seq),
         "period": err.period,
@@ -233,10 +221,9 @@ def cmd_cov_steady(args) -> int:
 def cmd_chance_verify(args) -> int:
     model, gains, cfg = _load(args)
     seq = SwitchSequence.from_string(args.bits)
-    delta = args.delta if args.delta is not None else (cfg.get("chance") or {}).get("delta")
+    box, delta = chance_from_config(cfg, args.bound, args.delta)
     if delta is None:
         raise SchemaError("no --delta given and none in the model's config echo")
-    box = box_from_config(cfg, bound=args.bound)
     if box is None:
         raise SchemaError("no --bound given and none in the model's config echo")
     report = verify_chance(seq, model, gains, box, float(delta))
@@ -258,7 +245,7 @@ def cmd_sim_run(args) -> int:
     seq = SwitchSequence.from_string(args.bits)
     overrides = {"steps": args.steps, "runs": args.runs, "seed": args.seed}
     sim_cfg = sim_config_from_config(cfg, model.n, model.m, overrides)
-    box = box_from_config(cfg, bound=args.bound)
+    box, _ = chance_from_config(cfg, args.bound)
     stats, trajectories = run_ensemble(model, gains, seq, sim_cfg, box=box,
                                        threads=args.threads, return_trajectories=True)
     os.makedirs(args.out, exist_ok=True)

@@ -93,9 +93,8 @@ class ContractionCertificate:
     monodromy_norm_sq: float
 
 
-def _noise_terms(l, sigma_v, sigma_w) -> tuple:
-    """The one-step error-covariance noise of both modes, (R_0, R_1),
-    validating L and the two noise covariances once."""
+def _check_noise(l, sigma_v, sigma_w) -> tuple:
+    """(L, sigma_v, sigma_w) of a public entry point's caller, validated."""
     l = linalg.as_matrix(l, "L")
     sigma_v = linalg.check_psd(sigma_v, "sigma_v")
     sigma_w = linalg.check_psd(sigma_w, "sigma_w")
@@ -103,6 +102,13 @@ def _noise_terms(l, sigma_v, sigma_w) -> tuple:
         raise DimensionError("L and sigma_v dimensions are inconsistent")
     if sigma_w.shape[0] != l.shape[0]:
         raise DimensionError("L and sigma_w dimensions are inconsistent")
+    return l, sigma_v, sigma_w
+
+
+def _noise_terms(l, sigma_v, sigma_w) -> tuple:
+    """The one-step error-covariance noise of both modes, (R_0, R_1), of
+    valid arrays: a SystemModel's noise covariances with the L of its
+    ModeMatrices, or what _check_noise returned. Nothing is checked."""
     return linalg.sym_part(l @ sigma_v @ l.T + sigma_w), sigma_w
 
 
@@ -110,7 +116,7 @@ def error_noise_term(eta: int, l, sigma_v, sigma_w) -> np.ndarray:
     """One-step error-covariance noise R = (1 - eta) L Sigma_v L' + Sigma_w."""
     if eta not in (0, 1):
         raise DomainError("eta must be 0 or 1")
-    return _noise_terms(l, sigma_v, sigma_w)[eta]
+    return _noise_terms(*_check_noise(l, sigma_v, sigma_w))[eta]
 
 
 def _error_noise_seq(mm: ModeMatrices, sigma_v, sigma_w, bits):
@@ -122,6 +128,7 @@ def propagate_error_cov(p0, s, mm: ModeMatrices, sigma_v, sigma_w, steps: int):
     """Trajectory P_0 ... P_steps of the error covariance under the
     periodic extension of the sequence."""
     p = linalg.check_psd(p0, "P0")
+    _, sigma_v, sigma_w = _check_noise(mm.l, sigma_v, sigma_w)
     bits = _as_bits(s)
     noise = _error_noise_seq(mm, sigma_v, sigma_w, bits)
     out = [p]
@@ -175,6 +182,12 @@ def steady_error_cov(s, mm: ModeMatrices, sigma_v, sigma_w) -> PeriodicCovarianc
     Requires the observer-side monodromy to be contractive; raises
     StabilityError otherwise (no bounded solution exists).
     """
+    return _steady_error_cov(s, mm, *_check_noise(mm.l, sigma_v, sigma_w)[1:])
+
+
+def _steady_error_cov(s, mm: ModeMatrices, sigma_v, sigma_w) -> PeriodicCovariance:
+    """steady_error_cov of noise covariances valid already, such as a
+    SystemModel's own with the caller's ModeMatrices of that model."""
     bits = _as_bits(s)
     a_seq = [mm.atilde(eta) for eta in bits]
     return _steady_phases(a_seq, _error_noise_seq(mm, sigma_v, sigma_w, bits), "observer")
@@ -238,6 +251,7 @@ def contraction_certificate(s, mm: ModeMatrices, sigma_v, sigma_w) -> Contractio
 
         limsup ||P_{Nk}|| <= gamma / (1 - qtilde^2).
     """
+    _, sigma_v, sigma_w = _check_noise(mm.l, sigma_v, sigma_w)
     bits = _as_bits(s)
     a_seq = [mm.atilde(eta) for eta in bits]
     big_m, big_w = _phase_monodromy(a_seq, _error_noise_seq(mm, sigma_v, sigma_w, bits))

@@ -405,27 +405,31 @@ def solve_dare(a, b, q, r) -> np.ndarray:
     return p
 
 
-def is_nilpotent(m) -> bool:
-    """Numerical nilpotency test.
+def is_nilpotent(m):
+    """Numerical nilpotency test of one square matrix (returns a bool) or
+    of each matrix of a (K, n, n) stack (returns a bool array).
 
     Submultiplicativity gives ||M^n|| <= ||M^k|| ||M^(n-k)|| for every
     split k; a genuinely non-nilpotent matrix stays within a bounded
     factor of that product (both sides are >= rho^n), while a nilpotent
     chain collapses ||M^n|| to rounding noise. Flag when the n-th power
-    undershoots the tightest split product by twelve orders of magnitude.
+    undershoots the tightest split product by twelve orders of magnitude
+    (a zero matrix does; a 1 x 1 matrix is nilpotent when it is zero).
     The ratio is scale invariant, so strongly contractive matrices are
-    never misflagged.
+    never misflagged. A stack takes one power loop and one norm reduction.
     """
-    m = as_square(m)
-    n = m.shape[0]
-    norm0 = np.linalg.norm(m, "fro")
-    if norm0 == 0.0:
-        return True
-    if n == 1:
-        return False
-    powers = [m]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ m)
-    norms = [np.linalg.norm(p, "fro") for p in powers]
-    denom = min(norms[k - 1] * norms[n - k - 1] for k in range(1, n))
-    return bool(norms[-1] <= 1e-12 * denom)
+    single = np.ndim(m) != 3
+    stack = as_square(m)[None] if single else np.asarray(m, dtype=float)
+    n = stack.shape[-1]
+    if n < 2:
+        verdicts = _fro(stack) == 0.0
+        return bool(verdicts[0]) if single else verdicts
+    powers = np.empty((n,) + stack.shape)  # powers[j] = M^(j + 1)
+    powers[0] = stack
+    for j in range(1, n):
+        np.matmul(powers[j - 1], stack, out=powers[j])
+    norms = _fro(powers)
+    # the tightest split ||M^k|| ||M^(n-k)||, k = 1 .. n - 1
+    split = (norms[:n - 1] * norms[n - 2::-1]).min(axis=0)
+    verdicts = norms[-1] <= 1e-12 * split
+    return bool(verdicts[0]) if single else verdicts

@@ -27,7 +27,6 @@ from .plant import (
     TargetSpec,
     build_cw_continuous,
     discretize_zoh,
-    gain_set,
     synthesize_gains,
 )
 from .search import CostWeights
@@ -41,7 +40,7 @@ __all__ = [
     "save_model",
     "load_model",
     "cost_weights_from_config",
-    "box_from_config",
+    "chance_from_config",
     "sim_config_from_config",
     "dump_json",
 ]
@@ -203,22 +202,29 @@ def _expect_keys(obj, path, required, optional=()):
         _fail(path, f"missing required key(s) {sorted(missing)}")
 
 
-def parse_matrix(spec, path) -> np.ndarray:
+def parse_matrix(spec, path, size=None) -> np.ndarray:
     """Nested lists, {"eye": n[, "scale": s]}, or {"diag": [...]}, with n a
-    positive integer and s and the diagonal entries finite numbers."""
+    positive integer and s and the diagonal entries finite numbers. With
+    size given, a shorthand must be size x size, which is checked before
+    it is built; a nested list is bounded by its own text."""
     if isinstance(spec, dict):
         if "eye" in spec:
             _expect_keys(spec, path, ["eye"], ["scale"])
-            size = spec["eye"]
-            if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            eye = spec["eye"]
+            if not isinstance(eye, int) or isinstance(eye, bool) or eye < 1:
                 _fail(f"{path}.eye", "expected a positive integer")
-            return _number(spec.get("scale", 1.0), f"{path}.scale") * np.eye(size)
+            if size is not None and eye != size:
+                _fail(f"{path}.eye", f"size {eye}, expected {size}")
+            return _number(spec.get("scale", 1.0), f"{path}.scale") * np.eye(eye)
         if "diag" in spec:
             _expect_keys(spec, path, ["diag"])
             entries = spec["diag"]
             if not isinstance(entries, list) or not entries:
                 _fail(f"{path}.diag", "expected a non-empty list of numbers")
-            return np.diag([_number(v, f"{path}.diag[{i}]") for i, v in enumerate(entries)])
+            values = [_number(v, f"{path}.diag[{i}]") for i, v in enumerate(entries)]
+            if size is not None and len(values) != size:
+                _fail(f"{path}.diag", f"size {len(values)}, expected {size}")
+            return np.diag(values)
         _fail(path, "matrix object must use 'eye' or 'diag'")
     try:
         m = np.array(spec, dtype=float)
@@ -241,6 +247,12 @@ def _number(obj, path, positive=False):
     return float(obj)
 
 
+def _vector(obj, path, size) -> np.ndarray:
+    if not isinstance(obj, list) or len(obj) != size:
+        _fail(path, f"expected a list of {size} numbers")
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(obj)])
+
+
 def load_config(path) -> dict:
     """Read and validate a config file; returns the parsed dict. The
     non-standard constants NaN and Infinity are refused."""
@@ -258,6 +270,10 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict):
+    """Check a parsed config. The plant's sizes n, m and p come first, so
+    that every matrix shorthand of a known size is checked before it is
+    built; the cost, chance and sim sections are checked by the functions
+    that read them from a model file's config echo."""
     _expect_keys(cfg, "$", ["plant", "noise", "gains"], ["cost", "chance", "sim"])
 
     plant = cfg["plant"]
@@ -269,55 +285,79 @@ def validate_config(cfg: dict):
         _expect_keys(plant["cw"], "$.plant.cw", ["mass", "mean_motion"])
         _number(plant["cw"]["mass"], "$.plant.cw.mass", positive=True)
         _number(plant["cw"]["mean_motion"], "$.plant.cw.mean_motion", positive=True)
+        n, m, p = 6, 3, 3
     else:
         _expect_keys(plant["continuous"], "$.plant.continuous", ["a", "b"])
-        parse_matrix(plant["continuous"]["a"], "$.plant.continuous.a")
-        parse_matrix(plant["continuous"]["b"], "$.plant.continuous.b")
+        n = parse_matrix(plant["continuous"]["a"], "$.plant.continuous.a").shape[0]
+        m = parse_matrix(plant["continuous"]["b"], "$.plant.continuous.b").shape[1]
         if "c" not in plant:
             _fail("$.plant", "'c' is required for a 'continuous' plant")
     if "c" in plant:
-        parse_matrix(plant["c"], "$.plant.c")
+        p = parse_matrix(plant["c"], "$.plant.c").shape[0]
 
     _expect_keys(cfg["noise"], "$.noise", ["sigma_w", "sigma_v"])
-    parse_matrix(cfg["noise"]["sigma_w"], "$.noise.sigma_w")
-    parse_matrix(cfg["noise"]["sigma_v"], "$.noise.sigma_v")
+    parse_matrix(cfg["noise"]["sigma_w"], "$.noise.sigma_w", n)
+    parse_matrix(cfg["noise"]["sigma_v"], "$.noise.sigma_v", p)
 
     _expect_keys(cfg["gains"], "$.gains", ["q", "r"], ["q_obs", "r_obs"])
-    for key in ("q", "r", "q_obs", "r_obs"):
+    for key, size in (("q", n), ("r", m), ("q_obs", n), ("r_obs", p)):
         if key in cfg["gains"]:
-            parse_matrix(cfg["gains"][key], f"$.gains.{key}")
+            parse_matrix(cfg["gains"][key], f"$.gains.{key}", size)
 
     if "cost" in cfg:
-        _expect_keys(cfg["cost"], "$.cost", [], ["r_err", "r_state", "r_eta"])
-        for key in ("r_err", "r_state"):
-            if key in cfg["cost"] and cfg["cost"][key] is not None:
-                parse_matrix(cfg["cost"][key], f"$.cost.{key}")
-        if "r_eta" in cfg["cost"]:
-            _number(cfg["cost"]["r_eta"], "$.cost.r_eta")
-
+        _cost_section(cfg["cost"], "$.cost", n)
     if "chance" in cfg:
-        _expect_keys(cfg["chance"], "$.chance", ["delta"], ["bound", "components"])
-        _number(cfg["chance"]["delta"], "$.chance.delta", positive=True)
-        if "bound" in cfg["chance"]:
-            _number(cfg["chance"]["bound"], "$.chance.bound", positive=True)
-        if "components" in cfg["chance"]:
-            comps = cfg["chance"]["components"]
-            if not isinstance(comps, list) or not all(isinstance(i, int) for i in comps):
-                _fail("$.chance.components", "expected a list of state indices")
-
+        _chance_section(cfg["chance"], "$.chance")
     if "sim" in cfg:
-        _expect_keys(cfg["sim"], "$.sim", ["steps", "runs", "seed"],
-                     ["x0_mean", "x0_cov", "xhat0", "target"])
-        for key in ("steps", "runs", "seed"):
-            if not isinstance(cfg["sim"][key], int) or isinstance(cfg["sim"][key], bool):
-                _fail(f"$.sim.{key}", "expected an integer")
-        for key in ("x0_mean", "xhat0"):
-            if key in cfg["sim"] and not isinstance(cfg["sim"][key], list):
-                _fail(f"$.sim.{key}", "expected a list of numbers")
-        if "x0_cov" in cfg["sim"]:
-            parse_matrix(cfg["sim"]["x0_cov"], "$.sim.x0_cov")
-        if "target" in cfg["sim"]:
-            _expect_keys(cfg["sim"]["target"], "$.sim.target", ["x", "u"])
+        _sim_section(cfg["sim"], "$.sim", n, m)
+
+
+def _cost_section(cost, path, n) -> tuple:
+    """(r_err, r_state, r_eta) of a cost section, None for an absent or
+    null weight matrix."""
+    _expect_keys(cost, path, [], ["r_err", "r_state", "r_eta"])
+    r_err, r_state = (None if cost.get(key) is None
+                      else parse_matrix(cost[key], f"{path}.{key}", n)
+                      for key in ("r_err", "r_state"))
+    return r_err, r_state, _number(cost.get("r_eta", 0.0), f"{path}.r_eta")
+
+
+def _chance_section(chance, path) -> tuple:
+    """(delta, bound, components) of a chance section, None for an absent
+    bound or component list."""
+    _expect_keys(chance, path, ["delta"], ["bound", "components"])
+    delta = _number(chance["delta"], f"{path}.delta", positive=True)
+    bound = (_number(chance["bound"], f"{path}.bound", positive=True)
+             if "bound" in chance else None)
+    comps = chance.get("components")
+    if "components" in chance and (not isinstance(comps, list)
+                                   or not all(isinstance(i, int) for i in comps)):
+        _fail(f"{path}.components", "expected a list of state indices")
+    return delta, bound, None if comps is None else tuple(comps)
+
+
+def _sim_section(sim, path, n, m) -> dict:
+    """The values of a sim section: steps, runs and seed, and those of
+    x0_mean, xhat0, x0_cov and target that it has, as arrays and a
+    TargetSpec."""
+    _expect_keys(sim, path, ["steps", "runs", "seed"], ["x0_mean", "x0_cov", "xhat0", "target"])
+    for key in ("steps", "runs", "seed"):
+        if not isinstance(sim[key], int) or isinstance(sim[key], bool):
+            _fail(f"{path}.{key}", "expected an integer")
+    if sim["seed"] < 0:
+        _fail(f"{path}.seed", "expected a non-negative integer")
+    out = {key: sim[key] for key in ("steps", "runs", "seed")}
+    for key in ("x0_mean", "xhat0"):
+        if key in sim:
+            out[key] = _vector(sim[key], f"{path}.{key}", n)
+    if "x0_cov" in sim:
+        out["x0_cov"] = parse_matrix(sim["x0_cov"], f"{path}.x0_cov", n)
+    if "target" in sim:
+        target = sim["target"]
+        _expect_keys(target, f"{path}.target", ["x", "u"])
+        out["target"] = TargetSpec(_vector(target["x"], f"{path}.target.x", n),
+                                   _vector(target["u"], f"{path}.target.u", m))
+    return out
 
 
 def build_from_config(cfg: dict):
@@ -351,49 +391,45 @@ def build_from_config(cfg: dict):
 
 
 def cost_weights_from_config(cfg: dict, n: int) -> CostWeights:
+    """The cost weights of a model file's config echo, its cost section
+    checked as config load checks it; the estimation cost without one."""
     if "cost" not in cfg:
         return CostWeights.estimation(n)
-    cost = cfg["cost"]
-    r_err = cost.get("r_err")
-    r_state = cost.get("r_state")
-    return CostWeights(
-        r_err=None if r_err is None else parse_matrix(r_err, "$.cost.r_err"),
-        r_state=None if r_state is None else parse_matrix(r_state, "$.cost.r_state"),
-        r_eta=float(cost.get("r_eta", 0.0)),
-    )
+    r_err, r_state, r_eta = _cost_section(cfg["cost"], "config.cost", n)
+    return CostWeights(r_err=r_err, r_state=r_state, r_eta=r_eta)
 
 
-def box_from_config(cfg: dict, bound=None):
-    chance = cfg.get("chance") or {}
-    b = bound if bound is not None else chance.get("bound")
-    if b is None:
-        return None
-    comps = chance.get("components")
-    return BoxConstraint(half_width=float(b),
-                         components=None if comps is None else tuple(comps))
+def chance_from_config(cfg: dict, bound=None, delta=None) -> tuple:
+    """(box, delta) of a model file's config echo, its chance section
+    checked as config load checks it. The box has half-width bound, else
+    the section's, on the section's components, and is None when neither
+    gives a width; delta is the given one, else the section's, or None."""
+    if "chance" in cfg:
+        own_delta, own_bound, comps = _chance_section(cfg["chance"], "config.chance")
+    else:
+        own_delta = own_bound = comps = None
+    width = bound if bound is not None else own_bound
+    box = None if width is None else BoxConstraint(half_width=float(width), components=comps)
+    return box, delta if delta is not None else own_delta
 
 
 def sim_config_from_config(cfg: dict, n: int, m: int, overrides=None) -> SimConfig:
+    """The SimConfig of a model file's config echo with the given
+    overrides, its sim section checked as config load checks it."""
     sim = dict(cfg.get("sim") or {})
     sim.update({k: v for k, v in (overrides or {}).items() if v is not None})
     if not {"steps", "runs", "seed"} <= set(sim):
         raise SchemaError("sim section incomplete: steps, runs and seed are required "
                           "(in the config file or via flags)")
-    x0_mean = np.asarray(sim.get("x0_mean", np.zeros(n)), dtype=float)
-    x0_cov = (parse_matrix(sim["x0_cov"], "$.sim.x0_cov")
-              if "x0_cov" in sim else np.zeros((n, n)))
-    target = None
-    if "target" in sim and sim["target"] is not None:
-        target = TargetSpec(np.asarray(sim["target"]["x"], dtype=float),
-                            np.asarray(sim["target"]["u"], dtype=float))
+    sim = _sim_section(sim, "config.sim", n, m)
     return SimConfig(
-        steps=int(sim["steps"]),
-        runs=int(sim["runs"]),
-        seed=int(sim["seed"]),
-        x0_mean=x0_mean,
-        x0_cov=x0_cov,
-        xhat0=np.asarray(sim["xhat0"], dtype=float) if "xhat0" in sim else None,
-        target=target,
+        steps=sim["steps"],
+        runs=sim["runs"],
+        seed=sim["seed"],
+        x0_mean=sim.get("x0_mean", np.zeros(n)),
+        x0_cov=sim.get("x0_cov", np.zeros((n, n))),
+        xhat0=sim.get("xhat0"),
+        target=sim.get("target"),
     )
 
 
@@ -435,10 +471,9 @@ def model_from_dict(doc: dict):
     document. A key that is missing or not numeric raises SchemaError
     naming it, as do gains K (key "k") and L (key "l") whose shapes are not
     (m, n) and (n, p); the model's own checks cover the plant matrices.
-    The GainSet radii rho(A + BK) and rho(A + LC) come from one batched
-    eigvals call. The config echo must be absent, null or an object, and
-    its chance, sim and cost sections objects where present; their
-    contents are read, and checked, by the commands that use them."""
+    The config echo must be absent, null or an object, and its chance,
+    sim and cost sections objects where present; their contents are
+    checked by the readers above, as the commands read them."""
     if not isinstance(doc, dict) or doc.get("kind") != MODEL_KIND:
         raise SchemaError("not a sensact model file")
     if doc.get("version") != MODEL_VERSION:
@@ -471,7 +506,7 @@ def model_from_dict(doc: dict):
         if section in (config or {}) and not isinstance(config[section], dict):
             raise SchemaError(f"model file key 'config.{section}': expected an object, "
                               f"got {type(config[section]).__name__}")
-    return model, gain_set(model, k, l), config
+    return model, GainSet(k=k, l=l), config
 
 
 def save_model(path, model, gains, summary=None, config_echo=None):

@@ -14,7 +14,7 @@ closed-loop matrices are written as sums,
 i.e. K and L absorb the minus sign of the textbook LQR/observer formulas.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "discretize_zoh",
     "synthesize_lqr_gain",
     "synthesize_observer_gain",
-    "gain_set",
     "mode_matrices",
     "check_equilibrium",
 ]
@@ -86,13 +85,11 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class GainSet:
-    """Feedback gain K (m x n) and observer injection gain L (n x p),
-    with the spectral radii of A + BK and A + LC recorded at synthesis."""
+    """Feedback gain K (m x n) and observer injection gain L (n x p). The
+    radii of A + BK and A + LC are ModeMatrices.spectral_radii[1:3]."""
 
     k: np.ndarray
     l: np.ndarray
-    rho_feedback: float = float("nan")
-    rho_observer: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -128,8 +125,11 @@ class ModeMatrices:
     Control side:   omega_bar[eta]   = A + eta * BK
     Observer side:  omega_tilde[eta] = A + (1 - eta) * LC
 
-    so omega_bar[0] = omega_tilde[1] = A exactly. Spectral radii and
-    Frobenius norms of all four are recorded on construction.
+    so omega_bar[0] = omega_tilde[1] = A exactly. Their spectral radii,
+    Frobenius norms and nilpotency flags, each a 4-tuple in that order,
+    are taken on first read, once per instance, over the distinct
+    matrices only: A, which mode_matrices passes as both omega_bar0 and
+    omega_tilde1, counts once.
     """
 
     a: np.ndarray
@@ -140,8 +140,6 @@ class ModeMatrices:
     omega_bar1: np.ndarray
     omega_tilde0: np.ndarray
     omega_tilde1: np.ndarray
-    spectral_radii: tuple = field(default=())
-    fro_norms: tuple = field(default=())
 
     def abar(self, eta: int) -> np.ndarray:
         return self.omega_bar1 if eta else self.omega_bar0
@@ -153,20 +151,35 @@ class ModeMatrices:
     def n(self) -> int:
         return self.a.shape[0]
 
+    def _per_mode(self, measure) -> tuple:
+        """measure of the stack of distinct matrices (omega_bar0,
+        omega_bar1, omega_tilde0[, omega_tilde1]), as a list, spread over
+        the four modes."""
+        mats = (self.omega_bar0, self.omega_bar1, self.omega_tilde0)
+        if self.omega_tilde1 is self.omega_bar0:
+            values = measure(np.stack(mats))
+            return (*values, values[0])
+        return tuple(measure(np.stack(mats + (self.omega_tilde1,))))
+
+    @cached_property
+    def spectral_radii(self) -> tuple:
+        """Spectral radii of the four matrices, one batched eigvals call."""
+        return self._per_mode(lambda stack: linalg.spectral_radii(stack).tolist())
+
+    @cached_property
+    def fro_norms(self) -> tuple:
+        """Frobenius norms of the four matrices."""
+        return self._per_mode(lambda stack: [float(np.linalg.norm(m, "fro")) for m in stack])
+
     @cached_property
     def nilpotent(self) -> tuple:
-        """Numerical nilpotency of (omega_bar0, omega_bar1, omega_tilde0,
-        omega_tilde1), tested once per instance; A, which mode_matrices
-        passes as both omega_bar0 and omega_tilde1, is tested once."""
-        bar0, bar1, til0 = (linalg.is_nilpotent(m) for m in
-                            (self.omega_bar0, self.omega_bar1, self.omega_tilde0))
-        if self.omega_tilde1 is self.omega_bar0:
-            return bar0, bar1, til0, bar0
-        return bar0, bar1, til0, linalg.is_nilpotent(self.omega_tilde1)
+        """Numerical nilpotency of the four matrices, one stacked test."""
+        return self._per_mode(lambda stack: linalg.is_nilpotent(stack).tolist())
 
 
 def mode_matrices(model: SystemModel, gains: GainSet) -> ModeMatrices:
-    """Assemble the four mode matrices from the plant and gains."""
+    """Assemble the four mode matrices from the plant and gains, checking
+    the gain shapes; nothing is decomposed here (see ModeMatrices)."""
     a, b, c = model.a, model.b, model.c
     k = linalg.as_matrix(gains.k, "K")
     l = linalg.as_matrix(gains.l, "L")
@@ -174,19 +187,8 @@ def mode_matrices(model: SystemModel, gains: GainSet) -> ModeMatrices:
         raise DimensionError(f"K has shape {k.shape}, expected {(model.m, model.n)}")
     if l.shape != (model.n, model.p):
         raise DimensionError(f"L has shape {l.shape}, expected {(model.n, model.p)}")
-    bar1 = a + b @ k
-    til0 = a + l @ c
-    # A is both omega_bar0 and omega_tilde1: three distinct matrices, all
-    # finite 2-D float arrays already
-    distinct = (a, bar1, til0)
-    rho_a, rho_bar1, rho_til0 = linalg.spectral_radii(np.stack(distinct)).tolist()
-    fro_a, fro_bar1, fro_til0 = (float(np.linalg.norm(m, "fro")) for m in distinct)
-    return ModeMatrices(
-        a=a, b=b, k=k, l=l,
-        omega_bar0=a, omega_bar1=bar1, omega_tilde0=til0, omega_tilde1=a,
-        spectral_radii=(rho_a, rho_bar1, rho_til0, rho_a),
-        fro_norms=(fro_a, fro_bar1, fro_til0, fro_a),
-    )
+    return ModeMatrices(a=a, b=b, k=k, l=l, omega_bar0=a, omega_bar1=a + b @ k,
+                        omega_tilde0=a + l @ c, omega_tilde1=a)
 
 
 @dataclass(frozen=True)
@@ -272,20 +274,11 @@ def synthesize_observer_gain(a, c, q, r) -> np.ndarray:
 
 
 def synthesize_gains(model: SystemModel, q_ctrl, r_ctrl, q_obs=None, r_obs=None) -> GainSet:
-    """Convenience wrapper producing a GainSet with recorded radii."""
+    """Convenience wrapper producing the GainSet of both syntheses."""
     if q_obs is None:
         q_obs = q_ctrl
     if r_obs is None:
         r_obs = r_ctrl
     k = synthesize_lqr_gain(model.a, model.b, q_ctrl, r_ctrl)
     l = synthesize_observer_gain(model.a, model.c, q_obs, r_obs)
-    return gain_set(model, k, l)
-
-
-def gain_set(model: SystemModel, k, l) -> GainSet:
-    """GainSet of the gains K and L of model, its radii rho(A + BK) and
-    rho(A + LC) taken in one batched eigvals call. K and L must be finite
-    2-D float arrays of shapes (m, n) and (n, p)."""
-    rho_feedback, rho_observer = linalg.spectral_radii(
-        np.stack((model.a + model.b @ k, model.a + l @ model.c))).tolist()
-    return GainSet(k=k, l=l, rho_feedback=rho_feedback, rho_observer=rho_observer)
+    return GainSet(k=k, l=l)

@@ -197,7 +197,8 @@ class SequenceEvaluator:
     def _cost_system(self):
         """(per-mode transitions, per-mode noise, weight Q), each mode
         stacked on axis 0, of the system whose steady covariance the cost
-        weighs; None when the cost is the actuation penalty alone."""
+        weighs, from the model's matrices as SystemModel validated them;
+        None when the cost is the actuation penalty alone."""
         w = self.weights
         if w.needs_state_cov:
             aug = build_augmented(self.model, self.gains)

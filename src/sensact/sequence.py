@@ -164,7 +164,7 @@ def growth_constant(mm: ModeMatrices, kstar: int = 1, family: str = "control",
     over the selected matrix family. The default (kstar=1, control pair)
     matches the case-study computation; search_kstar instead scans
     kstar <= max_kstar and keeps the minimizing c. The radii, and at
-    kstar=1 the norms, are those ModeMatrices recorded on construction.
+    kstar=1 the norms, are those of ModeMatrices, taken once per instance.
     """
     if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}, expected one of {sorted(_FAMILIES)}")
@@ -242,11 +242,14 @@ def _side_modes(mm: ModeMatrices) -> np.ndarray:
 def _side_products(bits, mm: ModeMatrices) -> np.ndarray:
     """Both one-period products as one (2, n, n) stack, (control,
     observer): the mode matrices of both sides are stacked per mode, so
-    each step is one batched product, index 0 applied first."""
+    each step is one batched product, index 0 applied first. A product
+    that overflows is left non-finite, without a floating-point warning,
+    for the eigenvalue step to refuse."""
     modes = _side_modes(mm)
     prod = modes[bits[0]]
-    for eta in bits[1:]:
-        prod = modes[eta] @ prod
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eta in bits[1:]:
+            prod = modes[eta] @ prod
     return prod
 
 
@@ -341,11 +344,13 @@ def _stacked_products(modes, bits, live) -> np.ndarray:
     """One-period products modes[eta_{p-1}] ... modes[eta_0] of each row of
     period-descending padded bits (see _by_period), given the per-mode
     matrices stacked on axis 0: one batched product per step over the rows
-    still live, in the order monodromy multiplies."""
+    still live, in the order monodromy multiplies. As in _side_products,
+    an overflow is left non-finite without a warning."""
     prod, done = modes[bits[:, 0]], []
-    for k in range(1, bits.shape[1]):
-        prod, = _retire(live[k], (prod,), done)
-        prod = modes[bits[:live[k], k]] @ prod
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, bits.shape[1]):
+            prod, = _retire(live[k], (prod,), done)
+            prod = modes[bits[:live[k], k]] @ prod
     return _collect((prod,), done)[0]
 
 

@@ -323,14 +323,16 @@ class TestCertificateEdges:
         assert contractive_stacked([(0,)], mm).tolist() == [verdict]
         assert sum(calls) == rows
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("word", [(0,) * 6, (0, 1) * 3])
     def test_non_finite_product_raises(self, word):
-        # mode matrices of norm 1e60 overflow in six steps
+        # mode matrices of norm 1e60 overflow in six steps; the stacked and
+        # the scalar verdict both refuse the product, with no warning
         mm = self.diagonal_plant([1e60, 0.5], [0.5, 1e60])
         with pytest.raises(NumericsError):
             contractive_stacked([word], mm)
+        with pytest.raises(NumericsError):
+            admissibility(word, mm)
 
 
 #: a sheared rotation at radius 1 - 3e-5: its powers grow before they

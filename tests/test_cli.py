@@ -122,6 +122,25 @@ class TestModelBuild:
         assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
 
+    @pytest.mark.parametrize("section, key, spec, message", [
+        ("noise", "sigma_w", {"eye": 10**7}, "eye: size 10000000, expected 6"),
+        ("noise", "sigma_w", {"eye": 7}, "eye: size 7, expected 6"),
+        ("noise", "sigma_v", {"diag": [1.0] * 4}, "diag: size 4, expected 3"),
+        ("gains", "r", {"eye": 10**7, "scale": 2.0}, "eye: size 10000000, expected 3"),
+        ("cost", "r_state", {"eye": 10**7}, "eye: size 10000000, expected 6"),
+        ("sim", "x0_cov", {"eye": 10**7}, "eye: size 10000000, expected 6"),
+    ], ids=["sigma_w-eye-huge", "sigma_w-eye-7", "sigma_v-diag-4", "r-eye-huge",
+            "r_state-eye-huge", "x0_cov-eye-huge"])
+    def test_shorthand_size_checked_before_it_is_built(self, tmp_path, capsys, section, key,
+                                                       spec, message):
+        # an eye of 10^7 would ask for 728 TiB
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(CW_CONFIG.read_text())
+        cfg[section][key] = spec
+        bad.write_text(json.dumps(cfg))
+        assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: $.{section}.{key}.{message}\n"
+
     def test_invalid_json_exit_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"plant": \n !')
@@ -282,40 +301,71 @@ class TestMalformedModelFile:
         assert done.stderr == (f"error: model file key {key!r}: expected an object, "
                                f"got {type(value).__name__}\n")
 
+    @pytest.mark.parametrize("section, key, value, argv, message", [
+        ("cost", "r_eta", "x", ["seq", "search", "{bad}", "--n", "4"], "expected a number"),
+        ("chance", "bound", "x", ["chance", "verify", "{bad}", "0011"], "expected a number"),
+        ("chance", "bound", "x", ["sim", "run", "{bad}", "0011", "--runs", "2", "--steps", "3",
+                                  "--out", "{out}"], "expected a number"),
+        ("chance", "delta", [], ["chance", "verify", "{bad}", "0011"], "expected a number"),
+        ("sim", "x0_mean", "x", ["sim", "run", "{bad}", "0011", "--out", "{out}"],
+         "expected a list of 6 numbers"),
+    ], ids=["cost-r_eta-seq-search", "chance-bound-chance-verify", "chance-bound-sim-run",
+            "chance-delta-chance-verify", "sim-x0_mean-sim-run"])
+    def test_config_echo_value_checked_by_its_reader(self, model_file, tmp_path, capsys,
+                                                     section, key, value, argv, message):
+        # each command checks the section it reads as config load does
+        doc = json.loads(pathlib.Path(model_file).read_text(encoding="utf-8"))
+        doc["config"][section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([a.format(bad=bad, out=tmp_path / "out") for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config.{section}.{key}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestRepeatedWork:
-    """Each command takes each eigenvalue decomposition once: one batched
-    call for the model's two gain radii, one for the mode radii, one per
-    admissibility decision and one for the error covariance's observer
-    side. The steady solves have no stability guard of their own, and the
-    joint covariance takes no radius of its block-triangular monodromy:
-    the admissibility verdict on its two diagonal blocks decides it. The
-    growth constant of --dwell takes no eigenvalues: it reads the mode
-    radii (and, at kstar=1, the Frobenius norms) that ModeMatrices
-    recorded."""
+    """Each command takes each eigenvalue decomposition once, and only
+    those its output reads: one batched call per admissibility decision
+    and one for the error covariance's observer side. Loading a model
+    takes none: the gain set holds K and L only, and ModeMatrices takes
+    the mode radii on first read, which only the dwell screen and model
+    build do. The steady solves have no stability guard of their own, and
+    the joint covariance takes no radius of its block-triangular
+    monodromy: the admissibility verdict on its two diagonal blocks
+    decides it. The growth constant of --dwell reads the mode radii (and,
+    at kstar=1, the Frobenius norms). seq search --n 10 takes one call for
+    the sides its radius bounds leave open and one for the winner's
+    report; sim run takes none."""
 
     @pytest.mark.parametrize("argv, count", [
-        (["seq", "check", "{model}", "0011"], 3),
-        (["seq", "check", "{model}", "0011", "--dwell"], 3),
-        (["cov", "steady", "{model}", "0011", "--augmented"], 4),
-        (["chance", "verify", "{model}", "0011", "--bound", "22", "--delta", "0.05"], 3),
-    ], ids=["seq-check", "seq-check-dwell", "cov-steady-augmented", "chance-verify"])
-    def test_eigvals_calls(self, model_file, capsys, monkeypatch, argv, count):
+        (["seq", "check", "{model}", "0011"], 1),
+        (["seq", "check", "{model}", "0011", "--dwell"], 2),
+        (["cov", "steady", "{model}", "0011", "--augmented"], 2),
+        (["chance", "verify", "{model}", "0011", "--bound", "22", "--delta", "0.05"], 1),
+        (["seq", "search", "{model}", "--n", "10"], 2),
+        (["sim", "run", "{model}", "0011", "--runs", "2", "--steps", "8", "--out", "{out}"], 0),
+    ], ids=["seq-check", "seq-check-dwell", "cov-steady-augmented", "chance-verify",
+            "seq-search-10", "sim-run"])
+    def test_eigvals_calls(self, model_file, tmp_path, capsys, monkeypatch, argv, count):
         calls = []
         real = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or real(a))
-        assert main([a.format(model=model_file) for a in argv]) == 0
+        assert main([a.format(model=model_file, out=tmp_path / "out") for a in argv]) == 0
         capsys.readouterr()
         assert len(calls) == count
 
-    def test_three_nilpotency_tests_per_mode_matrices(self, cw_model, cw_gains, monkeypatch):
+    def test_one_stacked_nilpotency_test_per_mode_matrices(self, cw_model, cw_gains,
+                                                           monkeypatch):
         calls = []
         real = linalg.is_nilpotent
-        monkeypatch.setattr(linalg, "is_nilpotent", lambda m: calls.append(1) or real(m))
+        monkeypatch.setattr(linalg, "is_nilpotent", lambda m: calls.append(np.shape(m)) or real(m))
         mm = mode_matrices(cw_model, cw_gains)
+        assert calls == []
         flags = mm.nilpotent
         assert mm.nilpotent is flags
-        assert len(calls) == 3
+        # A is both omega_bar0 and omega_tilde1: one stack of three matrices
+        assert calls == [(3, 6, 6)]
         assert flags == tuple(real(m) for m in (mm.omega_bar0, mm.omega_bar1,
                                                 mm.omega_tilde0, mm.omega_tilde1))
 

@@ -79,6 +79,23 @@ class TestErrorNoiseTerm:
             error_noise_term(2, [[1.0]], [[1.0]], [[1.0]])
 
 
+@pytest.mark.parametrize("call", [
+    lambda mm, sv, sw: error_noise_term(0, mm.l, sv, sw),
+    lambda mm, sv, sw: propagate_error_cov(np.zeros((6, 6)), "0011", mm, sv, sw, 4),
+    lambda mm, sv, sw: steady_error_cov("0011", mm, sv, sw),
+    lambda mm, sv, sw: contraction_certificate("0011", mm, sv, sw),
+], ids=["error_noise_term", "propagate_error_cov", "steady_error_cov",
+        "contraction_certificate"])
+@pytest.mark.parametrize("name", ["sigma_v", "sigma_w"])
+def test_public_entry_points_check_the_noise_they_are_given(cw_model, cw_mm, call, name):
+    # the model's own covariances are used as they are elsewhere; covariances
+    # a caller passes are checked once, at the entry point
+    noise = {"sigma_v": cw_model.sigma_v, "sigma_w": cw_model.sigma_w}
+    noise[name] = -noise[name]
+    with pytest.raises(DomainError, match=f"{name} is not positive semi-definite"):
+        call(cw_mm, noise["sigma_v"], noise["sigma_w"])
+
+
 class TestPropagation:
     def test_deadbeat_first_step(self, cw_model):
         # Atil = 0 when L is chosen to cancel A against C = I

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     decimal_expm,
@@ -181,6 +183,41 @@ class TestNilpotency:
 
     def test_identity_not_flagged(self):
         assert not linalg.is_nilpotent(np.eye(5))
+
+    def test_stacks_of_the_cases_above(self):
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        chain = q @ (np.diag(np.ones(5), 1) * 30.0) @ q.T
+        contractive = make_stable(np.random.default_rng(5), 6, 0.03)
+        for stack, expected in (([np.diag(np.ones(4), 1), np.eye(5)], [True, False]),
+                                ([contractive, chain, contractive], [False, True, False]),
+                                ([np.zeros((3, 3))], [True])):
+            verdicts = linalg.is_nilpotent(np.stack(stack))
+            assert verdicts.dtype == bool and verdicts.tolist() == expected
+            assert [linalg.is_nilpotent(m) for m in stack] == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.sampled_from(["random", "upper", "chain", "zero"]),
+                              st.integers(-20, 20)), min_size=1, max_size=5))
+    def test_stack_verdict_is_per_matrix_verdict(self, n, seed, kinds):
+        # random matrices are not nilpotent; strictly upper-triangular ones,
+        # rotated Jordan chains and zero matrices are, at any scale
+        rng = np.random.default_rng(seed)
+        mats = []
+        for kind, exponent in kinds:
+            m = rng.standard_normal((n, n))
+            if kind == "upper":
+                m = np.triu(m, 1)
+            elif kind == "chain":
+                q, _ = np.linalg.qr(m)
+                m = q @ np.diag(rng.uniform(0.5, 2.0, n - 1), 1) @ q.T
+            elif kind == "zero":
+                m = np.zeros((n, n))
+            mats.append(m * 10.0**exponent)
+        verdicts = linalg.is_nilpotent(np.stack(mats)).tolist()
+        assert verdicts == [linalg.is_nilpotent(m) for m in mats]
+        assert verdicts == [kind != "random" for kind, _ in kinds]
 
 
 def _rel(x, ref):

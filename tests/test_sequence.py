@@ -30,8 +30,6 @@ def make_mode_matrices(rng, n=3, rho0=1.1, rho1=0.5, rho_t0=0.4):
     return ModeMatrices(
         a=a, b=np.zeros((n, 1)), k=np.zeros((1, n)), l=np.zeros((n, 1)),
         omega_bar0=a, omega_bar1=bar1, omega_tilde0=til0, omega_tilde1=a,
-        spectral_radii=tuple(linalg.spectral_radius(m) for m in (a, bar1, til0, a)),
-        fro_norms=tuple(linalg.frobenius_norm(m) for m in (a, bar1, til0, a)),
     )
 
 
@@ -131,7 +129,6 @@ class TestGrowthConstant:
         mm = ModeMatrices(
             a=eye, b=np.zeros((n, 1)), k=np.zeros((1, n)), l=np.zeros((n, 1)),
             omega_bar0=eye, omega_bar1=eye, omega_tilde0=eye, omega_tilde1=eye,
-            spectral_radii=(1.0,) * 4, fro_norms=(2.0,) * 4,
         )
         assert growth_constant(mm) == pytest.approx(np.sqrt(n))
 
@@ -140,7 +137,6 @@ class TestGrowthConstant:
         mm = ModeMatrices(
             a=d, b=np.zeros((2, 1)), k=np.zeros((1, 2)), l=np.zeros((2, 1)),
             omega_bar0=d, omega_bar1=d, omega_tilde0=d, omega_tilde1=d,
-            spectral_radii=(0.5,) * 4, fro_norms=(np.linalg.norm(d, "fro"),) * 4,
         )
         expected = np.linalg.norm(d, "fro") / 0.5
         assert growth_constant(mm) == pytest.approx(expected)
@@ -184,7 +180,6 @@ class TestGrowthConstant:
         mm = ModeMatrices(
             a=z, b=np.zeros((2, 1)), k=np.zeros((1, 2)), l=np.zeros((2, 1)),
             omega_bar0=z, omega_bar1=z, omega_tilde0=z, omega_tilde1=z,
-            spectral_radii=(0.0,) * 4, fro_norms=(0.0,) * 4,
         )
         with pytest.raises(DomainError):
             growth_constant(mm)
@@ -314,7 +309,6 @@ class TestAdmissibility:
         mm = ModeMatrices(
             a=good, b=np.zeros((n, 1)), k=np.zeros((1, n)), l=np.zeros((n, 1)),
             omega_bar0=good, omega_bar1=nil, omega_tilde0=good, omega_tilde1=good,
-            spectral_radii=(0.5, 0.0, 0.5, 0.5), fro_norms=(0.0,) * 4,
         )
         with pytest.raises(NilpotencyError):
             admissibility("01", mm)
