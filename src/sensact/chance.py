@@ -199,7 +199,7 @@ def verify_chance(s, model: SystemModel, gains: GainSet, box: BoxConstraint,
     # all phases at once: batched LAPACK runs the one-matrix routine on each
     # phase, so radii, margins and verdicts equal the per-phase formulas
     cols = list(idx)
-    covs = linalg.check_psd(np.stack(state_covs.phases)[:, cols][:, :, cols], "P",
+    covs = linalg.check_psd(state_covs.phases[:, cols][:, :, cols], "P",
                             stacked=True)
     radii = alpha * np.sqrt(np.max(np.linalg.eigvalsh(covs), axis=-1))
     supports = alpha * np.sqrt(np.clip(np.diagonal(covs, axis1=-2, axis2=-1), 0.0, None))

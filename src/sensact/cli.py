@@ -194,7 +194,7 @@ def cmd_seq_search(args) -> int:
 
 def _traces(phases) -> str:
     """The trace of each phase, formatted %.6g, from one stacked trace."""
-    return " ".join(f"{t:.6g}" for t in np.trace(np.stack(phases.phases), axis1=1, axis2=2))
+    return " ".join(f"{t:.6g}" for t in np.trace(phases.phases, axis1=1, axis2=2))
 
 
 def cmd_cov_steady(args) -> int:

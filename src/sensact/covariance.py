@@ -6,12 +6,21 @@ The estimation-error covariance obeys the N-periodic recursion
     R_k     = (1 - eta_k) L Sigma_v L' + Sigma_w,
 
 and the joint (state, error) covariance the analogous recursion of the
-block-triangular augmented system. The steady periodic solution takes one
-discrete Lyapunov solve per period: P_0 against the one-period monodromy
-from phase 0, then the recursion itself for P_1 ... P_{N-1} (the standard
-periodic Lyapunov method, Bittanti & Colaneri, Periodic Systems, 2009).
-Every boundedness question goes through the contraction contract of
-sequence.is_contractive, the one that admissibility uses.
+block-triangular augmented system. One step is the pair (A_k, W_k), and
+pairs compose associatively,
+
+    (Phi2, W2) o (Phi1, W1) = (Phi2 Phi1, Phi2 W1 Phi2' + W2),
+
+so one inclusive prefix scan over the stacked steps (Hillis-Steele: each
+of ceil(log2 N) levels composes every item with the one d before it, for
+d = 1, 2, 4, ...; Blelloch, Prefix sums and their applications, 1990)
+gives the transition Phi_k and accumulated noise V_k from phase 0 through
+step k, for every k at once. The last prefix is the one-period monodromy
+and noise: one discrete Lyapunov solve gives P_0, and every other phase
+is P_{k+1} = sym(Phi_k P_0 Phi_k' + V_k), formed in one stacked product
+(the periodic Lyapunov method, Bittanti & Colaneri, Periodic Systems,
+2009). Every boundedness question goes through the contraction contract
+of sequence.is_contractive, the one that admissibility uses.
 """
 
 from dataclasses import dataclass
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import DimensionError, DomainError, StabilityError
+from .exceptions import DimensionError, DomainError, NumericsError, StabilityError
 from .plant import GainSet, ModeMatrices, SystemModel, TargetSpec, mode_matrices
 from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractive
 
@@ -42,14 +51,17 @@ __all__ = [
 @dataclass(frozen=True)
 class PeriodicCovariance:
     """Steady per-phase covariances P_0 ... P_{N-1} of an N-periodic
-    recursion (phase k holds the covariance at steps k, k+N, ...)."""
+    recursion (phase k holds the covariance at steps k, k+N, ...), as one
+    (N, n, n) array; a sequence of N matrices is stacked into one."""
 
-    phases: tuple
+    phases: np.ndarray
     period: int
 
     def __post_init__(self):
-        if len(self.phases) != self.period:
-            raise DimensionError("phase count must equal the period")
+        phases = np.asarray(self.phases, dtype=float)
+        if phases.ndim != 3 or len(phases) != self.period:
+            raise DimensionError("phases must be an (N, n, n) stack, N the period")
+        object.__setattr__(self, "phases", phases)
 
     def __getitem__(self, k: int) -> np.ndarray:
         return self.phases[k % self.period]
@@ -119,9 +131,11 @@ def error_noise_term(eta: int, l, sigma_v, sigma_w) -> np.ndarray:
     return _noise_terms(*_check_noise(l, sigma_v, sigma_w))[eta]
 
 
-def _error_noise_seq(mm: ModeMatrices, sigma_v, sigma_w, bits):
-    noise = _noise_terms(mm.l, sigma_v, sigma_w)
-    return [noise[eta] for eta in bits]
+def _error_steps(mm: ModeMatrices, sigma_v, sigma_w) -> tuple:
+    """(Atil, R) of both modes, each stacked on axis 0, of valid noise
+    covariances."""
+    return (np.stack((mm.omega_tilde0, mm.omega_tilde1)),
+            np.stack(_noise_terms(mm.l, sigma_v, sigma_w)))
 
 
 def propagate_error_cov(p0, s, mm: ModeMatrices, sigma_v, sigma_w, steps: int):
@@ -130,26 +144,39 @@ def propagate_error_cov(p0, s, mm: ModeMatrices, sigma_v, sigma_w, steps: int):
     p = linalg.check_psd(p0, "P0")
     _, sigma_v, sigma_w = _check_noise(mm.l, sigma_v, sigma_w)
     bits = _as_bits(s)
-    noise = _error_noise_seq(mm, sigma_v, sigma_w, bits)
+    noise = _noise_terms(mm.l, sigma_v, sigma_w)
     out = [p]
     for k in range(steps):
-        j = k % len(bits)
-        a = mm.atilde(bits[j])
-        p = linalg.sym_part(a @ p @ a.T + noise[j])
+        eta = bits[k % len(bits)]
+        a = mm.atilde(eta)
+        p = linalg.sym_part(a @ p @ a.T + noise[eta])
         out.append(p)
     return out
 
 
-def _phase_monodromy(a_seq, w_seq):
-    """One-period transition M and accumulated noise W from phase 0:
-    P_N = M P_0 M' + W."""
-    n = a_seq[0].shape[0]
-    big_m = np.eye(n)
-    big_w = np.zeros((n, n))
-    for a, w in zip(a_seq, w_seq):
-        big_m = a @ big_m
-        big_w = a @ big_w @ a.T + w
-    return big_m, linalg.sym_part(big_w)
+def _compose(later, earlier) -> tuple:
+    """(Phi2, W2) o (Phi1, W1) = (Phi2 Phi1, Phi2 W1 Phi2' + W2), item by
+    item of two stacks of (transition, noise) pairs: the steps of earlier,
+    then those of later."""
+    (phi2, w2), (phi1, w1) = later, earlier
+    return phi2 @ phi1, phi2 @ w1 @ phi2.transpose(0, 2, 1) + w2
+
+
+def _prefix_scan(modes, noise, bits) -> tuple:
+    """(Phi, V) with Phi[k] = A_k ... A_0 and V[k] the noise accumulated
+    over steps 0 ... k, so P_{k+1} = Phi[k] P_0 Phi[k]' + V[k]; the step
+    matrices of each mode are stacked on axis 0. Hillis-Steele inclusive
+    scan: level d composes every item from d on with the item d before
+    it, for d = 1, 2, 4, ... < N. An overflow is left non-finite without
+    a warning, for the caller's checks to refuse."""
+    bits = np.asarray(bits)
+    phi, acc = modes[bits], noise[bits]
+    d = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while d < len(bits):
+            phi[d:], acc[d:] = _compose((phi[d:], acc[d:]), (phi[:-d], acc[:-d]))
+            d *= 2
+    return phi, acc
 
 
 def _contraction_radius(big_m, side: str) -> float:
@@ -162,18 +189,22 @@ def _contraction_radius(big_m, side: str) -> float:
     return rho
 
 
-def _steady_phases(a_seq, w_seq, side) -> PeriodicCovariance:
-    """Steady phases P_0 ... P_{N-1}; side names the monodromy whose radius
-    is checked, None when the caller has decided that it contracts."""
-    big_m, big_w = _phase_monodromy(a_seq, w_seq)
+def _steady_phases(modes, noise, bits, side) -> PeriodicCovariance:
+    """Steady phases P_0 ... P_{N-1} from one prefix scan; side names the
+    monodromy whose radius is checked, None when the caller has decided
+    that it contracts."""
+    phi, acc = _prefix_scan(modes, noise, bits)
     if side is not None:
-        _contraction_radius(big_m, side)
-    p = linalg._solve_lyapunov(big_m, big_w)
-    phases = [p]
-    for a, w in zip(a_seq[:-1], w_seq[:-1]):
-        p = linalg.sym_part(a @ p @ a.T + w)
-        phases.append(p)
-    return PeriodicCovariance(phases=tuple(phases), period=len(a_seq))
+        _contraction_radius(phi[-1], side)
+    p0 = linalg._solve_lyapunov(phi[-1], linalg.sym_part(acc[-1]))
+    phases = np.empty_like(phi)
+    phases[0] = p0
+    head = phi[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases[1:] = linalg.sym_part(head @ p0 @ head.transpose(0, 2, 1) + acc[:-1])
+    if not np.isfinite(phases).all():
+        raise NumericsError("steady phase covariance is not finite")
+    return PeriodicCovariance(phases=phases, period=len(phases))
 
 
 def steady_error_cov(s, mm: ModeMatrices, sigma_v, sigma_w) -> PeriodicCovariance:
@@ -188,9 +219,7 @@ def steady_error_cov(s, mm: ModeMatrices, sigma_v, sigma_w) -> PeriodicCovarianc
 def _steady_error_cov(s, mm: ModeMatrices, sigma_v, sigma_w) -> PeriodicCovariance:
     """steady_error_cov of noise covariances valid already, such as a
     SystemModel's own with the caller's ModeMatrices of that model."""
-    bits = _as_bits(s)
-    a_seq = [mm.atilde(eta) for eta in bits]
-    return _steady_phases(a_seq, _error_noise_seq(mm, sigma_v, sigma_w, bits), "observer")
+    return _steady_phases(*_error_steps(mm, sigma_v, sigma_w), _as_bits(s), "observer")
 
 
 def mean_propagate(mm: ModeMatrices, mu_x0, mu_e0, s, target: TargetSpec, steps: int):
@@ -252,9 +281,8 @@ def contraction_certificate(s, mm: ModeMatrices, sigma_v, sigma_w) -> Contractio
         limsup ||P_{Nk}|| <= gamma / (1 - qtilde^2).
     """
     _, sigma_v, sigma_w = _check_noise(mm.l, sigma_v, sigma_w)
-    bits = _as_bits(s)
-    a_seq = [mm.atilde(eta) for eta in bits]
-    big_m, big_w = _phase_monodromy(a_seq, _error_noise_seq(mm, sigma_v, sigma_w, bits))
+    phi, acc = _prefix_scan(*_error_steps(mm, sigma_v, sigma_w), _as_bits(s))
+    big_m, big_w = phi[-1], linalg.sym_part(acc[-1])
     qtilde = _contraction_radius(big_m, "observer")
     gamma = linalg.spectral_norm(big_w)
     q2 = qtilde**2
@@ -331,11 +359,7 @@ def _steady_augmented_cov(s, model: SystemModel, gains: GainSet, mm: ModeMatrice
             f"(qbar={report.qbar:.6g}, qtilde={report.qtilde:.6g})"
         )
     aug = build_augmented(model, gains)
-    noise = [aug.step_noise(eta) for eta in (0, 1)]
-    a_seq = [aug.a_modes[eta] for eta in bits]
-    joint = _steady_phases(a_seq, [noise[eta] for eta in bits], None)
+    noise = np.stack([aug.step_noise(eta) for eta in (0, 1)])
+    joint = _steady_phases(np.stack(aug.a_modes), noise, bits, None)
     n = model.n
-    state = PeriodicCovariance(
-        phases=tuple(p[:n, :n].copy() for p in joint), period=joint.period
-    )
-    return joint, state
+    return joint, PeriodicCovariance(phases=joint.phases[:, :n, :n], period=joint.period)

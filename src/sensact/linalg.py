@@ -236,9 +236,9 @@ def solve_discrete_lyapunov(f, w) -> np.ndarray:
 def _solve_lyapunov(f, w) -> np.ndarray:
     """solve_discrete_lyapunov without its stability guard, for a caller
     that has validated F and W and decided that F contracts."""
-    op = _lyapunov_operator(f)
     tol = LYAPUNOV_RTOL * (1.0 + np.linalg.norm(w, "fro"))
     with np.errstate(all="ignore"):
+        op = _lyapunov_operator(f)
         x = _solve_symmetric(op, w)
         resid = np.linalg.norm(x - f @ x @ f.T - w, "fro")
         # iterative refinement recovers the contract on stiff instances

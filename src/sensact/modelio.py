@@ -10,6 +10,7 @@ re-supplying weights.
 
 import functools
 import json
+import math
 import operator
 import os
 import sys
@@ -202,6 +203,20 @@ def _expect_keys(obj, path, required, optional=()):
         _fail(path, f"missing required key(s) {sorted(missing)}")
 
 
+def _is_eye(spec) -> bool:
+    return isinstance(spec, dict) and "eye" in spec
+
+
+def _eye_size(spec, path) -> int:
+    """The n of a valid {"eye": n[, "scale": s]}, read without building it."""
+    _expect_keys(spec, path, ["eye"], ["scale"])
+    eye = spec["eye"]
+    if not isinstance(eye, int) or isinstance(eye, bool) or eye < 1:
+        _fail(f"{path}.eye", "expected a positive integer")
+    _number(spec.get("scale", 1.0), f"{path}.scale")
+    return eye
+
+
 def parse_matrix(spec, path, size=None) -> np.ndarray:
     """Nested lists, {"eye": n[, "scale": s]}, or {"diag": [...]}, with n a
     positive integer and s and the diagonal entries finite numbers. With
@@ -209,13 +224,10 @@ def parse_matrix(spec, path, size=None) -> np.ndarray:
     it is built; a nested list is bounded by its own text."""
     if isinstance(spec, dict):
         if "eye" in spec:
-            _expect_keys(spec, path, ["eye"], ["scale"])
-            eye = spec["eye"]
-            if not isinstance(eye, int) or isinstance(eye, bool) or eye < 1:
-                _fail(f"{path}.eye", "expected a positive integer")
+            eye = _eye_size(spec, path)
             if size is not None and eye != size:
                 _fail(f"{path}.eye", f"size {eye}, expected {size}")
-            return _number(spec.get("scale", 1.0), f"{path}.scale") * np.eye(eye)
+            return float(spec.get("scale", 1.0)) * np.eye(eye)
         if "diag" in spec:
             _expect_keys(spec, path, ["diag"])
             entries = spec["diag"]
@@ -235,6 +247,14 @@ def parse_matrix(spec, path, size=None) -> np.ndarray:
     if m.ndim != 2 or not m.size:
         _fail(path, "expected a non-empty 2-D matrix")
     return m
+
+
+def _matrix_shape(spec, path) -> tuple:
+    """The shape of a valid matrix spec; an eye shorthand's is read from
+    its size, without building it."""
+    if _is_eye(spec):
+        return (_eye_size(spec, path),) * 2
+    return parse_matrix(spec, path).shape
 
 
 def _number(obj, path, positive=False):
@@ -281,19 +301,7 @@ def validate_config(cfg: dict):
     _number(plant["ts"], "$.plant.ts", positive=True)
     if ("cw" in plant) == ("continuous" in plant):
         _fail("$.plant", "exactly one of 'cw' or 'continuous' is required")
-    if "cw" in plant:
-        _expect_keys(plant["cw"], "$.plant.cw", ["mass", "mean_motion"])
-        _number(plant["cw"]["mass"], "$.plant.cw.mass", positive=True)
-        _number(plant["cw"]["mean_motion"], "$.plant.cw.mean_motion", positive=True)
-        n, m, p = 6, 3, 3
-    else:
-        _expect_keys(plant["continuous"], "$.plant.continuous", ["a", "b"])
-        n = parse_matrix(plant["continuous"]["a"], "$.plant.continuous.a").shape[0]
-        m = parse_matrix(plant["continuous"]["b"], "$.plant.continuous.b").shape[1]
-        if "c" not in plant:
-            _fail("$.plant", "'c' is required for a 'continuous' plant")
-    if "c" in plant:
-        p = parse_matrix(plant["c"], "$.plant.c").shape[0]
+    n, m, p = _plant_sizes(plant)
 
     _expect_keys(cfg["noise"], "$.noise", ["sigma_w", "sigma_v"])
     parse_matrix(cfg["noise"]["sigma_w"], "$.noise.sigma_w", n)
@@ -310,6 +318,46 @@ def validate_config(cfg: dict):
         _chance_section(cfg["chance"], "$.chance")
     if "sim" in cfg:
         _sim_section(cfg["sim"], "$.sim", n, m)
+
+
+#: past this mean motion 3 mean_motion^2, an entry of the CW dynamics, overflows
+_MAX_MEAN_MOTION = math.sqrt(sys.float_info.max / 3.0)
+
+
+def _plant_sizes(plant) -> tuple:
+    """(n, m, p) of a plant section, its matrices checked against each
+    other before any is built. A nested list or a diag is bounded by its
+    own text, an eye only by its number, so the state dimension n comes
+    from the first of A (rows), B (rows) and C (columns) that is not an
+    eye, and every matrix must agree with it."""
+    if "cw" in plant:
+        _expect_keys(plant["cw"], "$.plant.cw", ["mass", "mean_motion"])
+        _number(plant["cw"]["mass"], "$.plant.cw.mass", positive=True)
+        mean_motion = _number(plant["cw"]["mean_motion"], "$.plant.cw.mean_motion",
+                              positive=True)
+        if mean_motion > _MAX_MEAN_MOTION:
+            _fail("$.plant.cw.mean_motion", "too large: 3 mean_motion^2 is past float range")
+        specs, n, m, p = {}, 6, 3, 3
+    else:
+        _expect_keys(plant["continuous"], "$.plant.continuous", ["a", "b"])
+        if "c" not in plant:
+            _fail("$.plant", "'c' is required for a 'continuous' plant")
+        specs = {f"$.plant.continuous.{key}": (plant["continuous"][key], axes)
+                 for key, axes in (("a", (0, 1)), ("b", (0,)))}
+    if "c" in plant:
+        specs["$.plant.c"] = (plant["c"], (1,))
+    shapes = {path: _matrix_shape(spec, path) for path, (spec, _) in specs.items()}
+    if "continuous" in plant:
+        n = next((shapes[path][axes[0]] for path, (spec, axes) in specs.items()
+                  if not _is_eye(spec)), shapes["$.plant.continuous.a"][0])
+        m = shapes["$.plant.continuous.b"][1]
+    for path, (spec, axes) in specs.items():
+        if any(shapes[path][axis] != n for axis in axes):
+            where = f"{path}.eye" if _is_eye(spec) else path
+            _fail(where, f"shape {shapes[path]} disagrees with the state dimension {n}")
+    if "c" in plant:
+        p = shapes["$.plant.c"][0]
+    return n, m, p
 
 
 def _cost_section(cost, path, n) -> tuple:

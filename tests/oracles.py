@@ -6,8 +6,9 @@ code they check: scipy's expm, QZ-based DARE solver and bilinear
 sensact.linalg; the full Kronecker vectorization solve for discrete
 Lyapunov equations (close to the library's upper-triangle solve, but
 unrefined and on all n^2 unknowns); one such solve per phase for periodic
-steady covariances (the library solves phase 0 once and propagates the
-recursion); literal word-repetition for sequence reducibility;
+steady covariances, and the step-by-step recursion from phase 0 (the
+library solves phase 0 once and forms every other phase from one prefix
+scan); literal word-repetition for sequence reducibility;
 rejection-free boundary sampling for ellipsoid support functions; a
 per-cell csv.writer for the trajectory CSV; the stdlib's own indented
 json.dumps for the canonical JSON writer; two one-side monodromy products
@@ -24,6 +25,8 @@ import operator
 
 import numpy as np
 import scipy.linalg as sla
+
+from sensact import linalg
 
 
 def scipy_expm(m):
@@ -121,6 +124,27 @@ def periodic_dlyap_phases(a_seq, w_seq):
             m = a @ m
             w = a @ w @ a.T + w_seq[j % period]
         phases.append(kron_dlyap(m, w))
+    return phases
+
+
+def recursive_steady_phases(a_seq, w_seq):
+    """Steady phases of P_{k+1} = A_k P_k A_k' + W_k (indices mod N) by the
+    recursion: the one-period monodromy M and noise W multiplied out step
+    by step from phase 0, P_0 from the library's own Lyapunov solve of
+    P = M P M' + W, and each later phase propagated from the one before.
+    Sharing the solve isolates the order in which the library forms the
+    phases; the solve has its own oracles (kron_dlyap, scipy_dlyap)."""
+    n = np.asarray(a_seq[0]).shape[0]
+    big_m = np.eye(n)
+    big_w = np.zeros((n, n))
+    for a, w in zip(a_seq, w_seq):
+        big_m = a @ big_m
+        big_w = a @ big_w @ a.T + w
+    p = linalg._solve_lyapunov(big_m, linalg.sym_part(big_w))
+    phases = [p]
+    for a, w in zip(a_seq[:-1], w_seq[:-1]):
+        p = linalg.sym_part(a @ p @ a.T + w)
+        phases.append(p)
     return phases
 
 

@@ -19,11 +19,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import kron_dlyap, make_psd, make_stable, two_product_radii
+from oracles import (
+    kron_dlyap,
+    make_psd,
+    make_stable,
+    recursive_steady_phases,
+    two_product_radii,
+)
 
 import sensact.covariance as covariance_module
 from sensact import linalg
-from sensact.covariance import steady_augmented_cov, steady_error_cov
+from sensact.covariance import (
+    build_augmented,
+    error_noise_term,
+    steady_augmented_cov,
+    steady_error_cov,
+)
 from sensact.exceptions import NilpotencyError, NumericsError, StabilityError
 from sensact.plant import GainSet, SystemModel, mode_matrices
 from sensact.search import (
@@ -184,6 +195,38 @@ class TestProperties:
         except NilpotencyError:
             return
         assert contractive_stacked(words, mm).tolist() == scalar
+
+    @PROPERTY
+    @given(plants(defective=True), st.lists(st.integers(0, 1), min_size=1, max_size=9))
+    def test_scan_phases_are_the_recursion(self, plant, word):
+        # every phase of the prefix scan, on the error and joint systems,
+        # against the step-by-step recursion, where the steady covariance
+        # is well conditioned (see COST_MARGIN)
+        model, gains = plant
+        mm = mode_matrices(model, gains)
+        word = tuple(word)
+        try:
+            report = admissibility(word, mm)
+        except NilpotencyError:
+            return
+        assume(report.qtilde < 1.0 - COST_MARGIN)
+        aug = build_augmented(model, gains)
+        systems = [(lambda: steady_error_cov(word, mm, model.sigma_v, model.sigma_w),
+                    [mm.atilde(eta) for eta in word],
+                    [error_noise_term(eta, gains.l, model.sigma_v, model.sigma_w)
+                     for eta in word])]
+        if report.admissible and report.qbar < 1.0 - COST_MARGIN:
+            systems.append((lambda: steady_augmented_cov(word, model, gains)[0],
+                            [aug.a_modes[eta] for eta in word],
+                            [aug.step_noise(eta) for eta in word]))
+        for solve, a_seq, w_seq in systems:
+            try:
+                steady = solve()
+                ref = recursive_steady_phases(a_seq, w_seq)
+            except NumericsError:
+                assume(False)
+            for p, r in zip(steady, ref):
+                assert np.max(np.abs(p - r)) <= 1e-10 * np.max(np.abs(r))
 
     @PROPERTY
     @given(plants(), WEIGHTS, st.lists(st.integers(0, 1), min_size=1, max_size=7))

@@ -141,6 +141,52 @@ class TestModelBuild:
         assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == f"error: $.{section}.{key}.{message}\n"
 
+    def test_mean_motion_past_float_range_exit_2(self, tmp_path, capsys):
+        # 3 w^2 of the CW dynamics would overflow (an OverflowError before)
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(CW_CONFIG.read_text())
+        cfg["plant"]["cw"]["mean_motion"] = 1e300
+        bad.write_text(json.dumps(cfg))
+        assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: $.plant.cw.mean_motion: too large: 3 mean_motion^2 is past float range\n")
+
+    @pytest.mark.parametrize("a, b, c, key, shape, n", [
+        ({"eye": 10**7}, [[0.0], [1.0]], [[1.0, 0.0]], "continuous.a.eye", (10**7,) * 2, 2),
+        ([[0.0, 1.0], [0.0, 0.0]], {"eye": 10**7}, [[1.0, 0.0]], "continuous.b.eye",
+         (10**7,) * 2, 2),
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], {"eye": 10**7}, "c.eye", (10**7,) * 2, 2),
+        ({"eye": 10**7}, {"eye": 10**7}, [[1.0, 0.0]], "continuous.a.eye", (10**7,) * 2, 2),
+        ({"eye": 2}, [[0.0], [1.0], [0.0]], [[1.0, 0.0]], "continuous.a.eye", (2, 2), 3),
+        ([[0.0, 1.0]], [[0.0], [1.0]], [[1.0, 0.0]], "continuous.a", (1, 2), 1),
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0]], [[1.0, 0.0]], "continuous.b", (1, 1), 2),
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0, 0.0]], "c", (1, 3), 2),
+    ], ids=["a-eye-huge", "b-eye-huge", "c-eye-huge", "ab-eye-huge", "a-eye-vs-b",
+            "a-not-square", "b-rows", "c-columns"])
+    def test_continuous_plant_checked_before_it_is_built(self, tmp_path, capsys, a, b, c,
+                                                         key, shape, n):
+        # the state dimension comes from a matrix that is not an eye
+        # shorthand; an eye of 10^7 would ask for 728 TiB
+        cfg = {"plant": {"continuous": {"a": a, "b": b}, "c": c, "ts": 1.0},
+               "noise": {"sigma_w": {"eye": n}, "sigma_v": [[0.1]]},
+               "gains": {"q": {"eye": n}, "r": [[1.0]]}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: $.plant.{key}: shape {shape} disagrees with the state dimension {n}\n")
+
+    def test_continuous_plant_of_shorthands_builds(self, tmp_path, capsys):
+        cfg = {"plant": {"continuous": {"a": {"eye": 2, "scale": -0.1}, "b": [[0.0], [1.0]]},
+                         "c": [[1.0, 0.0]], "ts": 1.0},
+               "noise": {"sigma_w": {"eye": 2, "scale": 0.1}, "sigma_v": [[0.1]]},
+               "gains": {"q": {"eye": 2}, "r": [[1.0]]}}
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["model", "build", str(path), "-o", str(tmp_path / "m.json")]) == 0
+        model, _, _ = load_model(tmp_path / "m.json")
+        assert (model.n, model.m, model.p) == (2, 1, 1)
+
     def test_invalid_json_exit_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"plant": \n !')

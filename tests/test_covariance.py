@@ -1,10 +1,15 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from oracles import fit_decay_rate, make_psd, periodic_dlyap_phases
+from oracles import fit_decay_rate, make_psd, periodic_dlyap_phases, recursive_steady_phases
 
+import sensact.covariance as covariance_module
 from sensact import linalg
 from sensact.covariance import (
+    PeriodicCovariance,
     augmented_matrices,
     build_augmented,
     contraction_certificate,
@@ -15,7 +20,13 @@ from sensact.covariance import (
     steady_error_cov,
     steady_mean_phases,
 )
-from sensact.exceptions import DomainError, NilpotencyError, StabilityError
+from sensact.exceptions import (
+    DimensionError,
+    DomainError,
+    NilpotencyError,
+    NumericsError,
+    StabilityError,
+)
 from sensact.plant import (
     GainSet,
     SystemModel,
@@ -23,7 +34,7 @@ from sensact.plant import (
     mode_matrices,
     synthesize_gains,
 )
-from sensact.sequence import admissibility
+from sensact.sequence import CONTRACTION_MARGIN, admissibility
 
 
 def random_closed_loop(seed, n=3, m=1, p=1):
@@ -415,3 +426,101 @@ class TestSinglePeriodSolve:
         a_seq = [aug.a_modes[eta] for eta in bits]
         w_seq = [aug.step_noise(eta) for eta in bits]
         self._check_phases(joint, a_seq, w_seq)
+
+
+def phase_rel_err(phases, ref) -> float:
+    """The largest max|P_k - R_k| / max|R_k| over the phases."""
+    return max(float(np.max(np.abs(p - r)) / np.max(np.abs(r))) for p, r in zip(phases, ref))
+
+
+def cw_word(period, mm, joint):
+    """The first word of the seeded stream of this period that the system
+    can hold: both sides contract for the joint system, the observer side
+    for the error system."""
+    rng = np.random.default_rng(period)
+    while True:
+        bits = tuple(int(b) for b in rng.integers(0, 2, period))
+        report = admissibility(bits, mm)
+        if report.admissible if joint else report.qtilde < 1.0 - CONTRACTION_MARGIN:
+            return bits
+
+
+class TestPrefixScan:
+    """Every phase of one prefix scan against the step-by-step recursion,
+    at every CW period from 1 to 64."""
+
+    @pytest.mark.parametrize("period", range(1, 65))
+    def test_error_phases_are_the_recursion(self, period, cw_model, cw_gains, cw_mm):
+        bits = cw_word(period, cw_mm, joint=False)
+        steady = steady_error_cov(bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        a_seq = [cw_mm.atilde(eta) for eta in bits]
+        w_seq = [error_noise_term(eta, cw_gains.l, cw_model.sigma_v, cw_model.sigma_w)
+                 for eta in bits]
+        assert steady.phases.shape == (period, 6, 6)
+        assert phase_rel_err(steady, recursive_steady_phases(a_seq, w_seq)) <= 1e-10
+
+    @pytest.mark.parametrize("period", range(1, 65))
+    def test_joint_phases_are_the_recursion(self, period, cw_model, cw_gains, cw_mm):
+        if period < 4:  # no CW word shorter than 4 is admissible
+            assert not any(admissibility(w, cw_mm).admissible
+                           for w in np.ndindex((2,) * period))
+            return
+        bits = cw_word(period, cw_mm, joint=True)
+        joint, state = steady_augmented_cov(bits, cw_model, cw_gains)
+        aug = build_augmented(cw_model, cw_gains)
+        a_seq = [aug.a_modes[eta] for eta in bits]
+        w_seq = [aug.step_noise(eta) for eta in bits]
+        assert phase_rel_err(joint, recursive_steady_phases(a_seq, w_seq)) <= 1e-10
+        # the state phases are the state blocks of the joint phases
+        assert np.array_equal(state.phases, joint.phases[:, :6, :6])
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 4, 5, 8, 9, 17, 33, 64])
+    def test_levels_are_ceil_log2_period(self, period, cw_model, cw_mm, monkeypatch):
+        calls = []
+        compose = covariance_module._compose
+        monkeypatch.setattr(covariance_module, "_compose",
+                            lambda later, earlier: calls.append(len(later[0]))
+                            or compose(later, earlier))
+        bits = cw_word(period, cw_mm, joint=False)
+        steady_error_cov(bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        assert len(calls) == math.ceil(math.log2(period))
+        # level d composes the items from d on, each stacked in one product
+        assert calls == [period - 2**j for j in range(len(calls))]
+
+    def test_certificate_reads_the_last_prefix(self, cw_model, cw_gains, cw_mm):
+        bits = cw_word(13, cw_mm, joint=False)
+        cert = contraction_certificate(bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        big_m, big_w = np.eye(6), np.zeros((6, 6))
+        for eta in bits:
+            a = cw_mm.atilde(eta)
+            big_m = a @ big_m
+            big_w = a @ big_w @ a.T + error_noise_term(eta, cw_gains.l, cw_model.sigma_v,
+                                                        cw_model.sigma_w)
+        assert cert.gamma == pytest.approx(np.linalg.norm(big_w, 2), rel=1e-12)
+        assert cert.monodromy_norm_sq == pytest.approx(np.linalg.norm(big_m, 2) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("a, error", [
+        # the monodromy itself overflows, and its radius refuses it
+        ([[1e200]], DomainError),
+        # it contracts, but the noise grows past range
+        ([[0.5, 1e160], [0.0, 0.5]], NumericsError),
+    ], ids=["monodromy", "noise"])
+    def test_overflow_raises_without_warnings(self, a, error):
+        n = len(a)
+        model = SystemModel(a=a, b=np.eye(n), c=np.eye(n),
+                            sigma_w=np.eye(n), sigma_v=np.eye(n))
+        mm = mode_matrices(model, GainSet(k=-0.5 * np.eye(n), l=-0.5 * np.eye(n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                steady_error_cov("1111", mm, model.sigma_v, model.sigma_w)
+
+
+def test_phases_stack_any_sequence_of_matrices():
+    eye = np.eye(2)
+    cov = PeriodicCovariance(phases=(eye, 2 * eye), period=2)
+    assert cov.phases.shape == (2, 2, 2)
+    assert np.array_equal(cov[3], 2 * eye)
+    assert [float(p[0, 0]) for p in cov] == [1.0, 2.0]
+    with pytest.raises(DimensionError):
+        PeriodicCovariance(phases=(eye,), period=2)
