@@ -51,11 +51,8 @@ from .sequence import (
     proper_divisors,
 )
 from .covariance import (
-    AugmentedModel,
     ContractionCertificate,
     PeriodicCovariance,
-    augmented_matrices,
-    build_augmented,
     contraction_certificate,
     error_noise_term,
     mean_propagate,

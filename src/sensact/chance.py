@@ -184,7 +184,7 @@ def verify_chance(s, model: SystemModel, gains: GainSet, box: BoxConstraint,
     if mm is None:
         _, state_covs = steady_augmented_cov(s, model, gains)
     else:
-        _, state_covs = _steady_augmented_cov(s, model, gains, mm)
+        _, state_covs = _steady_augmented_cov(s, mm, model.sigma_v, model.sigma_w)
     n = model.n
     period = state_covs.period
     idx, widths = box.resolve(n)

@@ -201,7 +201,12 @@ def cmd_cov_steady(args) -> int:
     model, gains, _ = _load(args)
     mm = mode_matrices(model, gains)
     seq = SwitchSequence.from_string(args.bits)
-    err = _steady_error_cov(seq, mm, model.sigma_v, model.sigma_w)
+    if args.augmented:
+        # one joint solve: the error phases are its error blocks
+        joint, state = _steady_augmented_cov(seq, mm, model.sigma_v, model.sigma_w)
+        err = joint.block(slice(mm.n, None))
+    else:
+        err = _steady_error_cov(seq, mm, model.sigma_v, model.sigma_w)
     out = {
         "sequence": str(seq),
         "period": err.period,
@@ -209,7 +214,6 @@ def cmd_cov_steady(args) -> int:
     }
     print(f"steady error covariance traces: {_traces(err)}")
     if args.augmented:
-        joint, state = _steady_augmented_cov(seq, model, gains, mm)
         out["state_phases"] = {str(k): state[k] for k in range(state.period)}
         out["joint_phases"] = {str(k): joint[k] for k in range(joint.period)}
         print(f"steady state covariance traces: {_traces(state)}")

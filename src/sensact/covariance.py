@@ -5,9 +5,11 @@ The estimation-error covariance obeys the N-periodic recursion
     P_{k+1} = Atil_k P_k Atil_k' + R_k,
     R_k     = (1 - eta_k) L Sigma_v L' + Sigma_w,
 
-and the joint (state, error) covariance the analogous recursion of the
-block-triangular augmented system. One step is the pair (A_k, W_k), and
-pairs compose associatively,
+and the joint z = [x; e] covariance the analogous recursion of the
+block-triangular augmented system, whose error block is the first. One
+step is the pair (A_k, W_k); _error_steps and _joint_steps build the
+pairs of both modes of each system, and every periodic computation reads
+them. Pairs compose associatively,
 
     (Phi2, W2) o (Phi1, W1) = (Phi2 Phi1, Phi2 W1 Phi2' + W2),
 
@@ -34,7 +36,6 @@ from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractiv
 
 __all__ = [
     "PeriodicCovariance",
-    "AugmentedModel",
     "ContractionCertificate",
     "error_noise_term",
     "propagate_error_cov",
@@ -42,8 +43,6 @@ __all__ = [
     "mean_propagate",
     "steady_mean_phases",
     "contraction_certificate",
-    "augmented_matrices",
-    "build_augmented",
     "steady_augmented_cov",
 ]
 
@@ -69,23 +68,9 @@ class PeriodicCovariance:
     def __iter__(self):
         return iter(self.phases)
 
-
-@dataclass(frozen=True)
-class AugmentedModel:
-    """Per-mode matrices of the joint z = [x; e] system,
-    z+ = Abreve z + Gbreve [v; w] + Gu uT."""
-
-    a_modes: tuple      # Abreve for eta = 0, 1; each 2n x 2n
-    gamma_modes: tuple  # Gbreve for eta = 0, 1; each 2n x (p + n)
-    g_modes: tuple      # Gu for eta = 0, 1; each 2n x m
-    noise_cov: np.ndarray  # diag(Sigma_v, Sigma_w), (p + n) square
-
-    def entry(self, eta: int):
-        return self.a_modes[eta], self.gamma_modes[eta], self.g_modes[eta]
-
-    def step_noise(self, eta: int) -> np.ndarray:
-        g = self.gamma_modes[eta]
-        return linalg.sym_part(g @ self.noise_cov @ g.T)
+    def block(self, index: slice) -> "PeriodicCovariance":
+        """The diagonal block [index, index] of every phase, as a view."""
+        return PeriodicCovariance(phases=self.phases[:, index, index], period=self.period)
 
 
 @dataclass(frozen=True)
@@ -138,6 +123,27 @@ def _error_steps(mm: ModeMatrices, sigma_v, sigma_w) -> tuple:
             np.stack(_noise_terms(mm.l, sigma_v, sigma_w)))
 
 
+def _joint_steps(mm: ModeMatrices, sigma_v, sigma_w) -> tuple:
+    """(Abreve, W) of both modes of the joint z = [x; e] system, each a
+    (2, 2n, 2n) stack, of valid noise covariances:
+
+        Abreve = [Abar_eta  -eta BK  ]    W = [Sigma_w  Sigma_w]
+                 [0         Atil_eta ]        [Sigma_w  R_eta  ]
+
+    W is Gbreve diag(Sigma_v, Sigma_w) Gbreve' with Gbreve = [0, I;
+    (1 - eta) L, I]; the error blocks are the steps of _error_steps."""
+    atil, noise = _error_steps(mm, sigma_v, sigma_w)
+    n = mm.n
+    a = np.zeros((2, 2 * n, 2 * n))
+    a[:, :n, :n] = mm.omega_bar0, mm.omega_bar1
+    a[1, :n, n:] = -(mm.b @ mm.k)
+    a[:, n:, n:] = atil
+    w = np.empty_like(a)
+    w[:, :n, :n] = w[:, :n, n:] = w[:, n:, :n] = sigma_w
+    w[:, n:, n:] = noise
+    return a, w
+
+
 def propagate_error_cov(p0, s, mm: ModeMatrices, sigma_v, sigma_w, steps: int):
     """Trajectory P_0 ... P_steps of the error covariance under the
     periodic extension of the sequence."""
@@ -181,8 +187,9 @@ def _prefix_scan(modes, noise, bits) -> tuple:
 
 def _contraction_radius(big_m, side: str) -> float:
     """Spectral radius of a one-period monodromy; raises StabilityError
-    unless it meets the admissibility contract."""
-    rho = linalg.spectral_radius(big_m)
+    unless it meets the admissibility contract, and NumericsError when
+    the monodromy is not finite."""
+    rho = float(linalg.spectral_radii(big_m))
     if not is_contractive(rho):
         raise StabilityError(f"{side} monodromy spectral radius {rho:.6g} "
                              f"is not below 1 - {CONTRACTION_MARGIN:g}")
@@ -294,48 +301,6 @@ def contraction_certificate(s, mm: ModeMatrices, sigma_v, sigma_w) -> Contractio
     )
 
 
-def augmented_matrices(model: SystemModel, gains: GainSet, eta: int):
-    """Blocks of the joint z = [x; e] step for one mode:
-
-        Abreve = [A + eta BK,  -eta BK ]    Gbreve = [0,            I]
-                 [0,           Atil_eta]             [(1 - eta) L,  I]
-
-        Gu = [eta B; 0]   (feedforward enters the state block only).
-    """
-    if eta not in (0, 1):
-        raise DomainError("eta must be 0 or 1")
-    n, m, p = model.n, model.m, model.p
-    bk = model.b @ gains.k
-    abar = model.a + eta * bk
-    atil = model.a + (1 - eta) * gains.l @ model.c
-    a_breve = np.zeros((2 * n, 2 * n))
-    a_breve[:n, :n] = abar
-    a_breve[:n, n:] = -eta * bk
-    a_breve[n:, n:] = atil
-    gamma = np.zeros((2 * n, p + n))
-    gamma[:n, p:] = np.eye(n)
-    gamma[n:, :p] = (1 - eta) * gains.l
-    gamma[n:, p:] = np.eye(n)
-    g_u = np.zeros((2 * n, m))
-    g_u[:n, :] = eta * model.b
-    return a_breve, gamma, g_u
-
-
-def build_augmented(model: SystemModel, gains: GainSet) -> AugmentedModel:
-    mode0 = augmented_matrices(model, gains, 0)
-    mode1 = augmented_matrices(model, gains, 1)
-    p, n = model.p, model.n
-    noise = np.zeros((p + n, p + n))
-    noise[:p, :p] = model.sigma_v
-    noise[p:, p:] = model.sigma_w
-    return AugmentedModel(
-        a_modes=(mode0[0], mode1[0]),
-        gamma_modes=(mode0[1], mode1[1]),
-        g_modes=(mode0[2], mode1[2]),
-        noise_cov=noise,
-    )
-
-
 def steady_augmented_cov(s, model: SystemModel, gains: GainSet):
     """Steady per-phase covariances of the joint (state, error) system.
 
@@ -345,12 +310,12 @@ def steady_augmented_cov(s, model: SystemModel, gains: GainSet):
     inherits its spectrum from the two diagonal blocks, so the
     admissibility verdict on both decides it.
     """
-    return _steady_augmented_cov(s, model, gains, mode_matrices(model, gains))
+    return _steady_augmented_cov(s, mode_matrices(model, gains), model.sigma_v, model.sigma_w)
 
 
-def _steady_augmented_cov(s, model: SystemModel, gains: GainSet, mm: ModeMatrices):
-    """steady_augmented_cov on the caller's ModeMatrices of (model, gains),
-    so a command that already built them builds them once."""
+def _steady_augmented_cov(s, mm: ModeMatrices, sigma_v, sigma_w):
+    """steady_augmented_cov of the caller's ModeMatrices and noise
+    covariances valid already, as _steady_error_cov takes them."""
     bits = _as_bits(s)
     report = admissibility(bits, mm)
     if not report.admissible:
@@ -358,8 +323,5 @@ def _steady_augmented_cov(s, model: SystemModel, gains: GainSet, mm: ModeMatrice
             "sequence is not admissible "
             f"(qbar={report.qbar:.6g}, qtilde={report.qtilde:.6g})"
         )
-    aug = build_augmented(model, gains)
-    noise = np.stack([aug.step_noise(eta) for eta in (0, 1)])
-    joint = _steady_phases(np.stack(aug.a_modes), noise, bits, None)
-    n = model.n
-    return joint, PeriodicCovariance(phases=joint.phases[:, :n, :n], period=joint.period)
+    joint = _steady_phases(*_joint_steps(mm, sigma_v, sigma_w), bits, None)
+    return joint, joint.block(slice(None, mm.n))

@@ -93,9 +93,8 @@ def check_symmetric(a, name="matrix", stacked=False) -> np.ndarray:
         raise DimensionError(f"{name} must be a stack of square matrices, got shape {m.shape}")
     elif not np.all(np.isfinite(m)):
         raise DomainError(f"{name} has non-finite entries")
-    axes = (-2, -1) if stacked else None
-    scale = 1.0 + np.linalg.norm(m, "fro", axes)
-    if np.any(np.linalg.norm(m - m.swapaxes(-1, -2), "fro", axes) > SYM_RTOL * scale):
+    unit, scale = _unit_scaled(m)
+    if np.any(_fro(unit - unit.swapaxes(-1, -2)) > SYM_RTOL * scale):
         raise DomainError(f"{name} is not symmetric")
     return sym_part(m)
 
@@ -104,10 +103,22 @@ def check_psd(a, name="matrix", stacked=False) -> np.ndarray:
     """Validate symmetric positive semi-definiteness (to tolerance), of one
     matrix or, with stacked=True, of each matrix of a (..., n, n) stack."""
     m = check_symmetric(a, name, stacked)
-    scale = 1.0 + np.linalg.norm(m, "fro", (-2, -1) if stacked else None)
-    if m.size and np.any(np.min(np.linalg.eigvalsh(m), axis=-1) < -SYM_RTOL * scale):
+    unit, scale = _unit_scaled(m)
+    if m.size and np.any(np.min(np.linalg.eigvalsh(unit), axis=-1) < -SYM_RTOL * scale):
         raise DomainError(f"{name} is not positive semi-definite")
     return m
+
+
+def _unit_scaled(m) -> tuple:
+    """(M / s, (1 + ||M||_F) / s) of each finite matrix M of m, over its
+    last two axes, s the largest entry modulus of M, or the smallest
+    normal float if that is larger, so that 1 / s is finite: the tolerance
+    scale of check_symmetric and check_psd, whose tests are invariant
+    under the division, taken without overflow."""
+    s = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True, initial=0.0),
+                   np.finfo(float).tiny)
+    unit = m / s
+    return unit, 1.0 / s[..., 0, 0] + _fro(unit)
 
 
 def sym_part(a) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .exceptions import DimensionError, DomainError
-from .covariance import _noise_terms, build_augmented
+from .covariance import _compose, _error_steps, _joint_steps
 from .plant import GainSet, ModeMatrices, SystemModel, mode_matrices
 from .sequence import (
     SwitchSequence,
@@ -195,24 +195,20 @@ class SequenceEvaluator:
         self.counts = dict.fromkeys(("cores_evaluated", "memo_hits", "necklaces"), 0)
 
     def _cost_system(self):
-        """(per-mode transitions, per-mode noise, weight Q), each mode
-        stacked on axis 0, of the system whose steady covariance the cost
-        weighs, from the model's matrices as SystemModel validated them;
-        None when the cost is the actuation penalty alone."""
-        w = self.weights
+        """(per-mode transitions, per-mode noise, weight Q) of the system
+        whose steady covariance the cost weighs, from the model's noise
+        covariances as SystemModel validated them; None when the cost is
+        the actuation penalty alone."""
+        w, noise = self.weights, (self.model.sigma_v, self.model.sigma_w)
         if w.needs_state_cov:
-            aug = build_augmented(self.model, self.gains)
             n = self.model.n
             q = np.zeros((2 * n, 2 * n))
             q[:n, :n] = w.r_state
             if w.r_err is not None:
                 q[n:, n:] = w.r_err
-            return (np.stack(aug.a_modes),
-                    np.stack([aug.step_noise(eta) for eta in (0, 1)]), q)
+            return (*_joint_steps(self.mm, *noise), q)
         if w.needs_error_cov:
-            noise = _noise_terms(self.mm.l, self.model.sigma_v, self.model.sigma_w)
-            return (np.stack((self.mm.omega_tilde0, self.mm.omega_tilde1)),
-                    np.stack(noise), w.r_err)
+            return (*_error_steps(self.mm, *noise), w.r_err)
         return None
 
     def _costs(self, rows) -> np.ndarray:
@@ -235,12 +231,9 @@ class SequenceEvaluator:
                 s += phi.transpose(0, 2, 1) @ q @ phi
                 part += np.einsum("ij,kji->k", q, acc)
                 column = bits[:n, k]
-                a = modes[column]
-                phi = a @ phi
-                acc = a @ acc @ a.transpose(0, 2, 1) + noise[column]
+                phi, acc = _compose((modes[column], noise[column]), (phi, acc))
             phi, acc = _collect((phi, acc), done)
-            p0, fallbacks = linalg.solve_discrete_lyapunov_stacked(
-                phi, 0.5 * (acc + acc.transpose(0, 2, 1)))
+            p0, fallbacks = linalg.solve_discrete_lyapunov_stacked(phi, linalg.sym_part(acc))
             self.fallbacks += fallbacks
             total = total + np.einsum("kij,kji->k", s_all, p0)
         costs = np.empty(len(order))

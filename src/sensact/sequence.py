@@ -239,23 +239,10 @@ def _side_modes(mm: ModeMatrices) -> np.ndarray:
     return np.array(((mm.omega_bar0, mm.omega_tilde0), (mm.omega_bar1, mm.omega_tilde1)))
 
 
-def _side_products(bits, mm: ModeMatrices) -> np.ndarray:
-    """Both one-period products as one (2, n, n) stack, (control,
-    observer): the mode matrices of both sides are stacked per mode, so
-    each step is one batched product, index 0 applied first. A product
-    that overflows is left non-finite, without a floating-point warning,
-    for the eigenvalue step to refuse."""
-    modes = _side_modes(mm)
-    prod = modes[bits[0]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for eta in bits[1:]:
-            prod = modes[eta] @ prod
-    return prod
-
-
 def monodromy(s, mm: ModeMatrices):
     """Ordered one-period products (control, observer); index 0 applied first."""
-    prod_bar, prod_til = _side_products(_as_bits(s), mm)
+    bits = _as_bits(s)
+    prod_bar, prod_til = _stacked_products(_side_modes(mm), np.array([bits]), [1] * len(bits))[0]
     return prod_bar, prod_til
 
 
@@ -280,17 +267,19 @@ def _nilpotency_flags(used, mm: ModeMatrices) -> tuple:
 def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     """Exact admissibility verdict from the two monodromy spectral radii.
 
-    Both monodromies are built together, one stacked (2, n, n) product per
-    step, and their radii come from one batched eigvals call. The product
-    order is that of each side multiplied out on its own, so the radii are
-    bit for bit those of spectral_radius on the two separate products, as
-    contractive_stacked's verdicts are.
+    Both monodromies are built together by _stacked_products on a one-row
+    stack, one (2, n, n) product per step, and their radii come from one
+    batched eigvals call. The product order is that of each side
+    multiplied out on its own, so the radii are bit for bit those of
+    spectral_radius on the two separate products, as contractive_stacked's
+    verdicts are.
     Raises NilpotencyError when a mode matrix actually used by the
     sequence is numerically nilpotent.
     """
     bits = _as_bits(s)
     flags = _nilpotency_flags((0 in bits, 1 in bits), mm)
-    qbar, qtilde = linalg.spectral_radii(_side_products(bits, mm)).tolist()
+    prods = _stacked_products(_side_modes(mm), np.array([bits]), [1] * len(bits))[0]
+    qbar, qtilde = linalg.spectral_radii(prods).tolist()
     return AdmissibilityReport(
         qbar=qbar,
         qtilde=qtilde,
@@ -344,13 +333,14 @@ def _stacked_products(modes, bits, live) -> np.ndarray:
     """One-period products modes[eta_{p-1}] ... modes[eta_0] of each row of
     period-descending padded bits (see _by_period), given the per-mode
     matrices stacked on axis 0: one batched product per step over the rows
-    still live, in the order monodromy multiplies. As in _side_products,
-    an overflow is left non-finite without a warning."""
-    prod, done = modes[bits[:, 0]], []
+    still live, index 0 applied first. A product that overflows is left
+    non-finite, without a floating-point warning, for the eigenvalue step
+    to refuse."""
+    prod, done = modes.take(bits[:, 0], axis=0), []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, bits.shape[1]):
             prod, = _retire(live[k], (prod,), done)
-            prod = modes[bits[:live[k], k]] @ prod
+            prod = modes.take(bits[:live[k], k], axis=0) @ prod
     return _collect((prod,), done)[0]
 
 

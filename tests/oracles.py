@@ -8,7 +8,9 @@ Lyapunov equations (close to the library's upper-triangle solve, but
 unrefined and on all n^2 unknowns); one such solve per phase for periodic
 steady covariances, and the step-by-step recursion from phase 0 (the
 library solves phase 0 once and forms every other phase from one prefix
-scan); literal word-repetition for sequence reducibility;
+scan); the paper's block definitions of the joint (state, error) step,
+its noise multiplied out through Gbreve, for the library's joint step
+stacks; literal word-repetition for sequence reducibility;
 rejection-free boundary sampling for ellipsoid support functions; a
 per-cell csv.writer for the trajectory CSV; the stdlib's own indented
 json.dumps for the canonical JSON writer; two one-side monodromy products
@@ -22,6 +24,7 @@ import decimal
 import json
 import math
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -146,6 +149,51 @@ def recursive_steady_phases(a_seq, w_seq):
         p = linalg.sym_part(a @ p @ a.T + w)
         phases.append(p)
     return phases
+
+
+def augmented_matrices(model, gains, eta):
+    """(Abreve, Gbreve) of the joint z = [x; e] step of one mode, from the
+    paper's block definitions, z+ = Abreve z + Gbreve [v; w]:
+
+        Abreve = [A + eta BK,  -eta BK ]    Gbreve = [0,            I]
+                 [0,           Atil_eta]             [(1 - eta) L,  I]
+    """
+    n, p = model.n, model.p
+    bk = model.b @ gains.k
+    a_breve = np.zeros((2 * n, 2 * n))
+    a_breve[:n, :n] = model.a + eta * bk
+    a_breve[:n, n:] = -eta * bk
+    a_breve[n:, n:] = model.a + (1 - eta) * gains.l @ model.c
+    gamma = np.zeros((2 * n, p + n))
+    gamma[:n, p:] = np.eye(n)
+    gamma[n:, :p] = (1 - eta) * gains.l
+    gamma[n:, p:] = np.eye(n)
+    return a_breve, gamma
+
+
+@dataclass(frozen=True)
+class AugmentedModel:
+    """The joint system of both modes by augmented_matrices, with the
+    step noise Gbreve diag(Sigma_v, Sigma_w) Gbreve' multiplied out in
+    full (sensact.covariance._joint_steps writes its blocks down)."""
+
+    a_modes: tuple      # Abreve for eta = 0, 1
+    gamma_modes: tuple  # Gbreve for eta = 0, 1
+    noise_cov: np.ndarray  # diag(Sigma_v, Sigma_w)
+
+    def step_noise(self, eta):
+        g = self.gamma_modes[eta]
+        return linalg.sym_part(g @ self.noise_cov @ g.T)
+
+
+def build_augmented(model, gains):
+    modes = [augmented_matrices(model, gains, eta) for eta in (0, 1)]
+    p = model.p
+    noise = np.zeros((p + model.n, p + model.n))
+    noise[:p, :p] = model.sigma_v
+    noise[p:, p:] = model.sigma_w
+    return AugmentedModel(a_modes=tuple(m[0] for m in modes),
+                          gamma_modes=tuple(m[1] for m in modes), noise_cov=noise)
 
 
 def brute_force_core(bits):

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    build_augmented,
     kron_dlyap,
     make_psd,
     make_stable,
@@ -30,7 +31,7 @@ from oracles import (
 import sensact.covariance as covariance_module
 from sensact import linalg
 from sensact.covariance import (
-    build_augmented,
+    _joint_steps,
     error_noise_term,
     steady_augmented_cov,
     steady_error_cov,
@@ -195,6 +196,18 @@ class TestProperties:
         except NilpotencyError:
             return
         assert contractive_stacked(words, mm).tolist() == scalar
+
+    @PROPERTY
+    @given(plants(defective=True))
+    def test_joint_steps_are_the_oracle(self, plant):
+        # to rounding: the oracle multiplies the noise out through Gbreve,
+        # and _joint_steps writes its blocks down
+        model, gains = plant
+        a, w = _joint_steps(mode_matrices(model, gains), model.sigma_v, model.sigma_w)
+        aug = build_augmented(model, gains)
+        for eta in (0, 1):
+            for got, ref in ((a[eta], aug.a_modes[eta]), (w[eta], aug.step_noise(eta))):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @PROPERTY
     @given(plants(defective=True), st.lists(st.integers(0, 1), min_size=1, max_size=9))

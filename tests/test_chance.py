@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,20 @@ class TestStackedChance:
         accepted = np.stack(items[:5] + [items[6]])
         assert np.array_equal(linalg.check_psd(accepted.reshape(2, 3, 4, 4), stacked=True),
                               linalg.check_psd(accepted, stacked=True).reshape(2, 3, 4, 4))
+
+    @pytest.mark.parametrize("a, message", [
+        ([[1e300, 0.0], [0.0, -1e300]], "not positive semi-definite"),
+        ([[1e300, 1e300], [0.0, 1e300]], "not symmetric"),
+    ], ids=["indefinite", "asymmetric"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_huge_entries_checked_without_overflow(self, a, message, stacked):
+        # ||M||_F overflows here; a tolerance scale taken from it was inf
+        # and let both matrices through
+        a = np.array(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                linalg.check_psd(np.stack([np.eye(2), a]) if stacked else a, stacked=stacked)
 
     def test_stack_shape_and_entries_checked(self):
         for shape in ((3, 4, 5), (4, 4)):

@@ -373,7 +373,8 @@ class TestMalformedModelFile:
 class TestRepeatedWork:
     """Each command takes each eigenvalue decomposition once, and only
     those its output reads: one batched call per admissibility decision
-    and one for the error covariance's observer side. Loading a model
+    and one for the error covariance's observer side, which cov steady
+    --augmented reads from the joint solve instead. Loading a model
     takes none: the gain set holds K and L only, and ModeMatrices takes
     the mode radii on first read, which only the dwell screen and model
     build do. The steady solves have no stability guard of their own, and
@@ -387,7 +388,7 @@ class TestRepeatedWork:
     @pytest.mark.parametrize("argv, count", [
         (["seq", "check", "{model}", "0011"], 1),
         (["seq", "check", "{model}", "0011", "--dwell"], 2),
-        (["cov", "steady", "{model}", "0011", "--augmented"], 2),
+        (["cov", "steady", "{model}", "0011", "--augmented"], 1),
         (["chance", "verify", "{model}", "0011", "--bound", "22", "--delta", "0.05"], 1),
         (["seq", "search", "{model}", "--n", "10"], 2),
         (["sim", "run", "{model}", "0011", "--runs", "2", "--steps", "8", "--out", "{out}"], 0),
@@ -443,8 +444,9 @@ class TestCovSteadyTraces:
             save_model(path, model, gains)
         assert main(["cov", "steady", path, word, "--augmented"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        err = steady_error_cov(word, mode_matrices(model, gains), model.sigma_v, model.sigma_w)
-        _, state = steady_augmented_cov(word, model, gains)
+        # the error phases of --augmented are the joint phases' error blocks
+        joint, state = steady_augmented_cov(word, model, gains)
+        err = joint.phases[:, model.n:, model.n:]
         assert lines == [
             "steady error covariance traces: " + " ".join(f"{np.trace(p):.6g}" for p in err),
             "steady state covariance traces: " + " ".join(f"{np.trace(p):.6g}" for p in state),
@@ -781,7 +783,12 @@ class TestOneModeMatricesPerCommand:
         assert len(calls) == 1
 
     def test_inadmissible_word_still_exits_3(self, model_file, calls, capsys):
+        # the error side of 01 contracts and the control side does not:
+        # --augmented fails before it prints the error traces
         assert main(["cov", "steady", model_file, "01", "--augmented"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not admissible (qbar=1.49161, qtilde=0.988993)" in captured.err
         assert main(["chance", "verify", model_file, "01", "--bound", "22"]) == 3
         assert "not admissible" in capsys.readouterr().err
 
@@ -824,8 +831,12 @@ class TestCovSteadyValues:
         err = steady_error_cov("0001100011", mode_matrices(model, gains),
                                model.sigma_v, model.sigma_w)
         joint, state = steady_augmented_cov("0001100011", model, gains)
-        for key, phases in [("error_phases", err), ("state_phases", state),
-                            ("joint_phases", joint)]:
+        # --augmented makes one joint solve: its error phases are the
+        # joint phases' error blocks, equal to the error solve to rounding
+        for k in range(10):
+            assert np.max(np.abs(joint[k][6:, 6:] - err[k])) <= 1e-11 * np.max(np.abs(err[k]))
+        for key, phases in [("error_phases", joint.phases[:, 6:, 6:]),
+                            ("state_phases", state), ("joint_phases", joint)]:
             assert sorted(doc[key], key=int) == [str(k) for k in range(10)]
             for k, expected in enumerate(phases):
                 written = np.array(doc[key][str(k)], dtype=np.float64)

@@ -4,14 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import fit_decay_rate, make_psd, periodic_dlyap_phases, recursive_steady_phases
+from oracles import (
+    augmented_matrices,
+    build_augmented,
+    fit_decay_rate,
+    make_psd,
+    periodic_dlyap_phases,
+    recursive_steady_phases,
+)
 
 import sensact.covariance as covariance_module
 from sensact import linalg
 from sensact.covariance import (
     PeriodicCovariance,
-    augmented_matrices,
-    build_augmented,
+    _joint_steps,
     contraction_certificate,
     error_noise_term,
     mean_propagate,
@@ -278,9 +284,11 @@ class TestContraction:
 
 class TestAugmented:
     def test_block_structure(self, cw_model, cw_gains):
+        # the oracle's joint step (Gu, the feedforward input matrix of the
+        # removed sensact.covariance.augmented_matrices, is built no more)
         n, p = 6, 3
         for eta in (0, 1):
-            a_b, gamma, g_u = augmented_matrices(cw_model, cw_gains, eta)
+            a_b, gamma = augmented_matrices(cw_model, cw_gains, eta)
             bk = cw_model.b @ cw_gains.k
             np.testing.assert_allclose(a_b[:n, :n], cw_model.a + eta * bk)
             np.testing.assert_allclose(a_b[:n, n:], -eta * bk)
@@ -292,12 +300,19 @@ class TestAugmented:
             np.testing.assert_allclose(gamma[:n, p:], np.eye(n))
             np.testing.assert_allclose(gamma[n:, :p], (1 - eta) * cw_gains.l)
             np.testing.assert_allclose(gamma[n:, p:], np.eye(n))
-            np.testing.assert_allclose(g_u[:n, :], eta * cw_model.b)
-            np.testing.assert_allclose(g_u[n:, :], np.zeros((n, 3)))
+
+    def test_joint_steps_are_the_oracle(self, cw_model, cw_gains, cw_mm):
+        # bit for bit (+0 and -0 compare equal: -eta BK is -0 at eta = 0)
+        a, w = _joint_steps(cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        aug = build_augmented(cw_model, cw_gains)
+        assert a.shape == w.shape == (2, 12, 12)
+        for eta in (0, 1):
+            assert np.array_equal(a[eta], aug.a_modes[eta])
+            assert np.array_equal(w[eta], aug.step_noise(eta))
 
     def test_spectrum_is_union_of_blocks(self, cw_model, cw_gains):
         for eta in (0, 1):
-            a_b, _, _ = augmented_matrices(cw_model, cw_gains, eta)
+            a_b, _ = augmented_matrices(cw_model, cw_gains, eta)
             eигs = np.sort_complex(np.linalg.eigvals(a_b))
             blocks = np.concatenate([
                 np.linalg.eigvals(a_b[:6, :6]), np.linalg.eigvals(a_b[6:, 6:])
@@ -335,8 +350,6 @@ class TestAugmented:
             assert np.min(np.linalg.eigvalsh(diff)) >= -1e-9 * (1 + np.trace(diff))
 
     def test_joint_fixed_point(self, cw_model, cw_gains):
-        from sensact.covariance import build_augmented
-
         joint, _ = steady_augmented_cov("0011", cw_model, cw_gains)
         aug = build_augmented(cw_model, cw_gains)
         bits = (0, 0, 1, 1)
@@ -500,8 +513,8 @@ class TestPrefixScan:
         assert cert.monodromy_norm_sq == pytest.approx(np.linalg.norm(big_m, 2) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("a, error", [
-        # the monodromy itself overflows, and its radius refuses it
-        ([[1e200]], DomainError),
+        # the monodromy itself overflows, and its eigenvalue step refuses it
+        ([[1e200]], NumericsError),
         # it contracts, but the noise grows past range
         ([[0.5, 1e160], [0.0, 0.5]], NumericsError),
     ], ids=["monodromy", "noise"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    build_augmented,
     decimal_expm,
     kron_dlyap,
     make_psd,
@@ -16,7 +17,7 @@ from oracles import (
 )
 
 from sensact import linalg
-from sensact.covariance import build_augmented, error_noise_term
+from sensact.covariance import error_noise_term
 from sensact.exceptions import DimensionError, DomainError, NumericsError, StabilityError
 from sensact.plant import CwParams, build_cw_continuous
 
