@@ -54,7 +54,6 @@ from .covariance import (
     ContractionCertificate,
     PeriodicCovariance,
     contraction_certificate,
-    error_noise_term,
     mean_propagate,
     propagate_error_cov,
     steady_augmented_cov,
@@ -64,10 +63,7 @@ from .covariance import (
 from .chance import (
     BoxConstraint,
     ChanceReport,
-    ChanceSpec,
     chebyshev_alpha,
-    confidence_radius,
-    ellipsoid_support,
     verify_chance,
 )
 from .search import (
@@ -77,7 +73,6 @@ from .search import (
     SequenceEvaluator,
     search_fixed_length,
     search_up_to,
-    sequence_cost,
 )
 from .sim import (
     EnsembleStats,

@@ -18,13 +18,10 @@ from .covariance import _steady_augmented_cov, steady_augmented_cov
 from .plant import GainSet, SystemModel
 
 __all__ = [
-    "ChanceSpec",
     "BoxConstraint",
     "PhaseVerdict",
     "ChanceReport",
     "chebyshev_alpha",
-    "confidence_radius",
-    "ellipsoid_support",
     "verify_chance",
 ]
 
@@ -36,21 +33,6 @@ def chebyshev_alpha(n_x: int, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise DomainError("violation budget delta must lie in (0, 1)")
     return float(np.sqrt(n_x / delta))
-
-
-@dataclass(frozen=True)
-class ChanceSpec:
-    """Violation budget and the dimension it applies to."""
-
-    delta: float
-    n_x: int
-
-    def __post_init__(self):
-        chebyshev_alpha(self.n_x, self.delta)  # validates both fields
-
-    @property
-    def alpha(self) -> float:
-        return chebyshev_alpha(self.n_x, self.delta)
 
 
 @dataclass(frozen=True)
@@ -87,29 +69,6 @@ class BoxConstraint:
                 raise DimensionError("per-component widths do not match component count")
             return idx, np.asarray(self.per_component)
         return idx, np.full(len(idx), float(self.half_width))
-
-
-def confidence_radius(p, alpha: float) -> float:
-    """Radius of the smallest origin-centered sphere containing the
-    ellipsoid {x : x' P^-1 x <= alpha^2}, namely alpha * sqrt(lambda_max(P))."""
-    p = linalg.check_psd(p, "P")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    return float(alpha * np.sqrt(np.max(np.linalg.eigvalsh(p))))
-
-
-def ellipsoid_support(p, alpha: float, direction) -> float:
-    """Support function alpha * sqrt(a' P a) of the Chebyshev ellipsoid in
-    direction a. Well defined for singular P (no inverse is formed)."""
-    p = linalg.check_psd(p, "P")
-    a = np.asarray(direction, dtype=float).ravel()
-    if a.shape != (p.shape[0],):
-        raise DimensionError("direction dimension does not match P")
-    if not np.any(a):
-        raise DomainError("support direction must be nonzero")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    return float(alpha * np.sqrt(max(a @ p @ a, 0.0)))
 
 
 @dataclass(frozen=True)

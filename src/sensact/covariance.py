@@ -9,7 +9,8 @@ and the joint z = [x; e] covariance the analogous recursion of the
 block-triangular augmented system, whose error block is the first. One
 step is the pair (A_k, W_k); _error_steps and _joint_steps build the
 pairs of both modes of each system, and every periodic computation reads
-them. Pairs compose associatively,
+them. Pairs compose associatively (_compose, which also carries the
+weighted sums G and c of the search's cost segments),
 
     (Phi2, W2) o (Phi1, W1) = (Phi2 Phi1, Phi2 W1 Phi2' + W2),
 
@@ -30,14 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import DimensionError, DomainError, NumericsError, StabilityError
+from .exceptions import DimensionError, NumericsError, StabilityError
 from .plant import GainSet, ModeMatrices, SystemModel, TargetSpec, mode_matrices
 from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractive
 
 __all__ = [
     "PeriodicCovariance",
     "ContractionCertificate",
-    "error_noise_term",
     "propagate_error_cov",
     "steady_error_cov",
     "mean_propagate",
@@ -109,13 +109,6 @@ def _noise_terms(l, sigma_v, sigma_w) -> tuple:
     return linalg.sym_part(l @ sigma_v @ l.T + sigma_w), sigma_w
 
 
-def error_noise_term(eta: int, l, sigma_v, sigma_w) -> np.ndarray:
-    """One-step error-covariance noise R = (1 - eta) L Sigma_v L' + Sigma_w."""
-    if eta not in (0, 1):
-        raise DomainError("eta must be 0 or 1")
-    return _noise_terms(*_check_noise(l, sigma_v, sigma_w))[eta]
-
-
 def _error_steps(mm: ModeMatrices, sigma_v, sigma_w) -> tuple:
     """(Atil, R) of both modes, each stacked on axis 0, of valid noise
     covariances."""
@@ -161,11 +154,27 @@ def propagate_error_cov(p0, s, mm: ModeMatrices, sigma_v, sigma_w, steps: int):
 
 
 def _compose(later, earlier) -> tuple:
-    """(Phi2, W2) o (Phi1, W1) = (Phi2 Phi1, Phi2 W1 Phi2' + W2), item by
-    item of two stacks of (transition, noise) pairs: the steps of earlier,
-    then those of later."""
-    (phi2, w2), (phi1, w1) = later, earlier
-    return phi2 @ phi1, phi2 @ w1 @ phi2.transpose(0, 2, 1) + w2
+    """Segment composition, item by item of two stacks of segments: the
+    steps of earlier, then those of later. A segment of m steps is
+    (Phi, V), its transition and accumulated noise, or (Phi, V, G, c)
+    under a weight Q, with
+
+        G = sum_{j<m} Phi_j' Q Phi_j,   c = sum_{j<m} tr(Q V_j),
+
+    Phi_j and V_j those of its first j steps (Phi_0 = I, V_0 = 0). The
+    associative law is
+
+        (Phi2, V2, G2, c2) o (Phi1, V1, G1, c1)
+            = (Phi2 Phi1, Phi2 V1 Phi2' + V2, G1 + Phi1' G2 Phi1, c1 + c2 + tr(G2 V1)),
+
+    of which (Phi, V) pairs compose the first two components."""
+    (phi2, v2, *weighed2), (phi1, v1, *weighed1) = later, earlier
+    pair = phi2 @ phi1, phi2 @ v1 @ phi2.transpose(0, 2, 1) + v2
+    if not weighed1:
+        return pair
+    (g2, c2), (g1, c1) = weighed2, weighed1
+    return (*pair, g1 + phi1.transpose(0, 2, 1) @ g2 @ phi1,
+            c1 + c2 + np.einsum("kij,kji->k", g2, v1))
 
 
 def _prefix_scan(modes, noise, bits) -> tuple:

@@ -122,8 +122,10 @@ def _unit_scaled(m) -> tuple:
 
 
 def sym_part(a) -> np.ndarray:
+    """(A + A') / 2, each term halved before the sum so that no finite
+    entry overflows."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    return 0.5 * a + 0.5 * a.swapaxes(-1, -2)
 
 
 def psd_sqrt(a, name="matrix") -> np.ndarray:

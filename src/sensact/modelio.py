@@ -323,13 +323,20 @@ def validate_config(cfg: dict):
 #: past this mean motion 3 mean_motion^2, an entry of the CW dynamics, overflows
 _MAX_MEAN_MOTION = math.sqrt(sys.float_info.max / 3.0)
 
+#: the largest state dimension n of a config. The steady joint covariance
+#: is one dense solve of the Lyapunov operator of the 2n-state joint
+#: system, folded onto its m = 2n(2n+1)/2 upper-triangle unknowns: m^2
+#: floats plus four m^2 index arrays (linalg._folded_layout), 40 m^2 bytes,
+#: which grows as n^4. At n = 32, m = 2080 and that is about 0.2 GB.
+_MAX_STATE_DIM = 32
+
 
 def _plant_sizes(plant) -> tuple:
     """(n, m, p) of a plant section, its matrices checked against each
     other before any is built. A nested list or a diag is bounded by its
     own text, an eye only by its number, so the state dimension n comes
     from the first of A (rows), B (rows) and C (columns) that is not an
-    eye, and every matrix must agree with it."""
+    eye, is at most _MAX_STATE_DIM, and every matrix must agree with it."""
     if "cw" in plant:
         _expect_keys(plant["cw"], "$.plant.cw", ["mass", "mean_motion"])
         _number(plant["cw"]["mass"], "$.plant.cw.mass", positive=True)
@@ -348,9 +355,13 @@ def _plant_sizes(plant) -> tuple:
         specs["$.plant.c"] = (plant["c"], (1,))
     shapes = {path: _matrix_shape(spec, path) for path, (spec, _) in specs.items()}
     if "continuous" in plant:
-        n = next((shapes[path][axes[0]] for path, (spec, axes) in specs.items()
-                  if not _is_eye(spec)), shapes["$.plant.continuous.a"][0])
+        source = next((path for path, (spec, _) in specs.items() if not _is_eye(spec)),
+                      "$.plant.continuous.a")
+        n = shapes[source][specs[source][1][0]]
         m = shapes["$.plant.continuous.b"][1]
+        if n > _MAX_STATE_DIM:
+            where = f"{source}.eye" if _is_eye(specs[source][0]) else source
+            _fail(where, f"state dimension {n} is above the cap of {_MAX_STATE_DIM}")
     for path, (spec, axes) in specs.items():
         if any(shapes[path][axis] != n for axis in axes):
             where = f"{path}.eye" if _is_eye(spec) else path

@@ -7,10 +7,11 @@ necklace at a time (Fredricksen-Kessler-Maiorana): each is evaluated once,
 memoized under its least rotation as one cost (inf when inadmissible),
 and expanded into words only for tie classes and tables. The uncached
 necklaces of a call, of any periods, are evaluated in one stacked pass
-per chunk: batched monodromies, verdicts from radius bounds of their
-powers with eigenvalues only for the sides those leave open, and for the
-admissible ones a batched steady solve at phase 0 with the cost from the
-trace identity, so no per-phase covariance is formed (SequenceEvaluator).
+per chunk, each row padded past its period with an identity step:
+batched monodromies, verdicts from radius bounds of their powers with
+eigenvalues only for the sides those leave open, and for the admissible
+ones one fold of (Phi, V, G, c) segments and a batched steady solve at
+phase 0, so no per-phase covariance is formed (SequenceEvaluator).
 The exact check decides every necklace. The search does not use the
 dwell-time screen: it is sufficient only, and it cannot spare the steady
 solve that the cost needs.
@@ -21,25 +22,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .exceptions import DimensionError, DomainError
+from .exceptions import DomainError
 from .covariance import _compose, _error_steps, _joint_steps
 from .plant import GainSet, ModeMatrices, SystemModel, mode_matrices
-from .sequence import (
-    SwitchSequence,
-    _as_bits,
-    _by_period,
-    _collect,
-    _retire,
-    admissibility,
-    contractive_stacked,
-)
+from .sequence import SwitchSequence, _padded, admissibility, contractive_stacked
 
 __all__ = [
     "CostWeights",
     "SearchOptions",
     "SearchResult",
     "SequenceEvaluator",
-    "sequence_cost",
     "search_fixed_length",
     "search_up_to",
 ]
@@ -84,24 +76,6 @@ class CostWeights:
     @property
     def needs_state_cov(self) -> bool:
         return self.r_state is not None and bool(np.any(self.r_state))
-
-
-def sequence_cost(s, steady_err, steady_state, weights: CostWeights) -> float:
-    """Normalized blended cost of a sequence given its steady phase
-    covariances. Either covariance family may be omitted when its weight
-    is zero or absent."""
-    bits = _as_bits(s)
-    n_period = len(bits)
-    total = weights.r_eta * sum(bits)
-    if weights.needs_error_cov:
-        if steady_err is None or steady_err.period != n_period:
-            raise DimensionError("error covariance phases do not match the sequence period")
-        total += sum(float(np.trace(weights.r_err @ p)) for p in steady_err)
-    if weights.needs_state_cov:
-        if steady_state is None or steady_state.period != n_period:
-            raise DimensionError("state covariance phases do not match the sequence period")
-        total += sum(float(np.trace(weights.r_state @ p)) for p in steady_state)
-    return total / n_period
 
 
 @dataclass(frozen=True)
@@ -165,22 +139,28 @@ class SequenceEvaluator:
 
     The necklaces of one call that are not cached yet are evaluated
     together, whatever their periods, longest first in chunks of at most
-    _BATCH rows: each chunk gets one contractive_stacked pass for the
-    verdicts (eigvals only for the sides its radius bounds leave open),
-    and for its admissible rows the cost from one batched steady solve at
-    phase 0 through the trace identity
+    _BATCH rows, each row padded past its period with the identity step
+    (sequence._padded), so that every row of a chunk takes every step.
+    Each chunk gets one contractive_stacked pass for the verdicts (eigvals
+    only for the sides its radius bounds leave open), and its admissible
+    rows one left fold of covariance._compose over their step segments
+    (Phi, V, G, c): (A_eta, W_eta, Q, 0) for a step of mode eta, and the
+    identity (I, 0, 0, 0) for a padded step, which leaves a segment as it
+    is. A row of period p folds to its monodromy Phi, accumulated noise V,
 
-        sum_k tr(Q P_k) = tr(S P_0) + sum_k tr(Q V_k),
-        S = sum_k Phi_k' Q Phi_k,
+        G = sum_{k<p} Phi_k' Q Phi_k   and   c = sum_{k<p} tr(Q V_k),
 
     where Phi_k and V_k are the transition and the accumulated noise from
-    phase 0 to phase k, built along the word, so no other phase is
-    formed; each row's sum is divided by its own period. A necklace met
-    twice in one call is evaluated once, and the repeat counts as a memo
-    hit, as in a later call. The estimation cost runs on the
-    n-dimensional error system with Q = r_err. A state weight runs on the
-    2n-dimensional joint system with Q = blockdiag(r_state, r_err), whose
-    error block is the error covariance. The solve is linalg.solve_discrete_lyapunov_stacked;
+    phase 0 to phase k, so that with P_0 from one batched steady solve the
+    trace identity sum_k tr(Q P_k) = tr(G P_0) + c gives its cost
+    (c + tr(G P_0)) / p, and no other phase is formed. The fold starts
+    from a first segment whose c is the row's actuation penalty, r_eta
+    times its number of 1s. A necklace met twice in one call is evaluated
+    once, and the repeat counts as a memo hit, as in a later call. The
+    estimation cost runs on the n-dimensional error system with
+    Q = r_err. A state weight runs on the 2n-dimensional joint system with
+    Q = blockdiag(r_state, r_err), whose error block is the error
+    covariance. The solve is linalg.solve_discrete_lyapunov_stacked;
     fallbacks counts the items it handed to the scalar solver.
     """
 
@@ -189,15 +169,17 @@ class SequenceEvaluator:
         self.gains = gains
         self.weights = weights
         self.mm: ModeMatrices = mode_matrices(model, gains)
-        self._system = self._cost_system()
+        self._segments = self._cost_segments()
         self._cache = {}
         self.fallbacks = 0
         self.counts = dict.fromkeys(("cores_evaluated", "memo_hits", "necklaces"), 0)
 
-    def _cost_system(self):
-        """(per-mode transitions, per-mode noise, weight Q) of the system
-        whose steady covariance the cost weighs, from the model's noise
-        covariances as SystemModel validated them; None when the cost is
+    def _cost_segments(self):
+        """The one-step segments (Phi, V, G) of the system whose steady
+        covariance the cost weighs, each stacked per step as _padded
+        numbers them: [eta] is (A_eta, W_eta, Q) of mode eta, from the
+        model's noise covariances as SystemModel validated them, and [2]
+        the identity (I, 0, 0); every step's c is 0. None when the cost is
         the actuation penalty alone."""
         w, noise = self.weights, (self.model.sigma_v, self.model.sigma_w)
         if w.needs_state_cov:
@@ -206,39 +188,32 @@ class SequenceEvaluator:
             q[:n, :n] = w.r_state
             if w.r_err is not None:
                 q[n:, n:] = w.r_err
-            return (*_joint_steps(self.mm, *noise), q)
-        if w.needs_error_cov:
-            return (*_error_steps(self.mm, *noise), w.r_err)
-        return None
+            a, v = _joint_steps(self.mm, *noise)
+        elif w.needs_error_cov:
+            q = w.r_err
+            a, v = _error_steps(self.mm, *noise)
+        else:
+            return None
+        zero = np.zeros_like(q)
+        return (np.concatenate((a, np.eye(len(q))[None])), np.concatenate((v, zero[None])),
+                np.stack((q, q, zero)))
 
     def _costs(self, rows) -> np.ndarray:
         """Normalized cost of each bit row, admissible rows of any lengths,
-        in input order: the rows are walked longest first, as in
-        contractive_stacked, and each row's one-period transition and
-        accumulated noise are kept once it has taken its last step."""
-        order, periods, bits, live = _by_period(rows)
-        total = self.weights.r_eta * bits.sum(axis=1)
-        if self._system is not None:
-            modes, noise, q = self._system
-            phi, acc = modes[bits[:, 0]], noise[bits[:, 0]]  # Phi_1, V_1
-            done = []
-            s_all = np.broadcast_to(q, phi.shape).copy()  # Phi_0 = I; V_0 = 0 adds nothing
-            s, part = s_all, total
-            for k in range(1, bits.shape[1]):
-                n = live[k]
-                phi, acc = _retire(n, (phi, acc), done)
-                s, part = s[:n], part[:n]
-                s += phi.transpose(0, 2, 1) @ q @ phi
-                part += np.einsum("ij,kji->k", q, acc)
-                column = bits[:n, k]
-                phi, acc = _compose((modes[column], noise[column]), (phi, acc))
-            phi, acc = _collect((phi, acc), done)
-            p0, fallbacks = linalg.solve_discrete_lyapunov_stacked(phi, linalg.sym_part(acc))
+        in input order: one left fold of _compose over the step segments
+        of the padded rows, from a first segment whose c is the row's
+        actuation penalty."""
+        periods, bits = _padded(rows)
+        c = self.weights.r_eta * (bits == 1).sum(axis=1)
+        if self._segments is not None:
+            segment = (*(stack[bits[:, 0]] for stack in self._segments), c)
+            for column in bits.T[1:]:
+                segment = _compose((*(stack[column] for stack in self._segments), 0.0), segment)
+            phi, v, g, c = segment
+            p0, fallbacks = linalg.solve_discrete_lyapunov_stacked(phi, linalg.sym_part(v))
             self.fallbacks += fallbacks
-            total = total + np.einsum("kij,kji->k", s_all, p0)
-        costs = np.empty(len(order))
-        costs[order] = total / periods
-        return costs
+            c = c + np.einsum("kij,kji->k", g, p0)
+        return c / periods
 
     def _evaluate(self, rows) -> np.ndarray:
         """Cost of the necklace in each bit row (inf if not admissible)."""

@@ -8,6 +8,7 @@ Admissibility asks that both one-period matrix products contract:
     rho(Abar_{N-1} ... Abar_0) < 1   and   rho(Atil_{N-1} ... Atil_0) < 1.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,16 +234,23 @@ def dwell_feasible(s, rates, c: float) -> DwellFeasibility:
     )
 
 
+#: the step that pads a bit row past its period: the identity on both sides
+_PAD = 2
+
+
 def _side_modes(mm: ModeMatrices) -> np.ndarray:
-    """The mode matrices of both sides stacked per mode as (2, 2, n, n):
-    [eta] is (control, observer) of mode eta."""
-    return np.array(((mm.omega_bar0, mm.omega_tilde0), (mm.omega_bar1, mm.omega_tilde1)))
+    """The one-step matrices of both sides stacked per step as (3, 2, n, n):
+    [eta] is (control, observer) of mode eta, and [_PAD] the identity step
+    (I, I)."""
+    eye = np.eye(mm.n)
+    return np.array(((mm.omega_bar0, mm.omega_tilde0), (mm.omega_bar1, mm.omega_tilde1),
+                     (eye, eye)))
 
 
 def monodromy(s, mm: ModeMatrices):
     """Ordered one-period products (control, observer); index 0 applied first."""
     bits = _as_bits(s)
-    prod_bar, prod_til = _stacked_products(_side_modes(mm), np.array([bits]), [1] * len(bits))[0]
+    prod_bar, prod_til = _stacked_products(_side_modes(mm), np.array([bits]))[0]
     return prod_bar, prod_til
 
 
@@ -267,8 +275,8 @@ def _nilpotency_flags(used, mm: ModeMatrices) -> tuple:
 def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     """Exact admissibility verdict from the two monodromy spectral radii.
 
-    Both monodromies are built together by _stacked_products on a one-row
-    stack, one (2, n, n) product per step, and their radii come from one
+    Both monodromies are built together by _stacked_products on one row,
+    one (2, n, n) product per step, and their radii come from one
     batched eigvals call. The product order is that of each side
     multiplied out on its own, so the radii are bit for bit those of
     spectral_radius on the two separate products, as contractive_stacked's
@@ -278,7 +286,7 @@ def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     """
     bits = _as_bits(s)
     flags = _nilpotency_flags((0 in bits, 1 in bits), mm)
-    prods = _stacked_products(_side_modes(mm), np.array([bits]), [1] * len(bits))[0]
+    prods = _stacked_products(_side_modes(mm), np.array([bits]))[0]
     qbar, qtilde = linalg.spectral_radii(prods).tolist()
     return AdmissibilityReport(
         qbar=qbar,
@@ -288,60 +296,36 @@ def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     )
 
 
-def _by_period(rows):
-    """Bit rows of any lengths, longest first: (order, periods, bits, live).
-    order is the stable period-descending permutation of the rows, periods
-    their lengths in that order, bits the (K, p_max) array of the rows in
-    that order, zero-padded, and live[k] the number of rows longer than k,
-    so that the rows that still take step k are the prefix bits[:live[k]]."""
+def _padded(rows) -> tuple:
+    """(periods, bits) of bit rows of any lengths, in input order: their
+    lengths, and the (K, p_max) array of the rows, each padded past its
+    period with the identity step _PAD."""
     periods = np.fromiter(map(len, rows), np.intp, len(rows))
-    order = np.argsort(-periods, kind="stable")
-    rows = [rows[i] for i in order.tolist()]
-    periods = periods[order]
-    live = np.searchsorted(-periods, -np.arange(periods[0] + 1), side="left").tolist()
-    bits = np.zeros((len(rows), periods[0]), dtype=np.intp)
-    for p in range(1, periods[0] + 1):  # the rows of period p are [live[p], live[p - 1])
-        if live[p] < live[p - 1]:
-            bits[live[p]:live[p - 1], :p] = rows[live[p]:live[p - 1]]
-    return order, periods, bits, live
+    bits = np.full((len(rows), periods.max()), _PAD, dtype=np.intp)
+    bits[np.arange(bits.shape[1]) < periods[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(rows), np.intp, periods.sum())
+    return periods, bits
 
 
-def _retire(n, stacks, done: list):
-    """The stacks narrowed to their first n rows (views). The rows past n
-    have taken their last step and are written to done once; done stays
-    empty until rows first retire, and then holds one full-length array
-    per stack."""
-    if n == len(stacks[0]):
-        return stacks
-    if not done:
-        done.extend(np.empty_like(stack) for stack in stacks)
-    for stack, out in zip(stacks, done):
-        out[n:len(stack)] = stack[n:]
-    return tuple(stack[:n] for stack in stacks)
-
-
-def _collect(stacks, done: list) -> tuple:
-    """Every row of the stacks after the last step: the stacks themselves
-    when no row retired early, else done with the last rows written in."""
-    if not done:
-        return tuple(stacks)
-    _retire(0, stacks, done)
-    return tuple(done)
-
-
-def _stacked_products(modes, bits, live) -> np.ndarray:
-    """One-period products modes[eta_{p-1}] ... modes[eta_0] of each row of
-    period-descending padded bits (see _by_period), given the per-mode
-    matrices stacked on axis 0: one batched product per step over the rows
-    still live, index 0 applied first. A product that overflows is left
+def _stacked_products(steps, bits) -> np.ndarray:
+    """One-period products steps[eta_{p-1}] ... steps[eta_0] of each row of
+    padded bits (see _padded), given the per-step matrices stacked on axis
+    0: a left fold, one batched product per step, index 0 applied first. A
+    padded step multiplies by the identity, which is exact; a single row
+    is folded over views of steps. A product that overflows is left
     non-finite, without a floating-point warning, for the eigenvalue step
     to refuse."""
-    prod, done = modes.take(bits[:, 0], axis=0), []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, bits.shape[1]):
-            prod, = _retire(live[k], (prod,), done)
-            prod = modes.take(bits[:live[k], k], axis=0) @ prod
-    return _collect((prod,), done)[0]
+        if len(bits) == 1:
+            first, *rest = bits[0].tolist()
+            prod = steps[first]
+            for eta in rest:
+                prod = steps[eta] @ prod
+            return prod[None]
+        prod = steps.take(bits[:, 0], axis=0)
+        for column in bits.T[1:]:
+            prod = steps.take(column, axis=0) @ prod
+    return prod
 
 
 def _radius_bounds(prods):
@@ -365,18 +349,17 @@ def _radius_bounds(prods):
 def contractive_stacked(rows, mm: ModeMatrices) -> np.ndarray:
     """admissibility's verdict on each bit row, in input order, rows of any
     lengths. Both sides are multiplied as one stacked (K, 2, n, n) product
-    per step, the rows longest first so that the rows still live are a
-    prefix. A side is decided by its _radius_bounds where one clears the
-    threshold by _CERTIFICATE_SLACK, else (NaN bounds too) by one batched
-    eigvals call, which raises NumericsError on a non-finite product.
+    per step, each row padded past its period with the identity. A side is
+    decided by its _radius_bounds where one clears the threshold by
+    _CERTIFICATE_SLACK, else (NaN bounds too) by one batched eigvals call,
+    which raises NumericsError on a non-finite product.
     Raises NilpotencyError when any row uses a nilpotent mode matrix."""
-    order, periods, bits, live = _by_period(rows)
-    ones = bits.sum(axis=1)
-    _nilpotency_flags((bool(np.any(ones < periods)), bool(np.any(ones > 0))), mm)
-    prods = _stacked_products(_side_modes(mm), bits, live)
+    _, bits = _padded(rows)
+    _nilpotency_flags((bool(np.any(bits == 0)), bool(np.any(bits == 1))), mm)
+    prods = _stacked_products(_side_modes(mm), bits)
     lower, upper = _radius_bounds(prods)
     sides = upper < 1.0 - CONTRACTION_MARGIN - _CERTIFICATE_SLACK
     undecided = ~(sides | (lower > 1.0 - CONTRACTION_MARGIN + _CERTIFICATE_SLACK))
     if undecided.any():
         sides[undecided] = is_contractive(linalg.spectral_radii(prods[undecided]))
-    return sides.all(axis=1)[np.argsort(order)]
+    return sides.all(axis=1)

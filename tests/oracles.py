@@ -15,8 +15,12 @@ rejection-free boundary sampling for ellipsoid support functions; a
 per-cell csv.writer for the trajectory CSV; the stdlib's own indented
 json.dumps for the canonical JSON writer; two one-side monodromy products
 from the identity, each with its own eigvals call, for the stacked
-admissibility radii; and a row-by-row array writer for the interleaved
-one-join array writer.
+admissibility radii; a row-by-row array writer for the interleaved
+one-join array writer; and the scalar formulas the library does not
+export: the blended cost as the mean of per-phase traces (the search folds
+it into one segment), the one-step error noise of one mode, and the
+bounding-sphere radius and support function of one Chebyshev ellipsoid
+(chance verification takes every phase at once).
 """
 
 import csv
@@ -30,6 +34,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from sensact import linalg
+from sensact.chance import chebyshev_alpha
+from sensact.exceptions import DimensionError, DomainError
+from sensact.sequence import SwitchSequence
 
 
 def scipy_expm(m):
@@ -281,3 +288,74 @@ def fit_decay_rate(values):
     mask = values > 0
     slope = np.polyfit(k[mask], np.log(values[mask]), 1)[0]
     return float(np.exp(slope))
+
+
+def sequence_cost(s, steady_err, steady_state, weights):
+    """Normalized blended cost of a sequence given its steady phase
+    covariances, phase by phase. Either covariance family may be omitted
+    when its weight is zero or absent."""
+    bits = tuple(SwitchSequence.from_string(s) if isinstance(s, str) else s)
+    n_period = len(bits)
+    total = weights.r_eta * sum(bits)
+    if weights.needs_error_cov:
+        if steady_err is None or steady_err.period != n_period:
+            raise DimensionError("error covariance phases do not match the sequence period")
+        total += sum(float(np.trace(weights.r_err @ p)) for p in steady_err)
+    if weights.needs_state_cov:
+        if steady_state is None or steady_state.period != n_period:
+            raise DimensionError("state covariance phases do not match the sequence period")
+        total += sum(float(np.trace(weights.r_state @ p)) for p in steady_state)
+    return total / n_period
+
+
+def error_noise_term(eta, l, sigma_v, sigma_w):
+    """One-step error-covariance noise R = (1 - eta) L Sigma_v L' + Sigma_w
+    of one mode, with the checks of the library's public entry points."""
+    if eta not in (0, 1):
+        raise DomainError("eta must be 0 or 1")
+    l = linalg.as_matrix(l, "L")
+    sigma_v = linalg.check_psd(sigma_v, "sigma_v")
+    sigma_w = linalg.check_psd(sigma_w, "sigma_w")
+    if l.shape[1] != sigma_v.shape[0]:
+        raise DimensionError("L and sigma_v dimensions are inconsistent")
+    if sigma_w.shape[0] != l.shape[0]:
+        raise DimensionError("L and sigma_w dimensions are inconsistent")
+    return linalg.sym_part(l @ sigma_v @ l.T + sigma_w) if eta == 0 else sigma_w
+
+
+@dataclass(frozen=True)
+class ChanceSpec:
+    """Violation budget and the dimension it applies to."""
+
+    delta: float
+    n_x: int
+
+    def __post_init__(self):
+        chebyshev_alpha(self.n_x, self.delta)  # validates both fields
+
+    @property
+    def alpha(self):
+        return chebyshev_alpha(self.n_x, self.delta)
+
+
+def confidence_radius(p, alpha):
+    """Radius of the smallest origin-centered sphere containing the
+    ellipsoid {x : x' P^-1 x <= alpha^2}, namely alpha * sqrt(lambda_max(P))."""
+    p = linalg.check_psd(p, "P")
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    return float(alpha * np.sqrt(np.max(np.linalg.eigvalsh(p))))
+
+
+def ellipsoid_support(p, alpha, direction):
+    """Support function alpha * sqrt(a' P a) of the Chebyshev ellipsoid in
+    direction a. Well defined for singular P (no inverse is formed)."""
+    p = linalg.check_psd(p, "P")
+    a = np.asarray(direction, dtype=float).ravel()
+    if a.shape != (p.shape[0],):
+        raise DimensionError("direction dimension does not match P")
+    if not np.any(a):
+        raise DomainError("support direction must be nonzero")
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    return float(alpha * np.sqrt(max(a @ p @ a, 0.0)))

@@ -12,13 +12,18 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import kron_dlyap, make_psd, make_stable
+from oracles import (
+    confidence_radius,
+    error_noise_term,
+    kron_dlyap,
+    make_psd,
+    make_stable,
+)
 
 from sensact import linalg
-from sensact.chance import chebyshev_alpha, confidence_radius
+from sensact.chance import chebyshev_alpha
 from sensact.covariance import (
     contraction_certificate,
-    error_noise_term,
     propagate_error_cov,
     steady_augmented_cov,
     steady_error_cov,

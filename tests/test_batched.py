@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     build_augmented,
+    error_noise_term,
     kron_dlyap,
     make_psd,
     make_stable,
     recursive_steady_phases,
+    sequence_cost,
     two_product_radii,
 )
 
@@ -32,7 +34,6 @@ import sensact.covariance as covariance_module
 from sensact import linalg
 from sensact.covariance import (
     _joint_steps,
-    error_noise_term,
     steady_augmented_cov,
     steady_error_cov,
 )
@@ -43,11 +44,10 @@ from sensact.search import (
     SequenceEvaluator,
     _necklaces,
     search_fixed_length,
-    sequence_cost,
 )
 from sensact.sequence import (
     CONTRACTION_MARGIN,
-    _by_period,
+    _padded,
     _side_modes,
     _stacked_products,
     admissibility,
@@ -315,6 +315,51 @@ class TestProperties:
         for cost in costs[1:]:
             assert cost == pytest.approx(costs[0], rel=1e-9)
 
+    @PROPERTY
+    @given(plants(), st.sampled_from(["estimation", "blended", "state"]),
+           st.lists(st.integers(0, 1), min_size=3, max_size=9), st.data())
+    def test_segment_law_is_associative_and_splits_the_cost(self, plant, kind, word, data):
+        # three pieces of the word, each folded step by step, compose to
+        # the same segment in either association: each entry within 1e-12
+        # of the same fold on the entries' moduli, which bounds the
+        # rounding of both. Split in two, the word's cost is the fold's
+        # and sequence_cost's.
+        model, gains = plant
+        word = tuple(word)
+        weights = make_weights(kind, model.n, np.random.default_rng(len(word)))
+        try:
+            expected = scalar_cost(word, model, gains, weights)
+        except NilpotencyError:
+            return
+        evaluator = SequenceEvaluator(model, gains, weights)
+        steps = evaluator._segments
+        compose = covariance_module._compose
+
+        def fold(stacks, bits):
+            segment = (*(stack[[bits[0]]] for stack in stacks), np.zeros(1))
+            for eta in bits[1:]:
+                segment = compose((*(stack[[eta]] for stack in stacks), 0.0), segment)
+            return segment
+
+        i, j = sorted(data.draw(st.lists(st.integers(1, len(word) - 1), min_size=2,
+                                         max_size=2, unique=True)))
+        first, middle, last = (fold(steps, piece) for piece in (word[:i], word[i:j], word[j:]))
+        left = compose(compose(last, middle), first)
+        right = compose(last, compose(middle, first))
+        moduli = fold(tuple(np.abs(stack) for stack in steps), word)
+        for x, y, scale in zip(left, right, moduli):
+            assert np.all(np.abs(x - y) <= 1e-12 * scale)
+        if expected is None:
+            return
+        phi, v, g, c = compose(fold(steps, word[i:]), fold(steps, word[:i]))
+        try:
+            p0 = linalg.solve_discrete_lyapunov(phi[0], linalg.sym_part(v[0]))
+        except NumericsError:
+            assume(False)
+        split = (weights.r_eta * sum(word) + c[0] + np.trace(g[0] @ p0)) / len(word)
+        assert split == pytest.approx(evaluator.resolve([word])[0], rel=1e-9)
+        assert split == pytest.approx(expected, rel=1e-9)
+
 
 def cw_words():
     """Every word of period 1 to 8, and four seeded words of each period
@@ -334,10 +379,8 @@ def test_cw_certificate_verdict_is_eigvals_verdict(cw_mm):
     # every binary necklace of length up to 18 (31042 cores), each side
     # decided by eigvals alone against contractive_stacked
     cores = sorted({least for length in range(1, 19) for least in _necklaces(length)})
-    order, _, bits, live = _by_period(cores)
-    radii = linalg.spectral_radii(_stacked_products(_side_modes(cw_mm), bits, live))
-    expected = np.empty(len(cores), dtype=bool)
-    expected[order] = is_contractive(radii).all(axis=1)
+    radii = linalg.spectral_radii(_stacked_products(_side_modes(cw_mm), _padded(cores)[1]))
+    expected = is_contractive(radii).all(axis=1)
     assert np.array_equal(contractive_stacked(cores, cw_mm), expected)
 
 

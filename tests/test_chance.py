@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import CW_CONFIG
-from oracles import make_psd, sampled_ellipsoid_support
+from oracles import (
+    ChanceSpec,
+    confidence_radius,
+    ellipsoid_support,
+    make_psd,
+    sampled_ellipsoid_support,
+)
 
 import sensact.chance as chance_module
 from sensact import linalg
 from sensact.chance import (
     BoxConstraint,
-    ChanceSpec,
     chebyshev_alpha,
-    confidence_radius,
-    ellipsoid_support,
     verify_chance,
 )
 from sensact.cli import main
@@ -308,6 +311,14 @@ class TestStackedChance:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
                 linalg.check_psd(np.stack([np.eye(2), a]) if stacked else a, stacked=stacked)
+
+    def test_huge_symmetric_entries_stay_finite(self):
+        # the symmetric part halves each term before the sum, so entries
+        # near the largest float stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = linalg.check_psd([[1e308, 1e308], [1e308, 1e308]])
+        assert np.array_equal(p, np.full((2, 2), 1e308))
 
     def test_stack_shape_and_entries_checked(self):
         for shape in ((3, 4, 5), (4, 4)):

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     augmented_matrices,
     build_augmented,
+    error_noise_term,
     fit_decay_rate,
     make_psd,
     periodic_dlyap_phases,
@@ -19,7 +20,6 @@ from sensact.covariance import (
     PeriodicCovariance,
     _joint_steps,
     contraction_certificate,
-    error_noise_term,
     mean_propagate,
     propagate_error_cov,
     steady_augmented_cov,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     build_augmented,
     decimal_expm,
+    error_noise_term,
     kron_dlyap,
     make_psd,
     make_stable,
@@ -17,7 +18,6 @@ from oracles import (
 )
 
 from sensact import linalg
-from sensact.covariance import error_noise_term
 from sensact.exceptions import DimensionError, DomainError, NumericsError, StabilityError
 from sensact.plant import CwParams, build_cw_continuous
 

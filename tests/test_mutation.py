@@ -93,3 +93,18 @@ def test_mutants_replace_one_key(value):
     assert [label for label, _ in mutants(doc)][:2] == ["a = null", 'a = "x"']
     changed = [m for label, m in mutants(doc) if label == f"a.c = {json.dumps(value)}"]
     assert changed == [{"a": {"b": 1, "c": value}, "d": 3}]
+
+
+def test_all_eye_plant_is_refused_by_its_size(tmp_path):
+    # no matrix text bounds the state dimension when every matrix is an
+    # eye shorthand; an eye of 10^7 would ask for 728 TiB
+    eye = {"eye": 10**7}
+    cfg = {"plant": {"continuous": {"a": eye, "b": eye}, "c": eye, "ts": 1.0},
+           "noise": {"sigma_w": eye, "sigma_v": eye}, "gains": {"q": eye, "r": eye}}
+    target = tmp_path / "all-eye.json"
+    target.write_text(json.dumps(cfg), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["model", "build", str(target), "-o", str(tmp_path / "model.json")])
+    assert code == 2
+    assert "$.plant.continuous.a.eye: state dimension 10000000" in err.getvalue()

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import brute_force_core, make_psd, make_stable
+from oracles import brute_force_core, make_psd, make_stable, sequence_cost
 
 import sensact.search as search_module
 from sensact import linalg
@@ -19,7 +19,6 @@ from sensact.search import (
     SequenceEvaluator,
     search_fixed_length,
     search_up_to,
-    sequence_cost,
 )
 from sensact.sequence import admissibility, irreducible_core
 
