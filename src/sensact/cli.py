@@ -156,8 +156,7 @@ def cmd_seq_dwell(args) -> int:
 def cmd_seq_search(args) -> int:
     model, gains, cfg = _load(args)
     weights = cost_weights_from_config(cfg, model.n)
-    options = SearchOptions(prefilter=args.prefilter, all_lengths=args.all_lengths,
-                            include_table=args.table, threads=args.threads)
+    options = SearchOptions(all_lengths=args.all_lengths, include_table=args.table)
     if args.n is not None:
         result = search_fixed_length(args.n, model, gains, weights, options)
     else:
@@ -251,7 +250,7 @@ def cmd_sim_run(args) -> int:
     sim_cfg = sim_config_from_config(cfg, model.n, model.m, overrides)
     box, _ = chance_from_config(cfg, args.bound)
     stats, trajectories = run_ensemble(model, gains, seq, sim_cfg, box=box,
-                                       threads=args.threads, return_trajectories=True)
+                                       return_trajectories=True)
     os.makedirs(args.out, exist_ok=True)
     _write_trajectories(os.path.join(args.out, "trajectories.csv"), trajectories)
     _write_ensemble(os.path.join(args.out, "ensemble.csv"), stats)
@@ -441,16 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int, default=None, help="search one fixed length")
     group.add_argument("--n-max", type=int, default=None,
                        help="search lengths 1..N until one is feasible")
-    search.add_argument("--prefilter", default="off",
-                        choices=["off", "screen", "heuristic"],
-                        help="accepted for compatibility; off and screen are identical "
-                             "(heuristic is refused)")
     search.add_argument("--all-lengths", action="store_true",
                         help="with --n-max, keep searching all lengths for the global optimum")
     search.add_argument("--table", action="store_true", help="include the per-word cost table")
-    search.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect "
-                             "(evaluation is serial)")
     search.add_argument("--json", default=None)
     search.set_defaults(func=cmd_seq_search)
 
@@ -483,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--runs", type=int, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--bound", type=float, default=None)
-    run.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; has no effect (the "
-                          "simulation is serial, and trajectories.csv is "
-                          "written on every usable CPU)")
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=cmd_sim_run)
 

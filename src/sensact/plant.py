@@ -176,6 +176,18 @@ class ModeMatrices:
         """Numerical nilpotency of the four matrices, one stacked test."""
         return self._per_mode(lambda stack: linalg.is_nilpotent(stack).tolist())
 
+    @cached_property
+    def side_steps(self) -> np.ndarray:
+        """The one-step matrices of both sides stacked per step as
+        (3, 2, n, n): [eta] is (omega_bar[eta], omega_tilde[eta]), and [2]
+        the identity step (I, I) that pads a bit row past its period.
+        Read-only, since a one-step product is a view of it."""
+        eye = np.eye(self.n)
+        steps = np.array(((self.omega_bar0, self.omega_tilde0),
+                          (self.omega_bar1, self.omega_tilde1), (eye, eye)))
+        steps.flags.writeable = False
+        return steps
+
 
 def mode_matrices(model: SystemModel, gains: GainSet) -> ModeMatrices:
     """Assemble the four mode matrices from the plant and gains, checking

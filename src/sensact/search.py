@@ -80,24 +80,11 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """prefilter ('off' or 'screen') and threads are accepted for
-    compatibility and change nothing: every necklace is checked exactly,
-    and evaluation is serial."""
+    """all_lengths: search_up_to searches every length up to n_max;
+    include_table: the result lists every word's cost."""
 
-    prefilter: str = "off"
     all_lengths: bool = False
     include_table: bool = False
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.prefilter == "heuristic":
-            raise DomainError("prefilter 'heuristic' is no longer available: the dwell "
-                              "screen is sufficient only, so it dropped admissible "
-                              "schedules; use 'off'")
-        if self.prefilter not in ("off", "screen"):
-            raise DomainError("prefilter must be 'off' or 'screen'")
-        if self.threads < 1:
-            raise DomainError("thread count must be at least 1")
 
 
 @dataclass(frozen=True)

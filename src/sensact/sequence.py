@@ -106,7 +106,6 @@ class AdmissibilityReport:
     qbar: float
     qtilde: float
     admissible: bool
-    nilpotency_flags: tuple = (False, False, False, False)
 
 
 @dataclass(frozen=True)
@@ -194,18 +193,24 @@ def uniform_growth_constant(mats, max_power: int) -> float:
     """Rigorous per-block constant: the smallest c with
     ||Omega^m|| <= c * rho(Omega)^m for every family member and every
     block length m up to max_power. With this c, a passing dwell screen
-    is a genuine admissibility certificate for periods <= max_power."""
-    c = 1.0
+    is a genuine admissibility certificate for periods <= max_power.
+    The ratios are compared in logs, and the running power is divided by
+    its norm each step, as in _radius_bounds, so neither it nor r^m
+    underflows or overflows."""
+    log_c = 0.0
     for m in mats:
         m = linalg.as_square(m)
         r = linalg.spectral_radius(m)
         if r < 1e-12:
             raise DomainError("uniform growth constant undefined for nilpotent matrix")
-        power = np.eye(m.shape[0])
+        power, log_norm = np.eye(m.shape[0]), 0.0
         for j in range(1, max_power + 1):
             power = power @ m
-            c = max(c, linalg.frobenius_norm(power) / r**j)
-    return c
+            norm = linalg.frobenius_norm(power)
+            power /= norm
+            log_norm += np.log(norm)
+            log_c = max(log_c, log_norm - j * np.log(r))
+    return float(np.exp(log_c))
 
 
 def dwell_feasible(s, rates, c: float) -> DwellFeasibility:
@@ -235,22 +240,14 @@ def dwell_feasible(s, rates, c: float) -> DwellFeasibility:
 
 
 #: the step that pads a bit row past its period: the identity on both sides
+#: (ModeMatrices.side_steps[_PAD])
 _PAD = 2
-
-
-def _side_modes(mm: ModeMatrices) -> np.ndarray:
-    """The one-step matrices of both sides stacked per step as (3, 2, n, n):
-    [eta] is (control, observer) of mode eta, and [_PAD] the identity step
-    (I, I)."""
-    eye = np.eye(mm.n)
-    return np.array(((mm.omega_bar0, mm.omega_tilde0), (mm.omega_bar1, mm.omega_tilde1),
-                     (eye, eye)))
 
 
 def monodromy(s, mm: ModeMatrices):
     """Ordered one-period products (control, observer); index 0 applied first."""
     bits = _as_bits(s)
-    prod_bar, prod_til = _stacked_products(_side_modes(mm), np.array([bits]))[0]
+    prod_bar, prod_til = _stacked_products(mm.side_steps, np.array([bits]))[0]
     return prod_bar, prod_til
 
 
@@ -261,15 +258,13 @@ def is_contractive(rho):
     return verdict if verdict.ndim else bool(verdict)
 
 
-def _nilpotency_flags(used, mm: ModeMatrices) -> tuple:
-    """Which of (omega_bar0, omega_bar1, omega_tilde0, omega_tilde1) are
-    nilpotent and used, given whether modes 0 and 1 are used; raises
-    NilpotencyError if any (the contraction argument needs eigenvalues
-    that approach zero rather than jump there)."""
-    flags = tuple(bool(u and nil) for u, nil in zip(tuple(used) * 2, mm.nilpotent))
-    if any(flags):
+def _refuse_nilpotent(used, mm: ModeMatrices):
+    """Raise NilpotencyError if any of (omega_bar0, omega_bar1,
+    omega_tilde0, omega_tilde1) is nilpotent and used, given whether modes
+    0 and 1 are used (the contraction argument needs eigenvalues that
+    approach zero rather than jump there)."""
+    if any(u and nil for u, nil in zip(tuple(used) * 2, mm.nilpotent)):
         raise NilpotencyError("a mode matrix used by this sequence is nilpotent")
-    return flags
 
 
 def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
@@ -285,14 +280,13 @@ def admissibility(s, mm: ModeMatrices) -> AdmissibilityReport:
     sequence is numerically nilpotent.
     """
     bits = _as_bits(s)
-    flags = _nilpotency_flags((0 in bits, 1 in bits), mm)
-    prods = _stacked_products(_side_modes(mm), np.array([bits]))[0]
+    _refuse_nilpotent((0 in bits, 1 in bits), mm)
+    prods = _stacked_products(mm.side_steps, np.array([bits]))[0]
     qbar, qtilde = linalg.spectral_radii(prods).tolist()
     return AdmissibilityReport(
         qbar=qbar,
         qtilde=qtilde,
         admissible=is_contractive(qbar) and is_contractive(qtilde),
-        nilpotency_flags=flags,
     )
 
 
@@ -355,8 +349,8 @@ def contractive_stacked(rows, mm: ModeMatrices) -> np.ndarray:
     which raises NumericsError on a non-finite product.
     Raises NilpotencyError when any row uses a nilpotent mode matrix."""
     _, bits = _padded(rows)
-    _nilpotency_flags((bool(np.any(bits == 0)), bool(np.any(bits == 1))), mm)
-    prods = _stacked_products(_side_modes(mm), bits)
+    _refuse_nilpotent((bool(np.any(bits == 0)), bool(np.any(bits == 1))), mm)
+    prods = _stacked_products(mm.side_steps, bits)
     lower, upper = _radius_bounds(prods)
     sides = upper < 1.0 - CONTRACTION_MARGIN - _CERTIFICATE_SLACK
     undecided = ~(sides | (lower > 1.0 - CONTRACTION_MARGIN + _CERTIFICATE_SLACK))

@@ -172,14 +172,12 @@ def simulate_run(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
 
 
 def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
-                 box=None, ellipsoid=None, threads: int = 1,
-                 return_trajectories: bool = False):
+                 box=None, ellipsoid=None, return_trajectories: bool = False):
     """Simulate cfg.runs independent trajectories and aggregate per-step
     statistics (mean, covariance, error mean, plus box-violation fraction
     when a box is given and Chebyshev exceedance when ellipsoid =
     (phase_covs, phase_means, alpha, components) is given). All runs are
-    stepped together as one batch, each on its own random stream; threads
-    is accepted for compatibility and does not change the evaluation.
+    stepped together as one batch, each on its own random stream.
 
     Returns EnsembleStats, or (EnsembleStats, list[Trajectory]) when
     return_trajectories is set; the trajectories are row views of the

