@@ -87,6 +87,17 @@ def _load(args):
     return model, gains, cfg or {}
 
 
+def _chance_inputs(args, cfg) -> tuple:
+    """(box, delta) of a chance check: --bound and --delta, else the model
+    config echo's chance section; a missing one is an input error."""
+    box, delta = chance_from_config(cfg, args.bound, args.delta)
+    for flag, value in (("delta", delta), ("bound", box)):
+        if value is None:
+            raise SchemaError(f"chance check needs --{flag}: none given "
+                              "and none in the model's config echo")
+    return box, float(delta)
+
+
 def cmd_seq_check(args) -> int:
     model, gains, cfg = _load(args)
     mm = mode_matrices(model, gains)
@@ -119,14 +130,7 @@ def cmd_seq_check(args) -> int:
         print(f"dwell screen: c={c:.4f} lhs_ctrl={feas.lhs_ctrl:.4f} "
               f"lhs_obs={feas.lhs_obs:.4f} passes={'yes' if feas.passes else 'no'}")
     if args.chance:
-        box, delta = chance_from_config(cfg, args.bound, args.delta)
-        if delta is None:
-            raise SchemaError("chance check requested but no --delta given "
-                              "and none in the model's config echo")
-        if box is None:
-            raise SchemaError("chance check requested but no --bound given "
-                              "and none in the model's config echo")
-        chance = verify_chance(seq, model, gains, box, float(delta), mm=mm)
+        chance = verify_chance(seq, model, gains, *_chance_inputs(args, cfg), mm=mm)
         out["chance"] = chance.to_dict()
         print(f"chance: alpha={chance.alpha:.4f} radii "
               f"[{chance.min_radius:.4f}, {chance.max_radius:.4f}] "
@@ -224,12 +228,7 @@ def cmd_cov_steady(args) -> int:
 def cmd_chance_verify(args) -> int:
     model, gains, cfg = _load(args)
     seq = SwitchSequence.from_string(args.bits)
-    box, delta = chance_from_config(cfg, args.bound, args.delta)
-    if delta is None:
-        raise SchemaError("no --delta given and none in the model's config echo")
-    if box is None:
-        raise SchemaError("no --bound given and none in the model's config echo")
-    report = verify_chance(seq, model, gains, box, float(delta))
+    report = verify_chance(seq, model, gains, *_chance_inputs(args, cfg))
     print(f"alpha = {report.alpha:.4f}")
     for ph in report.phases:
         print(f"phase {ph.phase}: radius {ph.radius:.4f} "

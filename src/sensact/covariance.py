@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg
 from .exceptions import DimensionError, NumericsError, StabilityError
 from .plant import GainSet, ModeMatrices, SystemModel, TargetSpec, mode_matrices
-from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractive
+from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractive, monodromy
 
 __all__ = [
     "PeriodicCovariance",
@@ -269,25 +269,16 @@ def mean_propagate(mm: ModeMatrices, mu_x0, mu_e0, s, target: TargetSpec, steps:
 
 def steady_mean_phases(mm: ModeMatrices, s, target: TargetSpec) -> np.ndarray:
     """N-periodic steady state-mean phases (with mu_e = 0): the unique
-    periodic solution of the affine recursion mu+ = Abar_k mu + d_k.
-    Zero whenever the target is the origin with no feedforward."""
+    periodic solution of the affine recursion mu+ = Abar_k mu + d_k:
+    mu_0 = (I - M)^-1 drift, M the monodromy and drift one period of
+    mean_propagate from zero. Zero when the target is the origin."""
     bits = _as_bits(s)
-    n = mm.n
-    feed = mm.b @ (target.u_target - mm.k @ target.x_target)
-    big_m = np.eye(n)
-    drift = np.zeros(n)
-    for eta in bits:
-        a = mm.abar(eta)
-        drift = a @ drift + feed * eta
-        big_m = a @ big_m
+    big_m, _ = monodromy(bits, mm)
     _contraction_radius(big_m, "control")
-    mu0 = np.linalg.solve(np.eye(n) - big_m, drift)
-    phases = np.empty((len(bits), n))
-    mu = mu0
-    for k, eta in enumerate(bits):
-        phases[k] = mu
-        mu = mm.abar(eta) @ mu + feed * eta
-    return phases
+    zero = np.zeros(mm.n)
+    drift = mean_propagate(mm, zero, zero, bits, target, len(bits))[0][-1]
+    mu0 = np.linalg.solve(np.eye(mm.n) - big_m, drift)
+    return mean_propagate(mm, mu0, zero, bits, target, len(bits) - 1)[0]
 
 
 def contraction_certificate(s, mm: ModeMatrices, sigma_v, sigma_w) -> ContractionCertificate:

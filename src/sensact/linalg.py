@@ -86,6 +86,24 @@ def check_symmetric(a, name="matrix", stacked=False) -> np.ndarray:
     symmetric part (so downstream eigh calls are well posed). With
     stacked=True, a is a (..., n, n) stack, validated matrix by matrix: it
     fails if any matrix does, with the message of the one-matrix check."""
+    return _symmetric_scaled(a, name, stacked)[0]
+
+
+def check_psd(a, name="matrix", stacked=False) -> np.ndarray:
+    """Validate symmetric positive semi-definiteness (to tolerance), of one
+    matrix or, with stacked=True, of each matrix of a (..., n, n) stack."""
+    m, unit, scale = _symmetric_scaled(a, name, stacked)
+    if m.size and np.any(np.min(np.linalg.eigvalsh(sym_part(unit)), axis=-1) < -SYM_RTOL * scale):
+        raise DomainError(f"{name} is not positive semi-definite")
+    return m
+
+
+def _symmetric_scaled(a, name, stacked) -> tuple:
+    """check_symmetric's test, returning (sym(M), M / s, (1 + ||M||_F) / s)
+    of each matrix M of a, s the largest entry modulus of M, or the
+    smallest normal float if that is larger, so that 1 / s is finite: the
+    tests of check_symmetric and check_psd are invariant under the
+    division, which keeps their norms and eigenvalues from overflowing."""
     m = np.asarray(a, dtype=float)
     if not stacked:
         m = as_square(m, name)
@@ -93,32 +111,13 @@ def check_symmetric(a, name="matrix", stacked=False) -> np.ndarray:
         raise DimensionError(f"{name} must be a stack of square matrices, got shape {m.shape}")
     elif not np.all(np.isfinite(m)):
         raise DomainError(f"{name} has non-finite entries")
-    unit, scale = _unit_scaled(m)
-    if np.any(_fro(unit - unit.swapaxes(-1, -2)) > SYM_RTOL * scale):
-        raise DomainError(f"{name} is not symmetric")
-    return sym_part(m)
-
-
-def check_psd(a, name="matrix", stacked=False) -> np.ndarray:
-    """Validate symmetric positive semi-definiteness (to tolerance), of one
-    matrix or, with stacked=True, of each matrix of a (..., n, n) stack."""
-    m = check_symmetric(a, name, stacked)
-    unit, scale = _unit_scaled(m)
-    if m.size and np.any(np.min(np.linalg.eigvalsh(unit), axis=-1) < -SYM_RTOL * scale):
-        raise DomainError(f"{name} is not positive semi-definite")
-    return m
-
-
-def _unit_scaled(m) -> tuple:
-    """(M / s, (1 + ||M||_F) / s) of each finite matrix M of m, over its
-    last two axes, s the largest entry modulus of M, or the smallest
-    normal float if that is larger, so that 1 / s is finite: the tolerance
-    scale of check_symmetric and check_psd, whose tests are invariant
-    under the division, taken without overflow."""
     s = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True, initial=0.0),
                    np.finfo(float).tiny)
     unit = m / s
-    return unit, 1.0 / s[..., 0, 0] + _fro(unit)
+    scale = 1.0 / s[..., 0, 0] + _fro(unit)
+    if np.any(_fro(unit - unit.swapaxes(-1, -2)) > SYM_RTOL * scale):
+        raise DomainError(f"{name} is not symmetric")
+    return sym_part(m), unit, scale
 
 
 def sym_part(a) -> np.ndarray:
@@ -137,26 +136,20 @@ def psd_sqrt(a, name="matrix") -> np.ndarray:
 
 
 def spectral_radius(m) -> float:
-    """Largest eigenvalue modulus, via the QR algorithm (handles the
-    complex conjugate pairs that orbital dynamics produce)."""
-    m = as_square(m)
-    if m.size == 0:
-        return 0.0
-    try:
-        eig = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # QR iteration did not converge
-        raise NumericsError(f"eigenvalue computation failed: {exc}") from exc
-    return float(np.max(np.abs(eig)))
+    """Largest eigenvalue modulus of one square matrix: spectral_radii of
+    the one-matrix stack."""
+    return float(spectral_radii(as_square(m)[None])[0])
 
 
 def spectral_radii(stack) -> np.ndarray:
     """Spectral radius of each matrix of a (K, n, n) stack, one batched
-    eigvals call; row for row the values spectral_radius returns."""
+    eigvals call by the QR algorithm (which handles the complex conjugate
+    pairs that orbital dynamics produce); 0 for an empty matrix."""
     try:
         eig = np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # QR iteration did not converge
         raise NumericsError(f"eigenvalue computation failed: {exc}") from exc
-    return np.max(np.abs(eig), axis=-1)
+    return np.abs(eig).max(axis=-1, initial=0.0)
 
 
 def spectral_norm(m) -> float:

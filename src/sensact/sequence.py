@@ -154,63 +154,68 @@ def dwell_counts(s) -> DwellSummary:
 #: omega_tilde1), the order of ModeMatrices.spectral_radii and fro_norms
 _FAMILIES = {"control": (0, 1), "observer": (2, 3), "all": (0, 1, 2, 3)}
 
+#: the largest kstar that growth_constant's search_kstar scans
+_MAX_KSTAR = 20
+
 
 def growth_constant(mm: ModeMatrices, kstar: int = 1, family: str = "control",
-                    search_kstar: bool = False, max_kstar: int = 20) -> float:
+                    search_kstar: bool = False) -> float:
     """Norm-to-spectral-radius growth constant
 
         c = max_i ||Omega_i^kstar||_F^(1/kstar) / rho(Omega_i)
 
     over the selected matrix family. The default (kstar=1, control pair)
     matches the case-study computation; search_kstar instead scans
-    kstar <= max_kstar and keeps the minimizing c. The radii, and at
-    kstar=1 the norms, are those of ModeMatrices, taken once per instance.
+    kstar <= 20 and keeps the minimizing c. The radii, and at kstar=1 the
+    norms, are those of ModeMatrices, taken once per instance; larger
+    kstar read _log_growth's walk, which neither underflows nor overflows.
     """
     if family not in _FAMILIES:
         raise DomainError(f"unknown family {family!r}, expected one of {sorted(_FAMILIES)}")
     if kstar < 1:
         raise DomainError("kstar must be a positive integer")
     index = _FAMILIES[family]
-    modes = (mm.omega_bar0, mm.omega_bar1, mm.omega_tilde0, mm.omega_tilde1)
     radii = [mm.spectral_radii[i] for i in index]
     if min(radii) < 1e-12:
         raise DomainError("growth constant undefined: a mode matrix has zero spectral radius")
-
-    def c_for(k: int) -> float:
-        if k == 1:
-            return max(mm.fro_norms[i] / r for i, r in zip(index, radii))
-        return max(
-            linalg.frobenius_norm(np.linalg.matrix_power(modes[i], k)) ** (1.0 / k) / r
-            for i, r in zip(index, radii)
-        )
-
-    if search_kstar:
-        return min(c_for(k) for k in range(1, max_kstar + 1))
-    return c_for(kstar)
+    exact = max(mm.fro_norms[i] / r for i, r in zip(index, radii))
+    if kstar == 1 and not search_kstar:
+        return exact
+    modes = (mm.omega_bar0, mm.omega_bar1, mm.omega_tilde0, mm.omega_tilde1)
+    log_c = _log_growth(np.stack([modes[i] for i in index]), radii,
+                        _MAX_KSTAR if search_kstar else kstar).max(axis=1)
+    # c at power k is exp(max_i log(||Omega_i^k||_F / rho_i^k) / k)
+    c = np.exp(log_c / np.arange(1, len(log_c) + 1))
+    return min(exact, float(c[1:].min())) if search_kstar else float(c[-1])
 
 
 def uniform_growth_constant(mats, max_power: int) -> float:
     """Rigorous per-block constant: the smallest c with
     ||Omega^m|| <= c * rho(Omega)^m for every family member and every
     block length m up to max_power. With this c, a passing dwell screen
-    is a genuine admissibility certificate for periods <= max_power.
-    The ratios are compared in logs, and the running power is divided by
-    its norm each step, as in _radius_bounds, so neither it nor r^m
-    underflows or overflows."""
-    log_c = 0.0
-    for m in mats:
-        m = linalg.as_square(m)
-        r = linalg.spectral_radius(m)
-        if r < 1e-12:
-            raise DomainError("uniform growth constant undefined for nilpotent matrix")
-        power, log_norm = np.eye(m.shape[0]), 0.0
-        for j in range(1, max_power + 1):
-            power = power @ m
-            norm = linalg.frobenius_norm(power)
-            power /= norm
-            log_norm += np.log(norm)
-            log_c = max(log_c, log_norm - j * np.log(r))
-    return float(np.exp(log_c))
+    is a genuine admissibility certificate for periods <= max_power."""
+    stack = np.stack([linalg.as_square(m) for m in mats])
+    radii = linalg.spectral_radii(stack)
+    if radii.min() < 1e-12:
+        raise DomainError("uniform growth constant undefined for nilpotent matrix")
+    return float(np.exp(max(0.0, _log_growth(stack, radii, max_power).max())))
+
+
+def _log_growth(stack, radii, powers: int) -> np.ndarray:
+    """log(||M^j||_F / rho(M)^j) for j = 1 .. powers of each M of a
+    (K, n, n) stack with radii rho(M), as a (powers, K) array: one walk
+    M^j = M^(j-1) M, each power divided by its Frobenius norm, whose log is
+    carried, as in _radius_bounds, so neither a power nor rho^j underflows
+    or overflows."""
+    log_radii = np.log(radii)
+    out = np.empty((powers, len(stack)))
+    power, log_norm = stack, 0.0
+    for j in range(1, powers + 1):
+        norm = linalg._fro(power)
+        log_norm = log_norm + np.log(norm)
+        out[j - 1] = log_norm - j * log_radii
+        power = (power / norm[:, None, None]) @ stack
+    return out
 
 
 def dwell_feasible(s, rates, c: float) -> DwellFeasibility:

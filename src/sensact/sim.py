@@ -14,6 +14,7 @@ the simulated estimation error then satisfies the analysis recursion
 e+ = Atil e + w + (1 - eta) L v exactly.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,6 +137,13 @@ def _simulate(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
     n, m, p = model.n, model.m, model.p
     steps = cfg.steps
     runs = len(run_indices)
+    # the six arrays below, refused before they are allocated if they
+    # exceed physical memory: the overcommit policy decides whether
+    # np.empty fails or a later write does
+    size = 8 * runs * (2 * (steps + 1) * n + steps * (n + m + 2 * p))
+    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise DomainError(f"an ensemble of {runs} runs x {steps} steps needs "
+                          f"{size / 2**30:,.1f} GiB, more than this machine's memory")
     sqrt_x0 = linalg.psd_sqrt(cfg.x0_cov, "x0_cov")
     sqrt_w = linalg.psd_sqrt(model.sigma_w, "sigma_w")
     sqrt_v = linalg.psd_sqrt(model.sigma_v, "sigma_v")

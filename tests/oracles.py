@@ -20,7 +20,10 @@ one-join array writer; and the scalar formulas the library does not
 export: the blended cost as the mean of per-phase traces (the search folds
 it into one segment), the one-step error noise of one mode, and the
 bounding-sphere radius and support function of one Chebyshev ellipsoid
-(chance verification takes every phase at once).
+(chance verification takes every phase at once); exact integer matrix
+powers for the growth constants' log-scaled power walk; and the two
+explicit loops, one-period map then phases, for the steady mean phases
+(the library reads monodromy and mean_propagate).
 """
 
 import csv
@@ -359,3 +362,35 @@ def ellipsoid_support(p, alpha, direction):
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     return float(alpha * np.sqrt(max(a @ p @ a, 0.0)))
+
+
+def exact_log_fro_power(m, k):
+    """log ||M^k||_F of a float matrix M from its exact power: M = N / 2^e
+    with N an integer matrix, so M^k = N^k / 2^(ek) in Python integers."""
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in np.asarray(m)]
+    e = max(den.bit_length() - 1 for row in ratios for _, den in row)
+    n = [[num << (e - den.bit_length() + 1) for num, den in row] for row in ratios]
+    power = n
+    for _ in range(k - 1):
+        power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*n)] for row in power]
+    return 0.5 * math.log(sum(x * x for row in power for x in row)) - k * e * math.log(2.0)
+
+
+def loop_steady_mean_phases(mm, s, target):
+    """Steady state-mean phases of mu+ = Abar_k mu + eta_k B (u_T - K x_T)
+    by two explicit loops: the one-period map (M, drift) from the
+    identity and zero, mu_0 = (I - M)^-1 drift, then the phases."""
+    bits = SwitchSequence.from_string(s).bits if isinstance(s, str) else tuple(s)
+    n = mm.n
+    feed = mm.b @ (target.u_target - mm.k @ target.x_target)
+    big_m, drift = np.eye(n), np.zeros(n)
+    for eta in bits:
+        a = mm.abar(eta)
+        drift = a @ drift + feed * eta
+        big_m = a @ big_m
+    mu = np.linalg.solve(np.eye(n) - big_m, drift)
+    phases = np.empty((len(bits), n))
+    for k, eta in enumerate(bits):
+        phases[k] = mu
+        mu = mm.abar(eta) @ mu + feed * eta
+    return phases

@@ -218,6 +218,17 @@ class TestProperties:
         assert contractive_stacked(words, mm).tolist() == scalar
 
     @PROPERTY
+    @given(st.one_of(plants(), plants(defective=True)))
+    def test_spectral_radius_is_the_one_matrix_stack(self, plant):
+        # one eigvals wrapper: a matrix's radius is its one-matrix stack's,
+        # and the two-dimensional eigvals radius, bit for bit
+        model, gains = plant
+        for m in (model.a, model.a + gains.k, model.a + gains.l):
+            rho = linalg.spectral_radius(m)
+            assert rho == linalg.spectral_radii(m[None])[0]
+            assert rho == np.max(np.abs(np.linalg.eigvals(m)))
+
+    @PROPERTY
     @given(plants(defective=True))
     def test_joint_steps_are_the_oracle(self, plant):
         # to rounding: the oracle multiplies the noise out through Gbreve,

@@ -555,6 +555,42 @@ class TestChanceVerify:
         assert "exact fail" in capsys.readouterr().out
 
 
+class TestChanceInputs:
+    """seq check --chance and chance verify take --bound and --delta, else
+    the config echo's chance section, and refuse a missing one alike."""
+
+    @pytest.fixture()
+    def no_chance_model(self, tmp_path):
+        cfg = json.loads(CW_CONFIG.read_text())
+        del cfg["chance"]
+        cfg_file = tmp_path / "no_chance.json"
+        cfg_file.write_text(json.dumps(cfg))
+        model = tmp_path / "model.json"
+        assert main(["model", "build", str(cfg_file), "-o", str(model)]) == 0
+        return str(model)
+
+    COMMANDS = (["seq", "check", "{model}", "0011", "--chance"],
+                ["chance", "verify", "{model}", "0011"])
+
+    @pytest.mark.parametrize("given, missing", [
+        ([], "delta"), (["--bound", "22"], "delta"), (["--delta", "0.05"], "bound"),
+    ], ids=["neither", "bound-only", "delta-only"])
+    def test_missing_input_is_one_error(self, no_chance_model, capsys, given, missing):
+        capsys.readouterr()
+        errors = []
+        for command in self.COMMANDS:
+            args = [arg.format(model=no_chance_model) for arg in command] + given
+            assert main(args) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: chance check needs --{missing}: none given "
+                          "and none in the model's config echo\n"] * 2
+
+    def test_given_inputs_suffice(self, no_chance_model):
+        for command in self.COMMANDS:
+            args = [arg.format(model=no_chance_model) for arg in command]
+            assert main(args + ["--bound", "22", "--delta", "0.05"]) == 0
+
+
 class TestSimRun:
     def test_artifacts_written(self, model_file, tmp_path, capsys):
         out_dir = tmp_path / "sim"
@@ -635,6 +671,20 @@ class TestSimRun:
         assert main(["model", "build", str(cfg_file), "-o", str(model)]) == 0
         assert main(["sim", "run", str(model), "0011", "--steps", "4", "--runs", "1",
                      "--seed", "1", "--bound", "0", "--out", str(tmp_path / "sim")]) == 2
+
+    @pytest.mark.parametrize("runs, steps", [("100000000", "240"), ("2", "100000000000")])
+    def test_oversized_ensemble_refused_before_allocation(self, model_file, tmp_path, capsys,
+                                                          runs, steps):
+        # terabytes of trajectory arrays: refused with exit 2 and one line
+        # naming the runs, steps and size, whatever the overcommit policy
+        out_dir = tmp_path / "sim"
+        capsys.readouterr()
+        assert main(["sim", "run", model_file, "0011", "--runs", runs, "--steps", steps,
+                     "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{runs} runs x {steps} steps needs " in err and " GiB" in err
+        assert not out_dir.exists()
 
     def test_unwritable_out_exit_4(self, model_file, tmp_path):
         blocker = tmp_path / "blocker"

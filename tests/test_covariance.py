@@ -9,7 +9,9 @@ from oracles import (
     build_augmented,
     error_noise_term,
     fit_decay_rate,
+    loop_steady_mean_phases,
     make_psd,
+    make_stable,
     periodic_dlyap_phases,
     recursive_steady_phases,
 )
@@ -236,6 +238,28 @@ class TestMeanPropagate:
     def test_steady_mean_zero_for_origin(self, cw_mm):
         phases = steady_mean_phases(cw_mm, "0011", TargetSpec.origin(6, 3))
         np.testing.assert_allclose(phases, np.zeros((4, 6)), atol=1e-12)
+
+    @pytest.mark.parametrize("word", ["0011", "0010111", "1"])
+    def test_steady_mean_closes_around_a_feedforward_target(self, word):
+        # x_T = A x_T + B u_T with u_T = (I - A) x_T != 0, so the actuation
+        # steps drive the mean with eta B (u_T - K x_T)
+        rng = np.random.default_rng(12)
+        a = make_stable(rng, 3, 0.9)
+        model = SystemModel(a=a, b=np.eye(3), c=np.eye(3),
+                            sigma_w=make_psd(rng, 3, 0.1), sigma_v=make_psd(rng, 3, 0.1))
+        gains = synthesize_gains(model, np.eye(3), np.eye(3))
+        mm = mode_matrices(model, gains)
+        x_t = np.array([1.0, -2.0, 0.5])
+        target = TargetSpec(x_t, (np.eye(3) - a) @ x_t)
+        feed = model.b @ (target.u_target - gains.k @ x_t)
+        phases = steady_mean_phases(mm, word, target)
+        assert np.linalg.norm(phases) > 0.1
+        bits = [int(ch) for ch in word]
+        for k, eta in enumerate(bits):
+            nxt = phases[(k + 1) % len(bits)]
+            resid = np.linalg.norm(mm.abar(eta) @ phases[k] + eta * feed - nxt)
+            assert resid <= 1e-12 * np.linalg.norm(nxt)
+        assert phases.tobytes() == loop_steady_mean_phases(mm, word, target).tobytes()
 
 
 class TestContraction:

@@ -1,13 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from oracles import brute_force_core, make_stable
+from oracles import brute_force_core, exact_log_fro_power, make_stable
 
 from sensact import linalg
 from sensact.exceptions import DomainError, NilpotencyError
-from sensact.plant import ModeMatrices
+from sensact.modelio import build_from_config, validate_config
+from sensact.plant import ModeMatrices, mode_matrices
 from sensact.sequence import (
     SwitchSequence,
     admissibility,
@@ -160,7 +162,9 @@ class TestGrowthConstant:
                              ids=["kstar-1", "kstar-3", "search-kstar"])
     def test_recorded_radii_and_norms_are_per_matrix_values(self, cw_mm, family, kwargs):
         # the radii mode_matrices takes in one batched eigvals call, and its
-        # Frobenius norms, give bit for bit the per-matrix computation
+        # Frobenius norms, give bit for bit the per-matrix computation at
+        # kstar=1; a larger kstar reads the log-scaled power walk, held to
+        # exact integer powers of the same matrices
         mats = {"control": (cw_mm.omega_bar0, cw_mm.omega_bar1),
                 "observer": (cw_mm.omega_tilde0, cw_mm.omega_tilde1),
                 "all": (cw_mm.omega_bar0, cw_mm.omega_bar1,
@@ -168,12 +172,39 @@ class TestGrowthConstant:
         radii = [linalg.spectral_radius(m) for m in mats]
 
         def c_for(k):
-            return max(linalg.frobenius_norm(np.linalg.matrix_power(m, k)) ** (1.0 / k) / r
-                       for m, r in zip(mats, radii))
+            if k == 1:
+                return max(linalg.frobenius_norm(m) / r for m, r in zip(mats, radii))
+            return max(math.exp(exact_log_fro_power(m, k) / k) / r for m, r in zip(mats, radii))
 
-        expected = (min(c_for(k) for k in range(1, 21)) if kwargs.get("search_kstar")
-                    else c_for(kwargs["kstar"]))
-        assert growth_constant(cw_mm, family=family, **kwargs) == expected
+        c = growth_constant(cw_mm, family=family, **kwargs)
+        if kwargs.get("kstar") == 1:
+            assert c == c_for(1)
+        elif kwargs.get("search_kstar"):
+            assert c == pytest.approx(min(c_for(k) for k in range(1, 21)), rel=1e-13)
+        else:
+            assert c == pytest.approx(c_for(kwargs["kstar"]), rel=1e-13)
+
+    @pytest.mark.parametrize("a", [-0.5, 0.4], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("kstar", [1500, 2000])
+    @pytest.mark.filterwarnings("error")
+    def test_one_state_constant_is_one_at_any_kstar(self, a, kstar):
+        # ||M^k||^(1/k) / rho(M) is 1 for every 1 x 1 matrix; matrix_power
+        # underflows to 0 (a = -0.5) or overflows (a = 0.4) at these kstar
+        cfg = {"plant": {"continuous": {"a": [[a]], "b": [[1.0]]}, "c": [[1.0]], "ts": 1.0},
+               "noise": {"sigma_w": [[0.1]], "sigma_v": [[0.1]]},
+               "gains": {"q": [[1.0]], "r": [[1.0]]}}
+        validate_config(cfg)
+        mm = mode_matrices(*build_from_config(cfg))
+        assert growth_constant(mm, kstar=kstar, family="all") == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["control", "observer", "all"])
+    def test_search_is_the_least_fixed_kstar(self, cw_mm, family):
+        assert growth_constant(cw_mm, family=family, search_kstar=True) == min(
+            growth_constant(cw_mm, kstar=k, family=family) for k in range(1, 21))
+
+    def test_max_kstar_is_not_a_parameter(self, cw_mm):
+        with pytest.raises(TypeError):
+            growth_constant(cw_mm, search_kstar=True, max_kstar=5)
 
     def test_nilpotent_guard(self):
         z = np.zeros((2, 2))
