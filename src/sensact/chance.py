@@ -14,8 +14,8 @@ import numpy as np
 
 from . import linalg
 from .exceptions import DimensionError, DomainError
-from .covariance import _steady_augmented_cov, steady_augmented_cov
-from .plant import GainSet, SystemModel
+from .covariance import steady_augmented_cov
+from .plant import ModeMatrices
 
 __all__ = [
     "BoxConstraint",
@@ -121,8 +121,8 @@ class ChanceReport:
         }
 
 
-def verify_chance(s, model: SystemModel, gains: GainSet, box: BoxConstraint,
-                  delta: float, mean_phases=None, mm=None) -> ChanceReport:
+def verify_chance(s, mm: ModeMatrices, box: BoxConstraint, delta: float,
+                  mean_phases=None) -> ChanceReport:
     """Steady-state chance-constraint verification for a schedule.
 
     For every phase k and every box face +-e_i the exact test requires
@@ -136,15 +136,10 @@ def verify_chance(s, model: SystemModel, gains: GainSet, box: BoxConstraint,
 
     mean_phases defaults to zero: the steady periodic mean for an origin
     target with no feedforward, which is unique once the schedule is
-    admissible (the control monodromy contracts). mm, when given, is the
-    caller's ModeMatrices of (model, gains), so they are not built again.
+    admissible (the control monodromy contracts).
     """
-    # both validate admissibility
-    if mm is None:
-        _, state_covs = steady_augmented_cov(s, model, gains)
-    else:
-        _, state_covs = _steady_augmented_cov(s, mm, model.sigma_v, model.sigma_w)
-    n = model.n
+    _, state_covs = steady_augmented_cov(s, mm)  # validates admissibility
+    n = mm.n
     period = state_covs.period
     idx, widths = box.resolve(n)
     alpha = chebyshev_alpha(len(idx), delta)

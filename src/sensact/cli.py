@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .chance import verify_chance
-from .covariance import _steady_augmented_cov, _steady_error_cov
+from .covariance import steady_augmented_cov, steady_error_cov
 from .exceptions import (
     DimensionError,
     DomainError,
@@ -130,7 +130,7 @@ def cmd_seq_check(args) -> int:
         print(f"dwell screen: c={c:.4f} lhs_ctrl={feas.lhs_ctrl:.4f} "
               f"lhs_obs={feas.lhs_obs:.4f} passes={'yes' if feas.passes else 'no'}")
     if args.chance:
-        chance = verify_chance(seq, model, gains, *_chance_inputs(args, cfg), mm=mm)
+        chance = verify_chance(seq, mm, *_chance_inputs(args, cfg))
         out["chance"] = chance.to_dict()
         print(f"chance: alpha={chance.alpha:.4f} radii "
               f"[{chance.min_radius:.4f}, {chance.max_radius:.4f}] "
@@ -206,10 +206,10 @@ def cmd_cov_steady(args) -> int:
     seq = SwitchSequence.from_string(args.bits)
     if args.augmented:
         # one joint solve: the error phases are its error blocks
-        joint, state = _steady_augmented_cov(seq, mm, model.sigma_v, model.sigma_w)
+        joint, state = steady_augmented_cov(seq, mm)
         err = joint.block(slice(mm.n, None))
     else:
-        err = _steady_error_cov(seq, mm, model.sigma_v, model.sigma_w)
+        err = steady_error_cov(seq, mm)
     out = {
         "sequence": str(seq),
         "period": err.period,
@@ -228,7 +228,7 @@ def cmd_cov_steady(args) -> int:
 def cmd_chance_verify(args) -> int:
     model, gains, cfg = _load(args)
     seq = SwitchSequence.from_string(args.bits)
-    report = verify_chance(seq, model, gains, *_chance_inputs(args, cfg))
+    report = verify_chance(seq, mode_matrices(model, gains), *_chance_inputs(args, cfg))
     print(f"alpha = {report.alpha:.4f}")
     for ph in report.phases:
         print(f"phase {ph.phase}: radius {ph.radius:.4f} "

@@ -8,9 +8,10 @@ The estimation-error covariance obeys the N-periodic recursion
 and the joint z = [x; e] covariance the analogous recursion of the
 block-triangular augmented system, whose error block is the first. One
 step is the pair (A_k, W_k); _error_steps and _joint_steps build the
-pairs of both modes of each system, and every periodic computation reads
-them. Pairs compose associatively (_compose, which also carries the
-weighted sums G and c of the search's cost segments),
+pairs of both modes of each system from a ModeMatrices, which carries the
+noise covariances, and every periodic computation reads them. Pairs
+compose associatively (_compose, which also carries the weighted sums G
+and c of the search's cost segments),
 
     (Phi2, W2) o (Phi1, W1) = (Phi2 Phi1, Phi2 W1 Phi2' + W2),
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .exceptions import DimensionError, NumericsError, StabilityError
-from .plant import GainSet, ModeMatrices, SystemModel, TargetSpec, mode_matrices
+from .plant import ModeMatrices, TargetSpec
 from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractive, monodromy
 
 __all__ = [
@@ -90,65 +91,44 @@ class ContractionCertificate:
     monodromy_norm_sq: float
 
 
-def _check_noise(l, sigma_v, sigma_w) -> tuple:
-    """(L, sigma_v, sigma_w) of a public entry point's caller, validated."""
-    l = linalg.as_matrix(l, "L")
-    sigma_v = linalg.check_psd(sigma_v, "sigma_v")
-    sigma_w = linalg.check_psd(sigma_w, "sigma_w")
-    if l.shape[1] != sigma_v.shape[0]:
-        raise DimensionError("L and sigma_v dimensions are inconsistent")
-    if sigma_w.shape[0] != l.shape[0]:
-        raise DimensionError("L and sigma_w dimensions are inconsistent")
-    return l, sigma_v, sigma_w
-
-
-def _noise_terms(l, sigma_v, sigma_w) -> tuple:
-    """The one-step error-covariance noise of both modes, (R_0, R_1), of
-    valid arrays: a SystemModel's noise covariances with the L of its
-    ModeMatrices, or what _check_noise returned. Nothing is checked."""
-    return linalg.sym_part(l @ sigma_v @ l.T + sigma_w), sigma_w
-
-
-def _error_steps(mm: ModeMatrices, sigma_v, sigma_w) -> tuple:
-    """(Atil, R) of both modes, each stacked on axis 0, of valid noise
-    covariances."""
+def _error_steps(mm: ModeMatrices) -> tuple:
+    """(Atil, R) of both modes, each stacked on axis 0, with
+    R_eta = (1 - eta) L Sigma_v L' + Sigma_w."""
     return (np.stack((mm.omega_tilde0, mm.omega_tilde1)),
-            np.stack(_noise_terms(mm.l, sigma_v, sigma_w)))
+            np.stack((linalg.sym_part(mm.l @ mm.sigma_v @ mm.l.T + mm.sigma_w), mm.sigma_w)))
 
 
-def _joint_steps(mm: ModeMatrices, sigma_v, sigma_w) -> tuple:
+def _joint_steps(mm: ModeMatrices) -> tuple:
     """(Abreve, W) of both modes of the joint z = [x; e] system, each a
-    (2, 2n, 2n) stack, of valid noise covariances:
+    (2, 2n, 2n) stack:
 
         Abreve = [Abar_eta  -eta BK  ]    W = [Sigma_w  Sigma_w]
                  [0         Atil_eta ]        [Sigma_w  R_eta  ]
 
     W is Gbreve diag(Sigma_v, Sigma_w) Gbreve' with Gbreve = [0, I;
     (1 - eta) L, I]; the error blocks are the steps of _error_steps."""
-    atil, noise = _error_steps(mm, sigma_v, sigma_w)
+    atil, noise = _error_steps(mm)
     n = mm.n
     a = np.zeros((2, 2 * n, 2 * n))
     a[:, :n, :n] = mm.omega_bar0, mm.omega_bar1
     a[1, :n, n:] = -(mm.b @ mm.k)
     a[:, n:, n:] = atil
     w = np.empty_like(a)
-    w[:, :n, :n] = w[:, :n, n:] = w[:, n:, :n] = sigma_w
+    w[:, :n, :n] = w[:, :n, n:] = w[:, n:, :n] = mm.sigma_w
     w[:, n:, n:] = noise
     return a, w
 
 
-def propagate_error_cov(p0, s, mm: ModeMatrices, sigma_v, sigma_w, steps: int):
+def propagate_error_cov(p0, s, mm: ModeMatrices, steps: int):
     """Trajectory P_0 ... P_steps of the error covariance under the
     periodic extension of the sequence."""
     p = linalg.check_psd(p0, "P0")
-    _, sigma_v, sigma_w = _check_noise(mm.l, sigma_v, sigma_w)
     bits = _as_bits(s)
-    noise = _noise_terms(mm.l, sigma_v, sigma_w)
+    atil, noise = _error_steps(mm)
     out = [p]
     for k in range(steps):
         eta = bits[k % len(bits)]
-        a = mm.atilde(eta)
-        p = linalg.sym_part(a @ p @ a.T + noise[eta])
+        p = linalg.sym_part(atil[eta] @ p @ atil[eta].T + noise[eta])
         out.append(p)
     return out
 
@@ -223,19 +203,13 @@ def _steady_phases(modes, noise, bits, side) -> PeriodicCovariance:
     return PeriodicCovariance(phases=phases, period=len(phases))
 
 
-def steady_error_cov(s, mm: ModeMatrices, sigma_v, sigma_w) -> PeriodicCovariance:
+def steady_error_cov(s, mm: ModeMatrices) -> PeriodicCovariance:
     """Unique N-periodic steady solution of the error-covariance recursion.
 
     Requires the observer-side monodromy to be contractive; raises
     StabilityError otherwise (no bounded solution exists).
     """
-    return _steady_error_cov(s, mm, *_check_noise(mm.l, sigma_v, sigma_w)[1:])
-
-
-def _steady_error_cov(s, mm: ModeMatrices, sigma_v, sigma_w) -> PeriodicCovariance:
-    """steady_error_cov of noise covariances valid already, such as a
-    SystemModel's own with the caller's ModeMatrices of that model."""
-    return _steady_phases(*_error_steps(mm, sigma_v, sigma_w), _as_bits(s), "observer")
+    return _steady_phases(*_error_steps(mm), _as_bits(s), "observer")
 
 
 def mean_propagate(mm: ModeMatrices, mu_x0, mu_e0, s, target: TargetSpec, steps: int):
@@ -281,14 +255,13 @@ def steady_mean_phases(mm: ModeMatrices, s, target: TargetSpec) -> np.ndarray:
     return mean_propagate(mm, mu0, zero, bits, target, len(bits) - 1)[0]
 
 
-def contraction_certificate(s, mm: ModeMatrices, sigma_v, sigma_w) -> ContractionCertificate:
+def contraction_certificate(s, mm: ModeMatrices) -> ContractionCertificate:
     """Certificate for the geometric decay of ||P_{Nn}||: gamma is the
     (spectral-norm) size of one period's accumulated noise, and
 
         limsup ||P_{Nk}|| <= gamma / (1 - qtilde^2).
     """
-    _, sigma_v, sigma_w = _check_noise(mm.l, sigma_v, sigma_w)
-    phi, acc = _prefix_scan(*_error_steps(mm, sigma_v, sigma_w), _as_bits(s))
+    phi, acc = _prefix_scan(*_error_steps(mm), _as_bits(s))
     big_m, big_w = phi[-1], linalg.sym_part(acc[-1])
     qtilde = _contraction_radius(big_m, "observer")
     gamma = linalg.spectral_norm(big_w)
@@ -301,7 +274,7 @@ def contraction_certificate(s, mm: ModeMatrices, sigma_v, sigma_w) -> Contractio
     )
 
 
-def steady_augmented_cov(s, model: SystemModel, gains: GainSet):
+def steady_augmented_cov(s, mm: ModeMatrices):
     """Steady per-phase covariances of the joint (state, error) system.
 
     Returns (joint, state) where joint holds the 2n x 2n phase
@@ -310,12 +283,6 @@ def steady_augmented_cov(s, model: SystemModel, gains: GainSet):
     inherits its spectrum from the two diagonal blocks, so the
     admissibility verdict on both decides it.
     """
-    return _steady_augmented_cov(s, mode_matrices(model, gains), model.sigma_v, model.sigma_w)
-
-
-def _steady_augmented_cov(s, mm: ModeMatrices, sigma_v, sigma_w):
-    """steady_augmented_cov of the caller's ModeMatrices and noise
-    covariances valid already, as _steady_error_cov takes them."""
     bits = _as_bits(s)
     report = admissibility(bits, mm)
     if not report.admissible:
@@ -323,5 +290,5 @@ def _steady_augmented_cov(s, mm: ModeMatrices, sigma_v, sigma_w):
             "sequence is not admissible "
             f"(qbar={report.qbar:.6g}, qtilde={report.qtilde:.6g})"
         )
-    joint = _steady_phases(*_joint_steps(mm, sigma_v, sigma_w), bits, None)
+    joint = _steady_phases(*_joint_steps(mm), bits, None)
     return joint, joint.block(slice(None, mm.n))

@@ -120,12 +120,16 @@ def check_equilibrium(model: SystemModel, target: TargetSpec) -> None:
 
 @dataclass(frozen=True)
 class ModeMatrices:
-    """The four switched closed-loop matrices.
+    """The four switched closed-loop matrices, with the plant's noise
+    covariances sigma_w and sigma_v, which the covariance analyses read.
 
     Control side:   omega_bar[eta]   = A + eta * BK
     Observer side:  omega_tilde[eta] = A + (1 - eta) * LC
 
-    so omega_bar[0] = omega_tilde[1] = A exactly. Their spectral radii,
+    so omega_bar[0] = omega_tilde[1] = A exactly. The noise covariances
+    are checked on construction, as SystemModel checks them, so one built
+    by hand or with dataclasses.replace carries valid noise too; the
+    matrices are not. Their spectral radii,
     Frobenius norms and nilpotency flags, each a 4-tuple in that order,
     are taken on first read, once per instance, over the distinct
     matrices only: A, which mode_matrices passes as both omega_bar0 and
@@ -136,10 +140,19 @@ class ModeMatrices:
     b: np.ndarray
     k: np.ndarray
     l: np.ndarray
+    sigma_w: np.ndarray
+    sigma_v: np.ndarray
     omega_bar0: np.ndarray
     omega_bar1: np.ndarray
     omega_tilde0: np.ndarray
     omega_tilde1: np.ndarray
+
+    def __post_init__(self):
+        for name, size in (("sigma_w", self.l.shape[0]), ("sigma_v", self.l.shape[1])):
+            noise = linalg.check_psd(getattr(self, name), name)
+            if noise.shape != (size, size):
+                raise DimensionError(f"L and {name} dimensions are inconsistent")
+            object.__setattr__(self, name, noise)
 
     def abar(self, eta: int) -> np.ndarray:
         return self.omega_bar1 if eta else self.omega_bar0
@@ -191,7 +204,8 @@ class ModeMatrices:
 
 def mode_matrices(model: SystemModel, gains: GainSet) -> ModeMatrices:
     """Assemble the four mode matrices from the plant and gains, checking
-    the gain shapes; nothing is decomposed here (see ModeMatrices)."""
+    the gain shapes, with the model's noise covariances; nothing is
+    decomposed here (see ModeMatrices)."""
     a, b, c = model.a, model.b, model.c
     k = linalg.as_matrix(gains.k, "K")
     l = linalg.as_matrix(gains.l, "L")
@@ -199,8 +213,9 @@ def mode_matrices(model: SystemModel, gains: GainSet) -> ModeMatrices:
         raise DimensionError(f"K has shape {k.shape}, expected {(model.m, model.n)}")
     if l.shape != (model.n, model.p):
         raise DimensionError(f"L has shape {l.shape}, expected {(model.n, model.p)}")
-    return ModeMatrices(a=a, b=b, k=k, l=l, omega_bar0=a, omega_bar1=a + b @ k,
-                        omega_tilde0=a + l @ c, omega_tilde1=a)
+    return ModeMatrices(a=a, b=b, k=k, l=l, sigma_w=model.sigma_w, sigma_v=model.sigma_v,
+                        omega_bar0=a, omega_bar1=a + b @ k, omega_tilde0=a + l @ c,
+                        omega_tilde1=a)
 
 
 @dataclass(frozen=True)

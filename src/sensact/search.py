@@ -152,8 +152,6 @@ class SequenceEvaluator:
     """
 
     def __init__(self, model: SystemModel, gains: GainSet, weights: CostWeights):
-        self.model = model
-        self.gains = gains
         self.weights = weights
         self.mm: ModeMatrices = mode_matrices(model, gains)
         self._segments = self._cost_segments()
@@ -164,21 +162,20 @@ class SequenceEvaluator:
     def _cost_segments(self):
         """The one-step segments (Phi, V, G) of the system whose steady
         covariance the cost weighs, each stacked per step as _padded
-        numbers them: [eta] is (A_eta, W_eta, Q) of mode eta, from the
-        model's noise covariances as SystemModel validated them, and [2]
-        the identity (I, 0, 0); every step's c is 0. None when the cost is
-        the actuation penalty alone."""
-        w, noise = self.weights, (self.model.sigma_v, self.model.sigma_w)
+        numbers them: [eta] is (A_eta, W_eta, Q) of mode eta and [2] the
+        identity (I, 0, 0); every step's c is 0. None when the cost is the
+        actuation penalty alone."""
+        w = self.weights
         if w.needs_state_cov:
-            n = self.model.n
+            n = self.mm.n
             q = np.zeros((2 * n, 2 * n))
             q[:n, :n] = w.r_state
             if w.r_err is not None:
                 q[n:, n:] = w.r_err
-            a, v = _joint_steps(self.mm, *noise)
+            a, v = _joint_steps(self.mm)
         elif w.needs_error_cov:
             q = w.r_err
-            a, v = _error_steps(self.mm, *noise)
+            a, v = _error_steps(self.mm)
         else:
             return None
         zero = np.zeros_like(q)

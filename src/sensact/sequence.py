@@ -157,6 +157,12 @@ _FAMILIES = {"control": (0, 1), "observer": (2, 3), "all": (0, 1, 2, 3)}
 #: the largest kstar that growth_constant's search_kstar scans
 _MAX_KSTAR = 20
 
+#: the most powers a growth-constant walk takes (kstar, or
+#: uniform_growth_constant's max_power): its time and memory grow linearly
+#: in them, and 2^16 powers of the CW family (all four modes) take 1.2 s
+#: on a 2-core Xeon VM
+_MAX_POWERS = 2**16
+
 
 def growth_constant(mm: ModeMatrices, kstar: int = 1, family: str = "control",
                     search_kstar: bool = False) -> float:
@@ -206,7 +212,10 @@ def _log_growth(stack, radii, powers: int) -> np.ndarray:
     (K, n, n) stack with radii rho(M), as a (powers, K) array: one walk
     M^j = M^(j-1) M, each power divided by its Frobenius norm, whose log is
     carried, as in _radius_bounds, so neither a power nor rho^j underflows
-    or overflows."""
+    or overflows. More than _MAX_POWERS powers are refused before the walk."""
+    if powers > _MAX_POWERS:
+        raise DomainError(f"a growth constant walks at most {_MAX_POWERS} matrix powers, "
+                          f"not {powers}")
     log_radii = np.log(radii)
     out = np.empty((powers, len(stack)))
     power, log_norm = stack, 0.0

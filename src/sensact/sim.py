@@ -128,6 +128,26 @@ def step_closed_loop(x, xhat, eta, w, v, model: SystemModel, gains: GainSet,
     return x_next, xhat_next, None, y
 
 
+def _check_memory(model: SystemModel, runs: int, steps: int, constrained=None):
+    """Refuse a batch, before anything is allocated, whose arrays alive at
+    once would exceed physical memory (the overcommit policy decides
+    whether np.empty fails or a later write does). _simulate holds xs,
+    xhs, us, ys and the w and v draws; run_ensemble then drops the draws
+    and forms xs - xhs, then centered, each the size of xs, the
+    (steps + 1, n, n) covariance, two means and, for a box of constrained
+    components, a copy of those columns of xs and its absolute value.
+    constrained is None for simulate_run, which forms no statistics."""
+    n, m, p = model.n, model.m, model.p
+    rows = runs * (steps + 1)
+    peak = runs * steps * (n + p)
+    if constrained is not None:
+        peak = max(peak, rows * n + (steps + 1) * n * (n + 2) + 2 * rows * constrained)
+    size = 8 * (2 * rows * n + runs * steps * (m + p) + peak)
+    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise DomainError(f"an ensemble of {runs} runs x {steps} steps needs "
+                          f"{size / 2**30:,.1f} GiB, more than this machine's memory")
+
+
 def _simulate(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
               run_indices, target: TargetSpec):
     """Step the runs in run_indices together, one kernel call per step,
@@ -137,13 +157,6 @@ def _simulate(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
     n, m, p = model.n, model.m, model.p
     steps = cfg.steps
     runs = len(run_indices)
-    # the six arrays below, refused before they are allocated if they
-    # exceed physical memory: the overcommit policy decides whether
-    # np.empty fails or a later write does
-    size = 8 * runs * (2 * (steps + 1) * n + steps * (n + m + 2 * p))
-    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise DomainError(f"an ensemble of {runs} runs x {steps} steps needs "
-                          f"{size / 2**30:,.1f} GiB, more than this machine's memory")
     sqrt_x0 = linalg.psd_sqrt(cfg.x0_cov, "x0_cov")
     sqrt_w = linalg.psd_sqrt(model.sigma_w, "sigma_w")
     sqrt_v = linalg.psd_sqrt(model.sigma_v, "sigma_v")
@@ -176,6 +189,7 @@ def simulate_run(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
     """Simulate one seeded run: the batch of one. Its trajectory is the
     same whether it is simulated alone or inside an ensemble (to rounding
     of the batched matrix products)."""
+    _check_memory(model, 1, cfg.steps)
     return _simulate(model, gains, bits, cfg, [run_index], target)[2][0]
 
 
@@ -193,6 +207,7 @@ def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
     """
     bits = _as_bits(s)
     target = cfg.resolve_target(model)
+    _check_memory(model, cfg.runs, cfg.steps, 0 if box is None else len(box.resolve(model.n)[0]))
     xs, xhs, trajectories = _simulate(model, gains, bits, cfg, range(cfg.runs), target)
 
     mean = xs.mean(axis=0)

@@ -130,13 +130,13 @@ def test_criterion_5_search(cw_model, cw_gains):
 def test_criterion_6_chebyshev_radii(cw_model, cw_gains, cw_mm):
     c = Criterion(6, "confidence sphere radii over the S4 steady phases")
     alpha = chebyshev_alpha(3, 0.05)
-    _, state = steady_augmented_cov("0011", cw_model, cw_gains)
+    _, state = steady_augmented_cov("0011", cw_mm)
     radii = [confidence_radius(p[:3, :3], alpha) for p in state]
     c.check("min_radius", min(radii), 2.79, 0.05)
     c.check("max_radius", max(radii), 9.54, 0.1)
     # diagnostic: the estimation-error phases land near the reference
     # values, the state phases do not
-    err = steady_error_cov("0011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+    err = steady_error_cov("0011", cw_mm)
     err_radii = [confidence_radius(p[:3, :3], alpha) for p in err]
     print(f"  [diagnostic] state-block radii: {[round(r, 3) for r in radii]}; "
           f"error-block radii: {[round(r, 3) for r in err_radii]}")
@@ -195,7 +195,7 @@ def test_criterion_8_property_suites(cw_model, cw_gains, cw_mm):
     worst_fix = 0.0
     for idx, (model, gains, mm, bits) in enumerate(
             random_admissible_pairs(50, start_seed=0)):
-        steady = steady_error_cov(bits, mm, model.sigma_v, model.sigma_w)
+        steady = steady_error_cov(bits, mm)
         for k in range(len(bits)):
             eta = bits[k]
             a = mm.atilde(eta)
@@ -228,10 +228,9 @@ def test_criterion_8_property_suites(cw_model, cw_gains, cw_mm):
     contraction_ok = True
     for idx, (model, gains, mm, bits) in enumerate(
             random_admissible_pairs(20, start_seed=5_000)):
-        cert = contraction_certificate(bits, mm, model.sigma_v, model.sigma_w)
+        cert = contraction_certificate(bits, mm)
         rng = np.random.default_rng(idx)
-        traj = propagate_error_cov(make_psd(rng, model.n, 4.0), bits, mm,
-                                   model.sigma_v, model.sigma_w, 6 * len(bits))
+        traj = propagate_error_cov(make_psd(rng, model.n, 4.0), bits, mm, 6 * len(bits))
         norms = [np.linalg.norm(traj[i * len(bits)], 2) for i in range(7)]
         for i in range(6):
             bound = cert.monodromy_norm_sq * norms[i] + cert.gamma

@@ -159,10 +159,9 @@ def scalar_cost(word, model, gains, weights):
     try:
         err = state = None
         if weights.needs_error_cov:
-            err = steady_error_cov(word, mode_matrices(model, gains),
-                                   model.sigma_v, model.sigma_w)
+            err = steady_error_cov(word, mode_matrices(model, gains))
         if weights.needs_state_cov:
-            _, state = steady_augmented_cov(word, model, gains)
+            _, state = steady_augmented_cov(word, mode_matrices(model, gains))
     except (NumericsError, StabilityError):
         assume(False)
     return sequence_cost(word, err, state, weights)
@@ -234,7 +233,7 @@ class TestProperties:
         # to rounding: the oracle multiplies the noise out through Gbreve,
         # and _joint_steps writes its blocks down
         model, gains = plant
-        a, w = _joint_steps(mode_matrices(model, gains), model.sigma_v, model.sigma_w)
+        a, w = _joint_steps(mode_matrices(model, gains))
         aug = build_augmented(model, gains)
         for eta in (0, 1):
             for got, ref in ((a[eta], aug.a_modes[eta]), (w[eta], aug.step_noise(eta))):
@@ -256,13 +255,13 @@ class TestProperties:
         aug = build_augmented(model, gains)
         error_steps = [mm.atilde(eta) for eta in word]
         assume(well_conditioned(error_steps))
-        systems = [(lambda: steady_error_cov(word, mm, model.sigma_v, model.sigma_w),
+        systems = [(lambda: steady_error_cov(word, mm),
                     error_steps,
                     [error_noise_term(eta, gains.l, model.sigma_v, model.sigma_w)
                      for eta in word])]
         joint_steps = [aug.a_modes[eta] for eta in word]
         if well_conditioned(joint_steps):
-            systems.append((lambda: steady_augmented_cov(word, model, gains)[0],
+            systems.append((lambda: steady_augmented_cov(word, mm)[0],
                             joint_steps, [aug.step_noise(eta) for eta in word]))
         for solve, a_seq, w_seq in systems:
             try:
@@ -485,7 +484,7 @@ class TestSolverContract:
         evaluator = SequenceEvaluator(model, gains, weights)
         report, cost = evaluator.evaluate((0,))
         assert report.admissible and evaluator.fallbacks == 1
-        err = steady_error_cov("0", evaluator.mm, model.sigma_v, model.sigma_w)
+        err = steady_error_cov("0", evaluator.mm)
         assert cost == pytest.approx(sequence_cost("0", err, None, weights), rel=1e-9)
         evaluator.evaluate((0,))  # served from the cache
         assert evaluator.fallbacks == 1

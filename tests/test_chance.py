@@ -66,7 +66,7 @@ class TestConfidenceRadius:
     def test_case_study_phase_radii(self, cw_model, cw_gains):
         # computed truths for the S4 steady phases (position block):
         # the state-block spheres span about 10.1 to 21.4
-        _, state = steady_augmented_cov("0011", cw_model, cw_gains)
+        _, state = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
         alpha = chebyshev_alpha(3, 0.05)
         radii = sorted(confidence_radius(p[:3, :3], alpha) for p in state)
         assert radii[0] == pytest.approx(10.141, abs=0.01)
@@ -128,14 +128,14 @@ class TestVerifyChance:
     def test_large_box_passes(self, cw_model, cw_gains):
         # above the largest phase sphere (about 21.4) everything passes
         box = BoxConstraint(22.0, components=(0, 1, 2))
-        report = verify_chance("0011", cw_model, cw_gains, box, 0.05)
+        report = verify_chance("0011", mode_matrices(cw_model, cw_gains), box, 0.05)
         assert report.passes and report.sphere_passes
         assert report.max_radius == pytest.approx(21.403, abs=0.01)
         assert report.min_radius == pytest.approx(10.141, abs=0.01)
 
     def test_tight_box_fails(self, cw_model, cw_gains):
         box = BoxConstraint(2.5, components=(0, 1, 2))
-        report = verify_chance("0011", cw_model, cw_gains, box, 0.05)
+        report = verify_chance("0011", mode_matrices(cw_model, cw_gains), box, 0.05)
         assert not report.passes and not report.sphere_passes
 
     def test_zero_covariance_reduces_to_mean_check(self):
@@ -143,15 +143,17 @@ class TestVerifyChance:
                             sigma_w=[[0.0]], sigma_v=[[0.0]])
         gains = synthesize_gains(model, np.eye(1), np.eye(1))
         means = np.array([[0.5], [0.5]])
-        ok = verify_chance("01", model, gains, BoxConstraint(1.0), 0.05, mean_phases=means)
+        ok = verify_chance("01", mode_matrices(model, gains), BoxConstraint(1.0), 0.05,
+                           mean_phases=means)
         assert ok.passes
-        bad = verify_chance("01", model, gains, BoxConstraint(0.4), 0.05, mean_phases=means)
+        bad = verify_chance("01", mode_matrices(model, gains), BoxConstraint(0.4), 0.05,
+                            mean_phases=means)
         assert not bad.passes
 
     def test_monotone_in_delta(self, cw_model, cw_gains):
         box = BoxConstraint(15.0, components=(0, 1, 2))
-        loose = verify_chance("0011", cw_model, cw_gains, box, 0.2)
-        tight = verify_chance("0011", cw_model, cw_gains, box, 0.01)
+        loose = verify_chance("0011", mode_matrices(cw_model, cw_gains), box, 0.2)
+        tight = verify_chance("0011", mode_matrices(cw_model, cw_gains), box, 0.01)
         for ph_loose, ph_tight in zip(loose.phases, tight.phases):
             # shrinking delta can only lose faces, never gain them
             if ph_tight.face_pass:
@@ -160,7 +162,7 @@ class TestVerifyChance:
 
     def test_sphere_implies_faces(self, cw_model, cw_gains):
         for b in (11.0, 15.0, 22.0, 30.0):
-            report = verify_chance("0011", cw_model, cw_gains,
+            report = verify_chance("0011", mode_matrices(cw_model, cw_gains),
                                    BoxConstraint(b, components=(0, 1, 2)), 0.05)
             for ph in report.phases:
                 if ph.sphere_pass:
@@ -168,17 +170,17 @@ class TestVerifyChance:
 
     def test_inadmissible_sequence_rejected(self, cw_model, cw_gains):
         with pytest.raises(StabilityError):
-            verify_chance("1", cw_model, cw_gains, BoxConstraint(5.0), 0.05)
+            verify_chance("1", mode_matrices(cw_model, cw_gains), BoxConstraint(5.0), 0.05)
 
     def test_mean_phase_shape_checked(self, cw_model, cw_gains):
         with pytest.raises(DimensionError):
-            verify_chance("0011", cw_model, cw_gains, BoxConstraint(5.0), 0.05,
+            verify_chance("0011", mode_matrices(cw_model, cw_gains), BoxConstraint(5.0), 0.05,
                           mean_phases=np.zeros((2, 6)))
 
     def test_report_serializes(self, cw_model, cw_gains):
         import json
 
-        report = verify_chance("0011", cw_model, cw_gains,
+        report = verify_chance("0011", mode_matrices(cw_model, cw_gains),
                                BoxConstraint(22.0, components=(0, 1, 2)), 0.05)
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["passes"] is True
@@ -212,10 +214,11 @@ class TestStackedChance:
     @pytest.mark.parametrize("period, seed", [(4, 0), (9, 1), (17, 2), (33, 3), (64, 4)])
     def test_phases_equal_the_scalar_formulas(self, cw_model, cw_gains, period, seed):
         word = admissible_word(mode_matrices(cw_model, cw_gains), period, seed)
-        _, state = steady_augmented_cov(word, cw_model, cw_gains)
+        _, state = steady_augmented_cov(word, mode_matrices(cw_model, cw_gains))
         # a nonzero mean exercises the margins' |mu| term
         means = np.random.default_rng(seed).normal(0.0, 5.0, (period, cw_model.n))
-        report = verify_chance(word, cw_model, cw_gains, self.BOX, 0.05, mean_phases=means)
+        report = verify_chance(word, mode_matrices(cw_model, cw_gains), self.BOX, 0.05,
+                               mean_phases=means)
         idx, widths = self.BOX.resolve(cw_model.n)
         alpha = chebyshev_alpha(len(idx), 0.05)
         assert len(report.phases) == period
@@ -238,21 +241,21 @@ class TestStackedChance:
         constrained block of that phase."""
         real = steady_augmented_cov
 
-        def patched(s, model, gains):
-            joint, state = real(s, model, gains)
+        def patched(s, mm):
+            joint, state = real(s, mm)
             phases = list(state.phases)
             phases[2] = -phases[2]
             return joint, PeriodicCovariance(phases=tuple(phases), period=state.period)
 
         monkeypatch.setattr(chance_module, "steady_augmented_cov", patched)
-        _, state = real("0011", cw_model, cw_gains)
+        _, state = real("0011", mode_matrices(cw_model, cw_gains))
         return -state[2][np.ix_((0, 1, 2), (0, 1, 2))]
 
     def test_non_psd_phase_raises_the_scalar_error(self, cw_model, cw_gains, one_bad_phase):
         with pytest.raises(DomainError) as scalar:
             confidence_radius(one_bad_phase, chebyshev_alpha(3, 0.05))
         with pytest.raises(DomainError) as stacked:
-            verify_chance("0011", cw_model, cw_gains, self.BOX, 0.05)
+            verify_chance("0011", mode_matrices(cw_model, cw_gains), self.BOX, 0.05)
         assert str(stacked.value) == str(scalar.value) == "P is not positive semi-definite"
 
     def test_non_psd_phase_exits_2(self, tmp_path, one_bad_phase, capsys):

@@ -12,12 +12,13 @@ import pytest
 from conftest import CW_CONFIG, REPO_ROOT
 from oracles import make_psd, write_trajectories_csv
 
-from sensact import __version__, cli, linalg
+from sensact import __version__, cli, linalg, sim
 from sensact.cli import build_parser, main
 from sensact.covariance import steady_augmented_cov, steady_error_cov
-from sensact.exceptions import SchemaError
+from sensact.exceptions import DomainError, SchemaError
 from sensact.modelio import load_model, parse_matrix, save_model
 from sensact.plant import GainSet, SystemModel, mode_matrices
+from sensact.sequence import _MAX_POWERS
 
 
 class TestMatrixForms:
@@ -458,7 +459,7 @@ class TestCovSteadyTraces:
         assert main(["cov", "steady", path, word, "--augmented"]) == 0
         lines = capsys.readouterr().out.splitlines()
         # the error phases of --augmented are the joint phases' error blocks
-        joint, state = steady_augmented_cov(word, model, gains)
+        joint, state = steady_augmented_cov(word, mode_matrices(model, gains))
         err = joint.phases[:, model.n:, model.n:]
         assert lines == [
             "steady error covariance traces: " + " ".join(f"{np.trace(p):.6g}" for p in err),
@@ -473,6 +474,14 @@ class TestSeqDwell:
         assert "lhs_ctrl=-0.10" in out
         assert "typeset variant" in out
         assert "passes" in out
+
+    def test_kstar_past_the_cap_exit_2(self, model_file, capsys):
+        kstar = str(_MAX_POWERS + 1)
+        assert main(["seq", "dwell", model_file, "0011", "--kstar", kstar]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a growth constant walks at most {_MAX_POWERS} "
+                                f"matrix powers, not {kstar}\n")
 
 
 class TestSeqSearch:
@@ -686,6 +695,35 @@ class TestSimRun:
         assert f"{runs} runs x {steps} steps needs " in err and " GiB" in err
         assert not out_dir.exists()
 
+    def test_ensemble_peak_counted_before_allocation(self, model_file, tmp_path, capsys,
+                                                     monkeypatch):
+        # room for the six arrays that _simulate holds (5 runs x 20 steps of
+        # the 6-state, 3-input, 3-output CW model) but not for the
+        # statistics formed beside them: refused before anything is
+        # simulated, in Python and on the command line
+        runs, steps, n, m, p = 5, 20, 6, 3, 3
+        six_arrays = 8 * runs * (2 * (steps + 1) * n + steps * (n + m + 2 * p))
+        real = os.sysconf
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": six_arrays}
+        monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or real(name))
+
+        def refuse(*args):
+            raise AssertionError("the ensemble was simulated")
+
+        monkeypatch.setattr(sim, "_simulate", refuse)
+        model, gains, cfg = load_model(model_file)
+        sim_cfg = sim.SimConfig(steps=steps, runs=runs, seed=1, x0_mean=np.zeros(n),
+                                x0_cov=np.eye(n))
+        with pytest.raises(DomainError, match=f"{runs} runs x {steps} steps needs "):
+            sim.run_ensemble(model, gains, "0011", sim_cfg)
+        out_dir = tmp_path / "sim"
+        capsys.readouterr()
+        assert main(["sim", "run", model_file, "0011", "--runs", str(runs), "--steps",
+                     str(steps), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{runs} runs x {steps} steps needs " in err
+        assert not out_dir.exists()
+
     def test_unwritable_out_exit_4(self, model_file, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -861,6 +899,45 @@ class TestOneModeMatricesPerCommand:
         assert "not admissible" in capsys.readouterr().err
 
 
+class TestPublicSolversPerCommand:
+    """Each command solves its steady covariances through the public
+    solvers of sensact.covariance, once; the solvers are counted at every
+    binding in sensact, as a tracer that wraps the public names counts
+    them."""
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        from sensact import covariance
+
+        counts = {}
+        for fn in ("steady_error_cov", "steady_augmented_cov"):
+            real = getattr(covariance, fn)
+            counts[fn] = 0
+
+            def counting(*args, _fn=fn, _real=real):
+                counts[_fn] += 1
+                return _real(*args)
+
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "sensact":
+                    for attr, value in list(vars(module).items()):
+                        if value is real:
+                            monkeypatch.setattr(module, attr, counting)
+        return counts
+
+    @pytest.mark.parametrize("argv, error, joint", [
+        (["cov", "steady", "{model}", "0011"], 1, 0),
+        (["cov", "steady", "{model}", "0011", "--augmented"], 0, 1),
+        (["chance", "verify", "{model}", "0011", "--bound", "22"], 0, 1),
+        (["seq", "check", "{model}", "0011", "--chance", "--bound", "22", "--delta", "0.05"],
+         0, 1),
+    ], ids=["cov-steady", "cov-steady-augmented", "chance-verify", "seq-check-chance"])
+    def test_one_public_solve(self, model_file, capsys, solves, argv, error, joint):
+        assert main([a.format(model=model_file) for a in argv]) == 0
+        capsys.readouterr()
+        assert solves == {"steady_error_cov": error, "steady_augmented_cov": joint}
+
+
 class TestCanonicalJson:
     """Every JSON file the CLI writes is the stdlib's canonical text of its
     own content: floats repr round-trip, so re-dumping what json.load reads
@@ -896,9 +973,8 @@ class TestCovSteadyValues:
         capsys.readouterr()
         doc = json.loads(out.read_text(encoding="utf-8"))
         model, gains, _ = load_model(model_file)
-        err = steady_error_cov("0001100011", mode_matrices(model, gains),
-                               model.sigma_v, model.sigma_w)
-        joint, state = steady_augmented_cov("0001100011", model, gains)
+        err = steady_error_cov("0001100011", mode_matrices(model, gains))
+        joint, state = steady_augmented_cov("0001100011", mode_matrices(model, gains))
         # --augmented makes one joint solve: its error phases are the
         # joint phases' error blocks, equal to the error solve to rounding
         for k in range(10):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,15 +101,16 @@ class TestErrorNoiseTerm:
 
 @pytest.mark.parametrize("call", [
     lambda mm, sv, sw: error_noise_term(0, mm.l, sv, sw),
-    lambda mm, sv, sw: propagate_error_cov(np.zeros((6, 6)), "0011", mm, sv, sw, 4),
-    lambda mm, sv, sw: steady_error_cov("0011", mm, sv, sw),
-    lambda mm, sv, sw: contraction_certificate("0011", mm, sv, sw),
+    lambda mm, sv, sw: propagate_error_cov(np.zeros((6, 6)), "0011",
+                                           replace(mm, sigma_v=sv, sigma_w=sw), 4),
+    lambda mm, sv, sw: steady_error_cov("0011", replace(mm, sigma_v=sv, sigma_w=sw)),
+    lambda mm, sv, sw: contraction_certificate("0011", replace(mm, sigma_v=sv, sigma_w=sw)),
 ], ids=["error_noise_term", "propagate_error_cov", "steady_error_cov",
         "contraction_certificate"])
 @pytest.mark.parametrize("name", ["sigma_v", "sigma_w"])
 def test_public_entry_points_check_the_noise_they_are_given(cw_model, cw_mm, call, name):
-    # the model's own covariances are used as they are elsewhere; covariances
-    # a caller passes are checked once, at the entry point
+    # the oracle checks the covariances it is given; the solvers read them
+    # from a ModeMatrices, which checks them when it is built
     noise = {"sigma_v": cw_model.sigma_v, "sigma_w": cw_model.sigma_w}
     noise[name] = -noise[name]
     with pytest.raises(DomainError, match=f"{name} is not positive semi-definite"):
@@ -124,14 +126,14 @@ class TestPropagation:
         mm = mode_matrices(model, gains)
         np.testing.assert_allclose(mm.omega_tilde0, np.zeros((2, 2)))
         p0 = make_psd(np.random.default_rng(0), 2)
-        traj = propagate_error_cov(p0, (0,), mm, model.sigma_v, model.sigma_w, 1)
+        traj = propagate_error_cov(p0, (0,), mm, 1)
         r0 = error_noise_term(0, gains.l, model.sigma_v, model.sigma_w)
         np.testing.assert_allclose(traj[1], r0)
 
     def test_matches_unrolled_recursion(self, cw_model, cw_gains, cw_mm):
         bits = (0, 0, 1, 1)
         p0 = make_psd(np.random.default_rng(1), 6)
-        traj = propagate_error_cov(p0, bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w, 4)
+        traj = propagate_error_cov(p0, bits, cw_mm, 4)
         p = p0.copy()
         for eta in bits:
             a = cw_mm.atilde(eta)
@@ -140,21 +142,19 @@ class TestPropagation:
         np.testing.assert_allclose(traj[4], p, rtol=1e-10, atol=1e-11)
 
     def test_steady_is_fixed_point(self, cw_model, cw_mm):
-        steady = steady_error_cov("0011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
-        traj = propagate_error_cov(steady[0], "0011", cw_mm,
-                                   cw_model.sigma_v, cw_model.sigma_w, 4)
+        steady = steady_error_cov("0011", cw_mm)
+        traj = propagate_error_cov(steady[0], "0011", cw_mm, 4)
         assert np.max(np.abs(traj[4] - steady[0])) < 1e-8
 
     def test_psd_preserved(self, cw_model, cw_mm):
-        traj = propagate_error_cov(np.zeros((6, 6)), "0011", cw_mm,
-                                   cw_model.sigma_v, cw_model.sigma_w, 40)
+        traj = propagate_error_cov(np.zeros((6, 6)), "0011", cw_mm, 40)
         for p in traj:
             assert np.min(np.linalg.eigvalsh(p)) >= -1e-9 * (1 + np.trace(p))
 
 
 class TestSteadyErrorCov:
     def test_period_one_single_lyapunov(self, cw_model, cw_gains, cw_mm):
-        steady = steady_error_cov("0", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        steady = steady_error_cov("0", cw_mm)
         atil = cw_mm.omega_tilde0
         r0 = error_noise_term(0, cw_gains.l, cw_model.sigma_v, cw_model.sigma_w)
         expected = linalg.solve_discrete_lyapunov(atil, r0)
@@ -162,7 +162,7 @@ class TestSteadyErrorCov:
 
     def test_cyclic_recursion_residual(self, cw_model, cw_gains, cw_mm):
         bits = (0, 0, 1, 1)
-        steady = steady_error_cov(bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        steady = steady_error_cov(bits, cw_mm)
         for k in range(4):
             eta = bits[k]
             a = cw_mm.atilde(eta)
@@ -171,21 +171,20 @@ class TestSteadyErrorCov:
             assert np.max(np.abs(succ - steady[(k + 1) % 4])) < 1e-8
 
     def test_long_propagation_converges(self, cw_model, cw_mm):
-        steady = steady_error_cov("0011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
-        traj = propagate_error_cov(np.zeros((6, 6)), "0011", cw_mm,
-                                   cw_model.sigma_v, cw_model.sigma_w, 500)
+        steady = steady_error_cov("0011", cw_mm)
+        traj = propagate_error_cov(np.zeros((6, 6)), "0011", cw_mm, 500)
         for k in range(496, 500):
             assert np.max(np.abs(traj[k] - steady[k % 4])) < 1e-6
 
     def test_observer_unstable_rejected(self, cw_model, cw_mm):
         # all-ones never senses; the observer side sits on the unit circle
         with pytest.raises(StabilityError):
-            steady_error_cov("1", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+            steady_error_cov("1", cw_mm)
 
     @pytest.mark.parametrize("idx", range(50))
     def test_random_pairs_fixed_point(self, idx):
         model, gains, mm, bits = next(random_admissible_pairs(1, start_seed=idx * 37))
-        steady = steady_error_cov(bits, mm, model.sigma_v, model.sigma_w)
+        steady = steady_error_cov(bits, mm)
         n_p = len(bits)
         for k in range(n_p):
             eta = bits[k]
@@ -268,37 +267,37 @@ class TestContraction:
                             sigma_w=0.1 * np.eye(2), sigma_v=0.2 * np.eye(2))
         gains = GainSet(k=np.zeros((2, 2)), l=-model.a)
         mm = mode_matrices(model, gains)
-        cert = contraction_certificate("0", mm, model.sigma_v, model.sigma_w)
+        cert = contraction_certificate("0", mm)
         r0 = error_noise_term(0, gains.l, model.sigma_v, model.sigma_w)
         assert cert.gamma == pytest.approx(np.linalg.norm(r0, 2))
         assert cert.limsup_bound == pytest.approx(cert.gamma)
 
     def test_steady_norms_below_limsup_bound(self, cw_model, cw_mm):
-        cert = contraction_certificate("0011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
-        steady = steady_error_cov("0011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        cert = contraction_certificate("0011", cw_mm)
+        steady = steady_error_cov("0011", cw_mm)
         # the bound covers the start-of-period phase it was built from
         assert np.linalg.norm(steady[0], 2) <= cert.limsup_bound + 1e-12
 
     def test_noise_scaling_linearity(self, cw_model, cw_mm):
         zero_v = np.zeros((3, 3))
-        cert1 = contraction_certificate("0011", cw_mm, zero_v, cw_model.sigma_w)
-        cert4 = contraction_certificate("0011", cw_mm, zero_v, 4.0 * cw_model.sigma_w)
+        cert1 = contraction_certificate("0011", replace(cw_mm, sigma_v=zero_v))
+        cert4 = contraction_certificate("0011", replace(cw_mm, sigma_v=zero_v,
+                                                        sigma_w=4.0 * cw_model.sigma_w))
         assert cert4.gamma == pytest.approx(4.0 * cert1.gamma, rel=1e-12)
 
     def test_requires_observer_stability(self, cw_model, cw_mm):
         with pytest.raises(StabilityError):
-            contraction_certificate("1", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+            contraction_certificate("1", cw_mm)
 
     @pytest.mark.parametrize("idx", range(20))
     def test_norm_sequence_inequality(self, idx):
         # rigorous variant: ||P_{N(n+1)}|| - g/(1-b) <= b (||P_Nn|| - g/(1-b))
         # with b the squared spectral norm of the monodromy
         model, gains, mm, bits = next(random_admissible_pairs(1, start_seed=900 + idx * 13))
-        cert = contraction_certificate(bits, mm, model.sigma_v, model.sigma_w)
+        cert = contraction_certificate(bits, mm)
         beta = cert.monodromy_norm_sq
         rng = np.random.default_rng(idx)
-        traj = propagate_error_cov(make_psd(rng, model.n, 5.0), bits, mm,
-                                   model.sigma_v, model.sigma_w, 8 * len(bits))
+        traj = propagate_error_cov(make_psd(rng, model.n, 5.0), bits, mm, 8 * len(bits))
         norms = [np.linalg.norm(traj[i * len(bits)], 2) for i in range(9)]
         for i in range(8):
             lhs = norms[i + 1]
@@ -327,7 +326,7 @@ class TestAugmented:
 
     def test_joint_steps_are_the_oracle(self, cw_model, cw_gains, cw_mm):
         # bit for bit (+0 and -0 compare equal: -eta BK is -0 at eta = 0)
-        a, w = _joint_steps(cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        a, w = _joint_steps(cw_mm)
         aug = build_augmented(cw_model, cw_gains)
         assert a.shape == w.shape == (2, 12, 12)
         for eta in (0, 1):
@@ -349,32 +348,32 @@ class TestAugmented:
         quiet = SystemModel(a=cw_model.a, b=cw_model.b, c=cw_model.c,
                             sigma_w=np.zeros((6, 6)), sigma_v=np.zeros((3, 3)),
                             ts=cw_model.ts)
-        joint, state = steady_augmented_cov("0011", quiet, cw_gains)
+        joint, state = steady_augmented_cov("0011", mode_matrices(quiet, cw_gains))
         for p in joint:
             assert np.max(np.abs(p)) < 1e-12
 
     def test_error_block_matches_error_solution(self, cw_model, cw_gains, cw_mm):
-        joint, _ = steady_augmented_cov("0011", cw_model, cw_gains)
-        err = steady_error_cov("0011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        joint, _ = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
+        err = steady_error_cov("0011", cw_mm)
         for k in range(4):
             np.testing.assert_allclose(joint[k][6:, 6:], err[k], atol=1e-8)
 
     def test_inadmissible_rejected(self, cw_model, cw_gains):
         with pytest.raises(StabilityError):
-            steady_augmented_cov("1", cw_model, cw_gains)
+            steady_augmented_cov("1", mode_matrices(cw_model, cw_gains))
 
     def test_monotone_in_process_noise(self, cw_model, cw_gains):
-        _, state_lo = steady_augmented_cov("0011", cw_model, cw_gains)
+        _, state_lo = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
         bumped = SystemModel(a=cw_model.a, b=cw_model.b, c=cw_model.c,
                              sigma_w=cw_model.sigma_w + 5e-5 * np.eye(6),
                              sigma_v=cw_model.sigma_v, ts=cw_model.ts)
-        _, state_hi = steady_augmented_cov("0011", bumped, cw_gains)
+        _, state_hi = steady_augmented_cov("0011", mode_matrices(bumped, cw_gains))
         for k in range(4):
             diff = state_hi[k] - state_lo[k]
             assert np.min(np.linalg.eigvalsh(diff)) >= -1e-9 * (1 + np.trace(diff))
 
     def test_joint_fixed_point(self, cw_model, cw_gains):
-        joint, _ = steady_augmented_cov("0011", cw_model, cw_gains)
+        joint, _ = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
         aug = build_augmented(cw_model, cw_gains)
         bits = (0, 0, 1, 1)
         for k in range(4):
@@ -393,13 +392,13 @@ def test_contraction_band_is_unstable_everywhere():
     assert not admissibility("1", mm).admissible
     assert not admissibility("0", mm).admissible
     with pytest.raises(StabilityError):
-        steady_error_cov("1", mm, model.sigma_v, model.sigma_w)
+        steady_error_cov("1", mm)
     with pytest.raises(StabilityError):
-        contraction_certificate("1", mm, model.sigma_v, model.sigma_w)
+        contraction_certificate("1", mm)
     with pytest.raises(StabilityError):
         steady_mean_phases(mm, "0", TargetSpec.origin(1, 1))
     with pytest.raises(StabilityError):
-        steady_augmented_cov("1", model, gains)
+        steady_augmented_cov("1", mode_matrices(model, gains))
 
 
 # admissible irreducible CW words: actuation runs broken by short sensing
@@ -447,7 +446,7 @@ class TestSinglePeriodSolve:
     @pytest.mark.parametrize("word", LONG_CW_WORDS)
     def test_error_phases(self, word, cw_model, cw_gains, cw_mm, solve_count):
         bits = tuple(int(ch) for ch in word)
-        steady = steady_error_cov(bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        steady = steady_error_cov(bits, cw_mm)
         assert len(solve_count) == 1
         a_seq = [cw_mm.atilde(eta) for eta in bits]
         w_seq = [error_noise_term(eta, cw_gains.l, cw_model.sigma_v, cw_model.sigma_w)
@@ -457,7 +456,7 @@ class TestSinglePeriodSolve:
     @pytest.mark.parametrize("word", LONG_CW_WORDS)
     def test_joint_phases(self, word, cw_model, cw_gains, solve_count):
         bits = tuple(int(ch) for ch in word)
-        joint, _ = steady_augmented_cov(bits, cw_model, cw_gains)
+        joint, _ = steady_augmented_cov(bits, mode_matrices(cw_model, cw_gains))
         assert len(solve_count) == 1
         aug = build_augmented(cw_model, cw_gains)
         a_seq = [aug.a_modes[eta] for eta in bits]
@@ -489,7 +488,7 @@ class TestPrefixScan:
     @pytest.mark.parametrize("period", range(1, 65))
     def test_error_phases_are_the_recursion(self, period, cw_model, cw_gains, cw_mm):
         bits = cw_word(period, cw_mm, joint=False)
-        steady = steady_error_cov(bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        steady = steady_error_cov(bits, cw_mm)
         a_seq = [cw_mm.atilde(eta) for eta in bits]
         w_seq = [error_noise_term(eta, cw_gains.l, cw_model.sigma_v, cw_model.sigma_w)
                  for eta in bits]
@@ -503,7 +502,7 @@ class TestPrefixScan:
                            for w in np.ndindex((2,) * period))
             return
         bits = cw_word(period, cw_mm, joint=True)
-        joint, state = steady_augmented_cov(bits, cw_model, cw_gains)
+        joint, state = steady_augmented_cov(bits, mode_matrices(cw_model, cw_gains))
         aug = build_augmented(cw_model, cw_gains)
         a_seq = [aug.a_modes[eta] for eta in bits]
         w_seq = [aug.step_noise(eta) for eta in bits]
@@ -519,14 +518,14 @@ class TestPrefixScan:
                             lambda later, earlier: calls.append(len(later[0]))
                             or compose(later, earlier))
         bits = cw_word(period, cw_mm, joint=False)
-        steady_error_cov(bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        steady_error_cov(bits, cw_mm)
         assert len(calls) == math.ceil(math.log2(period))
         # level d composes the items from d on, each stacked in one product
         assert calls == [period - 2**j for j in range(len(calls))]
 
     def test_certificate_reads_the_last_prefix(self, cw_model, cw_gains, cw_mm):
         bits = cw_word(13, cw_mm, joint=False)
-        cert = contraction_certificate(bits, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        cert = contraction_certificate(bits, cw_mm)
         big_m, big_w = np.eye(6), np.zeros((6, 6))
         for eta in bits:
             a = cw_mm.atilde(eta)
@@ -550,7 +549,7 @@ class TestPrefixScan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error):
-                steady_error_cov("1111", mm, model.sigma_v, model.sigma_w)
+                steady_error_cov("1111", mm)
 
 
 def test_phases_stack_any_sequence_of_matrices():

@@ -210,3 +210,12 @@ class TestSystemModelValidation:
         with pytest.raises(DomainError):
             SystemModel(a=np.eye(2), b=np.eye(2), c=np.eye(2),
                         sigma_w=[[1.0, 0.5], [0.0, 1.0]], sigma_v=np.eye(2))
+
+    @pytest.mark.parametrize("name", ["sigma_v", "sigma_w"])
+    def test_rejects_non_psd_noise(self, cw_model, name):
+        # the noise covariances are checked once, here: ModeMatrices carries
+        # them to every covariance routine, which uses them as they are
+        noise = {"sigma_v": cw_model.sigma_v, "sigma_w": cw_model.sigma_w}
+        noise[name] = -noise[name]
+        with pytest.raises(DomainError, match=f"{name} is not positive semi-definite"):
+            SystemModel(a=cw_model.a, b=cw_model.b, c=cw_model.c, ts=cw_model.ts, **noise)

@@ -30,7 +30,7 @@ def est_weights():
 
 class TestSequenceCost:
     def test_error_weight_is_mean_trace(self, cw_model, cw_mm, est_weights):
-        err = steady_error_cov("0011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        err = steady_error_cov("0011", cw_mm)
         j = sequence_cost("0011", err, None, est_weights)
         assert j == pytest.approx(np.mean([np.trace(p) for p in err]), rel=1e-12)
 
@@ -39,19 +39,19 @@ class TestSequenceCost:
         assert sequence_cost("00111", None, None, w) == pytest.approx(3.0 / 5.0)
 
     def test_repetition_invariance(self, cw_model, cw_mm, est_weights):
-        err1 = steady_error_cov("0011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
-        err2 = steady_error_cov("00110011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        err1 = steady_error_cov("0011", cw_mm)
+        err2 = steady_error_cov("00110011", cw_mm)
         j1 = sequence_cost("0011", err1, None, est_weights)
         j2 = sequence_cost("00110011", err2, None, est_weights)
         assert j2 == pytest.approx(j1, rel=1e-10)
 
     def test_phase_count_mismatch(self, cw_model, cw_mm, est_weights):
-        err = steady_error_cov("0011", cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+        err = steady_error_cov("0011", cw_mm)
         with pytest.raises(DimensionError):
             sequence_cost("001", err, None, est_weights)
 
     def test_state_weight_uses_state_phases(self, cw_model, cw_gains):
-        _, state = steady_augmented_cov("0011", cw_model, cw_gains)
+        _, state = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
         w = CostWeights(r_state=np.eye(6))
         j = sequence_cost("0011", None, state, w)
         assert j == pytest.approx(np.mean([np.trace(p) for p in state]), rel=1e-12)
@@ -113,7 +113,7 @@ class TestFixedLengthSearch:
             if not direct_report.admissible:
                 assert not np.isfinite(core_cost)
                 continue
-            err = steady_error_cov(word, cw_mm, cw_model.sigma_v, cw_model.sigma_w)
+            err = steady_error_cov(word, cw_mm)
             direct_cost = sequence_cost(word, err, None, est_weights)
             assert core_cost == pytest.approx(direct_cost, rel=1e-9)
 
@@ -209,9 +209,9 @@ def _word_costs(length, model, gains, mm, weights):
             continue
         err = state = None
         if weights.needs_error_cov:
-            err = steady_error_cov(word, mm, model.sigma_v, model.sigma_w)
+            err = steady_error_cov(word, mm)
         if weights.needs_state_cov:
-            _, state = steady_augmented_cov(word, model, gains)
+            _, state = steady_augmented_cov(word, mode_matrices(model, gains))
         costs[word] = sequence_cost(word, err, state, weights)
     return costs
 

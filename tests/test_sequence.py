@@ -11,6 +11,8 @@ from sensact.exceptions import DomainError, NilpotencyError
 from sensact.modelio import build_from_config, validate_config
 from sensact.plant import ModeMatrices, mode_matrices
 from sensact.sequence import (
+    _MAX_KSTAR,
+    _MAX_POWERS,
     SwitchSequence,
     admissibility,
     dwell_counts,
@@ -31,6 +33,7 @@ def make_mode_matrices(rng, n=3, rho0=1.1, rho1=0.5, rho_t0=0.4):
     til0 = make_stable(rng, n, rho_t0)
     return ModeMatrices(
         a=a, b=np.zeros((n, 1)), k=np.zeros((1, n)), l=np.zeros((n, 1)),
+        sigma_w=np.zeros((n, n)), sigma_v=np.zeros((1, 1)),
         omega_bar0=a, omega_bar1=bar1, omega_tilde0=til0, omega_tilde1=a,
     )
 
@@ -130,6 +133,7 @@ class TestGrowthConstant:
         eye = np.eye(n)
         mm = ModeMatrices(
             a=eye, b=np.zeros((n, 1)), k=np.zeros((1, n)), l=np.zeros((n, 1)),
+            sigma_w=np.zeros((n, n)), sigma_v=np.zeros((1, 1)),
             omega_bar0=eye, omega_bar1=eye, omega_tilde0=eye, omega_tilde1=eye,
         )
         assert growth_constant(mm) == pytest.approx(np.sqrt(n))
@@ -138,6 +142,7 @@ class TestGrowthConstant:
         d = np.diag([0.5, 0.25])
         mm = ModeMatrices(
             a=d, b=np.zeros((2, 1)), k=np.zeros((1, 2)), l=np.zeros((2, 1)),
+            sigma_w=np.zeros((2, 2)), sigma_v=np.zeros((1, 1)),
             omega_bar0=d, omega_bar1=d, omega_tilde0=d, omega_tilde1=d,
         )
         expected = np.linalg.norm(d, "fro") / 0.5
@@ -202,6 +207,17 @@ class TestGrowthConstant:
         assert growth_constant(cw_mm, family=family, search_kstar=True) == min(
             growth_constant(cw_mm, kstar=k, family=family) for k in range(1, 21))
 
+    def test_power_walk_is_capped(self, cw_mm):
+        # the walk's time and memory grow linearly in its powers: one past
+        # the cap is refused before it starts; every documented use (kstar
+        # 1500 in CI, 2000 above, the search's _MAX_KSTAR) is below it
+        assert _MAX_POWERS >= max(1500, 2000, _MAX_KSTAR)
+        message = f"at most {_MAX_POWERS} matrix powers, not {_MAX_POWERS + 1}"
+        with pytest.raises(DomainError, match=message):
+            growth_constant(cw_mm, kstar=_MAX_POWERS + 1, family="all")
+        with pytest.raises(DomainError, match=message):
+            uniform_growth_constant((cw_mm.a, cw_mm.omega_bar1), _MAX_POWERS + 1)
+
     def test_max_kstar_is_not_a_parameter(self, cw_mm):
         with pytest.raises(TypeError):
             growth_constant(cw_mm, search_kstar=True, max_kstar=5)
@@ -210,6 +226,7 @@ class TestGrowthConstant:
         z = np.zeros((2, 2))
         mm = ModeMatrices(
             a=z, b=np.zeros((2, 1)), k=np.zeros((1, 2)), l=np.zeros((2, 1)),
+            sigma_w=np.zeros((2, 2)), sigma_v=np.zeros((1, 1)),
             omega_bar0=z, omega_bar1=z, omega_tilde0=z, omega_tilde1=z,
         )
         with pytest.raises(DomainError):
@@ -347,6 +364,7 @@ class TestAdmissibility:
         good = np.eye(n) * 0.5
         mm = ModeMatrices(
             a=good, b=np.zeros((n, 1)), k=np.zeros((1, n)), l=np.zeros((n, 1)),
+            sigma_w=np.zeros((n, n)), sigma_v=np.zeros((1, 1)),
             omega_bar0=good, omega_bar1=nil, omega_tilde0=good, omega_tilde1=good,
         )
         with pytest.raises(NilpotencyError):

@@ -191,7 +191,7 @@ class TestEnsembleStatistics:
         # empirical per-step covariance in the steady window against the
         # analytic phase covariance, elementwise within five standard
         # errors of the sample covariance estimator
-        _, state = steady_augmented_cov("0011", cw_model, cw_gains)
+        _, state = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
         stats = run_ensemble(cw_model, cw_gains, "0011", base_cfg)
         runs = base_cfg.runs
         for k in (200, 201, 202, 203):
@@ -201,8 +201,7 @@ class TestEnsembleStatistics:
 
     def test_error_mean_vanishes(self, cw_model, cw_gains, base_cfg):
         stats = run_ensemble(cw_model, cw_gains, "0011", base_cfg)
-        err = steady_error_cov("0011", mode_matrices(cw_model, cw_gains),
-                               cw_model.sigma_v, cw_model.sigma_w)
+        err = steady_error_cov("0011", mode_matrices(cw_model, cw_gains))
         for k in range(200, 240):
             se = np.sqrt(np.trace(err[k % 4]) / base_cfg.runs)
             assert np.linalg.norm(stats.error_mean[k]) <= 3.0 * se
@@ -250,7 +249,7 @@ class TestViolations:
 
     def test_chebyshev_exceedance_within_budget(self, cw_model, cw_gains, base_cfg):
         # Gaussian tails sit far inside the distribution-free bound
-        _, state = steady_augmented_cov("0011", cw_model, cw_gains)
+        _, state = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
         alpha = chebyshev_alpha(3, 0.05)
         stats, trajectories = run_ensemble(
             cw_model, cw_gains, "0011", base_cfg,
