@@ -20,7 +20,6 @@ from .exceptions import (
     StabilityError,
 )
 from .linalg import (
-    frobenius_norm,
     matrix_exponential,
     solve_dare,
     solve_discrete_lyapunov,

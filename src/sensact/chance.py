@@ -37,37 +37,31 @@ def chebyshev_alpha(n_x: int, delta: float) -> float:
 
 @dataclass(frozen=True)
 class BoxConstraint:
-    """Axis-aligned box |x_i| <= b_i on the selected state components.
-
-    half_width applies to every constrained component unless
-    per_component overrides it; components lists the state indices the
-    box constrains (None means all of them).
+    """Axis-aligned box |x_i| <= half_width on the selected state
+    components; components lists the distinct state indices the box
+    constrains (None means all of them).
     """
 
     half_width: float
-    per_component: tuple = None
     components: tuple = None
 
     def __post_init__(self):
-        if self.per_component is not None:
-            pc = tuple(float(v) for v in self.per_component)
-            if any(v <= 0 for v in pc):
-                raise DomainError("box half-widths must be positive")
-            object.__setattr__(self, "per_component", pc)
-        elif self.half_width <= 0:
+        if self.half_width <= 0:
             raise DomainError("box half-width must be positive")
         if self.components is not None:
-            object.__setattr__(self, "components", tuple(int(i) for i in self.components))
+            comps = tuple(self.components)
+            if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                       for i in comps):
+                raise DomainError("box components must be integer state indices")
+            if len(set(comps)) != len(comps):
+                raise DomainError("box components must be distinct")
+            object.__setattr__(self, "components", tuple(int(i) for i in comps))
 
     def resolve(self, n: int):
         """Return (indices, half-widths) for an n-dimensional state."""
         idx = tuple(range(n)) if self.components is None else self.components
         if any(i < 0 or i >= n for i in idx):
             raise DimensionError("box component index out of range")
-        if self.per_component is not None:
-            if len(self.per_component) != len(idx):
-                raise DimensionError("per-component widths do not match component count")
-            return idx, np.asarray(self.per_component)
         return idx, np.full(len(idx), float(self.half_width))
 
 

@@ -11,7 +11,6 @@ or schema error, 3 synthesis or numerical failure, 4 I/O error.
 import argparse
 import csv
 import functools
-import json
 import os
 import shutil
 import sys
@@ -23,14 +22,7 @@ import numpy as np
 from . import __version__
 from .chance import verify_chance
 from .covariance import steady_augmented_cov, steady_error_cov
-from .exceptions import (
-    DimensionError,
-    DomainError,
-    NumericsError,
-    SchemaError,
-    SensactError,
-    StabilityError,
-)
+from .exceptions import DimensionError, DomainError, SchemaError, SensactError
 from .modelio import (
     build_from_config,
     chance_from_config,
@@ -488,9 +480,6 @@ def main(argv=None) -> int:
     except (SchemaError, DomainError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (StabilityError, NumericsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except SensactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -55,13 +55,16 @@ class PeriodicCovariance:
     (N, n, n) array; a sequence of N matrices is stacked into one."""
 
     phases: np.ndarray
-    period: int
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float)
-        if phases.ndim != 3 or len(phases) != self.period:
+        if phases.ndim != 3:
             raise DimensionError("phases must be an (N, n, n) stack, N the period")
         object.__setattr__(self, "phases", phases)
+
+    @property
+    def period(self) -> int:
+        return len(self.phases)
 
     def __getitem__(self, k: int) -> np.ndarray:
         return self.phases[k % self.period]
@@ -71,7 +74,7 @@ class PeriodicCovariance:
 
     def block(self, index: slice) -> "PeriodicCovariance":
         """The diagonal block [index, index] of every phase, as a view."""
-        return PeriodicCovariance(phases=self.phases[:, index, index], period=self.period)
+        return PeriodicCovariance(phases=self.phases[:, index, index])
 
 
 @dataclass(frozen=True)
@@ -79,15 +82,14 @@ class ContractionCertificate:
     """Per-period contraction data for the error covariance norm sequence.
 
     gamma is the spectral norm of the noise accumulated over one period
-    (the minimal admissible constant), qtilde_sq the squared monodromy
-    spectral radius, and limsup_bound = gamma / (1 - qtilde_sq). The
-    squared monodromy spectral *norm* is kept alongside because the
-    per-step inequality is a norm bound, not a spectral-radius bound.
+    (the minimal admissible constant) and qtilde_sq the squared monodromy
+    spectral radius. The squared monodromy spectral *norm* is kept
+    alongside because the per-period inequality is a norm bound, not a
+    spectral-radius bound.
     """
 
     gamma: float
     qtilde_sq: float
-    limsup_bound: float
     monodromy_norm_sq: float
 
 
@@ -200,7 +202,7 @@ def _steady_phases(modes, noise, bits, side) -> PeriodicCovariance:
         phases[1:] = linalg.sym_part(head @ p0 @ head.transpose(0, 2, 1) + acc[:-1])
     if not np.isfinite(phases).all():
         raise NumericsError("steady phase covariance is not finite")
-    return PeriodicCovariance(phases=phases, period=len(phases))
+    return PeriodicCovariance(phases=phases)
 
 
 def steady_error_cov(s, mm: ModeMatrices) -> PeriodicCovariance:
@@ -257,20 +259,17 @@ def steady_mean_phases(mm: ModeMatrices, s, target: TargetSpec) -> np.ndarray:
 
 def contraction_certificate(s, mm: ModeMatrices) -> ContractionCertificate:
     """Certificate for the geometric decay of ||P_{Nn}||: gamma is the
-    (spectral-norm) size of one period's accumulated noise, and
+    (spectral-norm) size of one period's accumulated noise, so that
 
-        limsup ||P_{Nk}|| <= gamma / (1 - qtilde^2).
+        ||P_{N(k+1)}|| <= monodromy_norm_sq ||P_{Nk}|| + gamma.
     """
     phi, acc = _prefix_scan(*_error_steps(mm), _as_bits(s))
     big_m, big_w = phi[-1], linalg.sym_part(acc[-1])
     qtilde = _contraction_radius(big_m, "observer")
-    gamma = linalg.spectral_norm(big_w)
-    q2 = qtilde**2
     return ContractionCertificate(
-        gamma=gamma,
-        qtilde_sq=q2,
-        limsup_bound=gamma / (1.0 - q2),
-        monodromy_norm_sq=linalg.spectral_norm(big_m) ** 2,
+        gamma=float(np.linalg.norm(big_w, 2)),
+        qtilde_sq=qtilde**2,
+        monodromy_norm_sq=float(np.linalg.norm(big_m, 2)) ** 2,
     )
 
 

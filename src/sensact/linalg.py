@@ -1,4 +1,4 @@
-"""Dense real-matrix kernel: norms, spectral radius, matrix exponential,
+"""Dense real-matrix kernel: spectral radius, matrix exponential,
 discrete Lyapunov and Riccati solvers.
 
 Everything downstream (plant construction, sequence certification,
@@ -25,8 +25,6 @@ __all__ = [
     "psd_sqrt",
     "spectral_radius",
     "spectral_radii",
-    "spectral_norm",
-    "frobenius_norm",
     "matrix_exponential",
     "solve_discrete_lyapunov",
     "solve_discrete_lyapunov_stacked",
@@ -150,14 +148,6 @@ def spectral_radii(stack) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # QR iteration did not converge
         raise NumericsError(f"eigenvalue computation failed: {exc}") from exc
     return np.abs(eig).max(axis=-1, initial=0.0)
-
-
-def spectral_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m), 2))
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(as_matrix(m), "fro"))
 
 
 def matrix_exponential(m) -> np.ndarray:

@@ -14,7 +14,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -389,9 +388,12 @@ def _chance_section(chance, path) -> tuple:
     bound = (_number(chance["bound"], f"{path}.bound", positive=True)
              if "bound" in chance else None)
     comps = chance.get("components")
-    if "components" in chance and (not isinstance(comps, list)
-                                   or not all(isinstance(i, int) for i in comps)):
-        _fail(f"{path}.components", "expected a list of state indices")
+    if "components" in chance:
+        if not isinstance(comps, list) or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in comps):
+            _fail(f"{path}.components", "expected a list of state indices")
+        if len(set(comps)) != len(comps):
+            _fail(f"{path}.components", "repeats a state index")
     return delta, bound, None if comps is None else tuple(comps)
 
 

@@ -17,6 +17,8 @@ dwell-time screen: it is sufficient only, and it cannot spare the steady
 solve that the cost needs.
 """
 
+import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,6 +47,15 @@ COST_RTOL = 1e-9
 #: stacks 590 kB; at 1024 rows the product loop of a period-16 chunk took
 #: 1.7 times as long per row (Xeon VM, 2 MiB L2 per core)
 _BATCH = 512
+
+#: bytes a necklace holds during a search besides its 8 bytes per bit: its
+#: tuple, list slots, cache entry and cost. tracemalloc peaks of
+#: search_fixed_length on the CW model were 8 n + 161 bytes per necklace
+#: at n = 20 and 22 (Python 3.11, x86_64)
+_NECKLACE_BYTES = 200
+
+#: the longest length counted: past it a length has over 2^58 necklaces
+_MAX_LENGTH = 64
 
 
 @dataclass(frozen=True)
@@ -226,10 +237,28 @@ class SequenceEvaluator:
             self._cache.update(zip(chunk, self._evaluate(chunk).tolist()))
         return [self._cache[least] for least in necklaces]
 
-    def evaluate(self, core_bits: tuple):
-        """(admissibility report, cost served through its necklace) of any core."""
-        least = min(core_bits[i:] + core_bits[:i] for i in range(len(core_bits)))
-        return admissibility(core_bits, self.mm), self.resolve([least])[0]
+
+def _necklace_count(n: int) -> int:
+    """Number of binary necklaces of length n: (1/n) sum_{d | n} phi(d) 2^(n/d)."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    phi = [sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) for d in divisors]
+    return sum(f << (n // d) for d, f in zip(divisors, phi)) // n
+
+
+def _check_memory(lengths) -> None:
+    """Refuse a search, before it enumerates a necklace, whose necklaces of
+    the given lengths would not fit in physical memory at once, as the
+    cache keeps them. Each necklace of length n is taken as
+    _NECKLACE_BYTES + 8 n bytes; a length past _MAX_LENGTH is refused
+    without counting."""
+    length = max(lengths)
+    if length > _MAX_LENGTH:
+        raise DomainError(f"a search of length {length} has more than 2^{_MAX_LENGTH - 6} "
+                          "necklaces, more than any machine's memory")
+    size = sum(_necklace_count(n) * (_NECKLACE_BYTES + 8 * n) for n in lengths)
+    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise DomainError(f"a search of length {length} needs {size / 2**30:,.1f} GiB "
+                          "for its necklaces, more than this machine's memory")
 
 
 def _necklaces(length: int):
@@ -302,6 +331,7 @@ def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
     rotations are expanded into words only for ties and the table."""
     if length < 1:
         raise DomainError("sequence length must be positive")
+    _check_memory([length])
     if evaluator is None:
         evaluator = SequenceEvaluator(model, gains, weights)
     counts_before = dict(evaluator.counts)
@@ -326,6 +356,7 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
     evaluator = SequenceEvaluator(model, gains, weights)
     results = []
     if options.all_lengths:
+        _check_memory(range(1, n_max + 1))
         groups = [list(_necklaces(length)) for length in range(1, n_max + 1)]
         costs = evaluator.resolve([least for group in groups for least in group])
         start = 0
@@ -335,6 +366,7 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
             start += len(group)
     else:
         for length in range(1, n_max + 1):
+            _check_memory(range(1, length + 1))  # the cache keeps the shorter ones
             necklaces = list(_necklaces(length))
             results.append(_select(length, necklaces, evaluator.resolve(necklaces),
                                    options.include_table))

@@ -72,18 +72,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One run's records; u rows are NaN on sensing steps and y rows NaN
-    on actuation steps (those signals do not exist there)."""
+    """One run's records; u rows are NaN on sensing steps (no control
+    exists there)."""
 
     eta: np.ndarray    # (steps,)
     x: np.ndarray      # (steps + 1, n)
     xhat: np.ndarray   # (steps + 1, n)
     u: np.ndarray      # (steps, m)
-    y: np.ndarray      # (steps, p)
-
-    @property
-    def error(self) -> np.ndarray:
-        return self.x - self.xhat
 
 
 @dataclass(frozen=True)
@@ -132,7 +127,7 @@ def _check_memory(model: SystemModel, runs: int, steps: int, constrained=None):
     """Refuse a batch, before anything is allocated, whose arrays alive at
     once would exceed physical memory (the overcommit policy decides
     whether np.empty fails or a later write does). _simulate holds xs,
-    xhs, us, ys and the w and v draws; run_ensemble then drops the draws
+    xhs, us and the w and v draws; run_ensemble then drops the draws
     and forms xs - xhs, then centered, each the size of xs, the
     (steps + 1, n, n) covariance, two means and, for a box of constrained
     components, a copy of those columns of xs and its absolute value.
@@ -142,7 +137,7 @@ def _check_memory(model: SystemModel, runs: int, steps: int, constrained=None):
     peak = runs * steps * (n + p)
     if constrained is not None:
         peak = max(peak, rows * n + (steps + 1) * n * (n + 2) + 2 * rows * constrained)
-    size = 8 * (2 * rows * n + runs * steps * (m + p) + peak)
+    size = 8 * (2 * rows * n + runs * steps * m + peak)
     if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise DomainError(f"an ensemble of {runs} runs x {steps} steps needs "
                           f"{size / 2**30:,.1f} GiB, more than this machine's memory")
@@ -163,7 +158,6 @@ def _simulate(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
     xs = np.empty((runs, steps + 1, n))
     xhs = np.empty((runs, steps + 1, n))
     us = np.empty((runs, steps, m))
-    ys = np.empty((runs, steps, p))
     w_draws = np.empty((runs, steps, n))
     v_draws = np.empty((runs, steps, p))
     for r, run in enumerate(run_indices):
@@ -175,12 +169,10 @@ def _simulate(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
 
     etas = np.resize(np.array(bits, dtype=int), steps)
     for k, eta in enumerate(etas.tolist()):
-        xs[:, k + 1], xhs[:, k + 1], u, y = step_closed_loop(
+        xs[:, k + 1], xhs[:, k + 1], u, _ = step_closed_loop(
             xs[:, k], xhs[:, k], eta, w_draws[:, k], v_draws[:, k], model, gains, target)
         us[:, k] = np.nan if u is None else u
-        ys[:, k] = np.nan if y is None else y
-    trajectories = [Trajectory(eta=etas, x=xs[r], xhat=xhs[r], u=us[r], y=ys[r])
-                    for r in range(runs)]
+    trajectories = [Trajectory(eta=etas, x=xs[r], xhat=xhs[r], u=us[r]) for r in range(runs)]
     return xs, xhs, trajectories
 
 
@@ -239,28 +231,20 @@ def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
     return stats
 
 
-def empirical_violation(trajectories, box) -> np.ndarray:
+def empirical_violation(xs, box) -> np.ndarray:
     """Per-step fraction of runs whose constrained components leave the
-    box. Accepts a list of Trajectory or a stacked (runs, steps+1, n)
-    array."""
-    if isinstance(trajectories, np.ndarray):
-        xs = trajectories
-    else:
-        xs = np.stack([t.x for t in trajectories])
+    box, from a stacked (runs, steps+1, n) array."""
     n = xs.shape[2]
     idx, widths = box.resolve(n)
     outside = np.abs(xs[:, :, list(idx)]) > widths[None, None, :]
     return outside.any(axis=2).mean(axis=0)
 
 
-def ellipsoid_exceedance(trajectories, phase_covs, phase_means, alpha: float,
+def ellipsoid_exceedance(xs, phase_covs, phase_means, alpha: float,
                          components=None) -> np.ndarray:
     """Per-step fraction of runs outside the phase Chebyshev ellipsoid
-    (x - mu)' P^-1 (x - mu) > alpha^2, on the selected components."""
-    if isinstance(trajectories, np.ndarray):
-        xs = trajectories
-    else:
-        xs = np.stack([t.x for t in trajectories])
+    (x - mu)' P^-1 (x - mu) > alpha^2, on the selected components of a
+    stacked (runs, steps+1, n) array."""
     runs, horizon, n = xs.shape
     idx = tuple(range(n)) if components is None else tuple(components)
     sel = np.ix_(idx, idx)

@@ -156,7 +156,7 @@ def test_criterion_7_monte_carlo_violations(cw_model, cw_gains):
                                        return_trajectories=True)
     worst = float(stats.violation[120:].max())
     # the estimation-error process is printed alongside for comparison
-    errs = np.stack([t.error for t in trajectories])
+    errs = np.stack([t.x - t.xhat for t in trajectories])
     err_worst = float(empirical_violation(errs, box)[120:].max())
     print(f"  [diagnostic] state-process max steady violation {worst:.3f}; "
           f"error-process max steady violation {err_worst:.3f}")

@@ -482,11 +482,11 @@ class TestSolverContract:
         gains = GainSet(k=np.zeros((2, 2)), l=np.zeros((2, 2)))  # every mode is A
         weights = CostWeights.estimation(2)
         evaluator = SequenceEvaluator(model, gains, weights)
-        report, cost = evaluator.evaluate((0,))
+        report, (cost,) = admissibility((0,), evaluator.mm), evaluator.resolve([(0,)])
         assert report.admissible and evaluator.fallbacks == 1
         err = steady_error_cov("0", evaluator.mm)
         assert cost == pytest.approx(sequence_cost("0", err, None, weights), rel=1e-9)
-        evaluator.evaluate((0,))  # served from the cache
+        evaluator.resolve([(0,)])  # served from the cache
         assert evaluator.fallbacks == 1
 
     def test_no_fallback_on_case_study(self, cw_model, cw_gains):
@@ -494,7 +494,9 @@ class TestSolverContract:
         search_fixed_length(10, cw_model, cw_gains, evaluator.weights, evaluator=evaluator)
         # the long-actuation word of the covariance tests is far from the
         # unit circle on the observer side (qtilde 0.29)
-        report, _ = evaluator.evaluate((1,) * 46 + (0, 0))
+        word = (1,) * 46 + (0, 0)
+        report = admissibility(word, evaluator.mm)
+        evaluator.resolve([(0, 0) + (1,) * 46])  # its least rotation
         assert report.admissible and evaluator.fallbacks == 0
 
     def test_stacked_solve_mixed_batch(self):

@@ -115,9 +115,11 @@ class TestBoxConstraint:
         idx, widths = BoxConstraint(2.5, components=(0, 1, 2)).resolve(6)
         assert idx == (0, 1, 2)
 
-    def test_per_component_override(self):
-        _, widths = BoxConstraint(1.0, per_component=(1.0, 2.0), components=(0, 3)).resolve(4)
-        np.testing.assert_allclose(widths, [1.0, 2.0])
+    @pytest.mark.parametrize("components", [(0, 0, 1), (True, False), (0, 1.0)],
+                             ids=["repeated", "booleans", "float"])
+    def test_rejects_components_that_are_not_distinct_indices(self, components):
+        with pytest.raises(DomainError):
+            BoxConstraint(2.5, components=components)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
@@ -245,7 +247,7 @@ class TestStackedChance:
             joint, state = real(s, mm)
             phases = list(state.phases)
             phases[2] = -phases[2]
-            return joint, PeriodicCovariance(phases=tuple(phases), period=state.period)
+            return joint, PeriodicCovariance(phases=tuple(phases))
 
         monkeypatch.setattr(chance_module, "steady_augmented_cov", patched)
         _, state = real("0011", mode_matrices(cw_model, cw_gains))

@@ -88,6 +88,21 @@ class TestModelBuild:
         assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("components, message", [
+        ([0, 0, 1], "repeats a state index"),
+        ([True, False], "expected a list of state indices"),
+    ], ids=["repeated", "booleans"])
+    def test_chance_components_checked(self, tmp_path, capsys, components, message):
+        # a repeated index would count twice in Chebyshev's n_x, and a
+        # boolean would be taken as the index 0 or 1
+        cfg = json.loads(CW_CONFIG.read_text())
+        cfg["chance"]["components"] = components
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["model", "build", str(bad), "-o", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: $.chance.components: {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("spec, key", [
         ({"eye": "x"}, "$.noise.sigma_w.eye"),
         ({"eye": -1}, "$.noise.sigma_w.eye"),
@@ -369,8 +384,13 @@ class TestMalformedModelFile:
         ("chance", "delta", [], ["chance", "verify", "{bad}", "0011"], "expected a number"),
         ("sim", "x0_mean", "x", ["sim", "run", "{bad}", "0011", "--out", "{out}"],
          "expected a list of 6 numbers"),
+        ("chance", "components", [0, 0, 1], ["chance", "verify", "{bad}", "0011", "--bound",
+                                             "22"], "repeats a state index"),
+        ("chance", "components", [True, False], ["chance", "verify", "{bad}", "0011"],
+         "expected a list of state indices"),
     ], ids=["cost-r_eta-seq-search", "chance-bound-chance-verify", "chance-bound-sim-run",
-            "chance-delta-chance-verify", "sim-x0_mean-sim-run"])
+            "chance-delta-chance-verify", "sim-x0_mean-sim-run",
+            "chance-components-repeated", "chance-components-booleans"])
     def test_config_echo_value_checked_by_its_reader(self, model_file, tmp_path, capsys,
                                                      section, key, value, argv, message):
         # each command checks the section it reads as config load does
@@ -513,6 +533,15 @@ class TestSeqSearch:
         assert counts["cores_evaluated"] + counts["memo_hits"] == 2**9 - 2
         # one exact evaluation per necklace of lengths 1..8, repeats cached
         assert 0 < counts["necklaces"] < counts["cores_evaluated"]
+
+    @pytest.mark.parametrize("length", ["40", "1000000000"])
+    def test_length_past_memory_exit_2(self, model_file, capsys, length):
+        # 2^40 / 40 necklaces would need terabytes: one line, no output
+        assert main(["seq", "search", model_file, "--n", length]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: a search of length {length} ")
 
     @pytest.mark.parametrize("argv", [
         ["seq", "search", "{model}", "--n", "8", "--threads", "2"],
@@ -697,14 +726,14 @@ class TestSimRun:
 
     def test_ensemble_peak_counted_before_allocation(self, model_file, tmp_path, capsys,
                                                      monkeypatch):
-        # room for the six arrays that _simulate holds (5 runs x 20 steps of
-        # the 6-state, 3-input, 3-output CW model) but not for the
+        # room for the five arrays that _simulate holds (5 runs x 20 steps
+        # of the 6-state, 3-input, 3-output CW model) but not for the
         # statistics formed beside them: refused before anything is
         # simulated, in Python and on the command line
         runs, steps, n, m, p = 5, 20, 6, 3, 3
-        six_arrays = 8 * runs * (2 * (steps + 1) * n + steps * (n + m + 2 * p))
+        five_arrays = 8 * runs * (2 * (steps + 1) * n + steps * (n + m + p))
         real = os.sysconf
-        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": six_arrays}
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": five_arrays}
         monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or real(name))
 
         def refuse(*args):

@@ -270,13 +270,6 @@ class TestContraction:
         cert = contraction_certificate("0", mm)
         r0 = error_noise_term(0, gains.l, model.sigma_v, model.sigma_w)
         assert cert.gamma == pytest.approx(np.linalg.norm(r0, 2))
-        assert cert.limsup_bound == pytest.approx(cert.gamma)
-
-    def test_steady_norms_below_limsup_bound(self, cw_model, cw_mm):
-        cert = contraction_certificate("0011", cw_mm)
-        steady = steady_error_cov("0011", cw_mm)
-        # the bound covers the start-of-period phase it was built from
-        assert np.linalg.norm(steady[0], 2) <= cert.limsup_bound + 1e-12
 
     def test_noise_scaling_linearity(self, cw_model, cw_mm):
         zero_v = np.zeros((3, 3))
@@ -554,9 +547,9 @@ class TestPrefixScan:
 
 def test_phases_stack_any_sequence_of_matrices():
     eye = np.eye(2)
-    cov = PeriodicCovariance(phases=(eye, 2 * eye), period=2)
-    assert cov.phases.shape == (2, 2, 2)
+    cov = PeriodicCovariance(phases=(eye, 2 * eye))
+    assert cov.phases.shape == (2, 2, 2) and cov.period == 2
     assert np.array_equal(cov[3], 2 * eye)
     assert [float(p[0, 0]) for p in cov] == [1.0, 2.0]
     with pytest.raises(DimensionError):
-        PeriodicCovariance(phases=(eye,), period=2)
+        PeriodicCovariance(phases=eye)

@@ -57,19 +57,7 @@ class TestSpectralRadius:
     def test_bounded_by_frobenius(self, seed):
         rng = np.random.default_rng(100 + seed)
         m = rng.standard_normal((6, 6))
-        assert linalg.spectral_radius(m) <= linalg.frobenius_norm(m) + 1e-12
-
-
-class TestFrobeniusNorm:
-    def test_zero(self):
-        assert linalg.frobenius_norm(np.zeros((4, 4))) == 0.0
-
-    def test_identity(self):
-        assert linalg.frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0))
-
-    def test_rejects_inf(self):
-        with pytest.raises(DomainError):
-            linalg.frobenius_norm([[np.inf]])
+        assert linalg.spectral_radius(m) <= np.linalg.norm(m, "fro") + 1e-12
 
 
 class TestMatrixExponential:

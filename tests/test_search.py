@@ -1,5 +1,6 @@
 import collections
 import itertools
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from oracles import brute_force_core, make_psd, make_stable, sequence_cost
 import sensact.search as search_module
 from sensact import linalg
 from sensact.covariance import steady_augmented_cov, steady_error_cov
-from sensact.exceptions import DimensionError
+from sensact.exceptions import DimensionError, DomainError
 from sensact.plant import SystemModel, mode_matrices, synthesize_gains
 from sensact.search import (
     COST_RTOL,
@@ -108,7 +109,8 @@ class TestFixedLengthSearch:
         evaluator = SequenceEvaluator(cw_model, cw_gains, est_weights)
         for word in itertools.product((0, 1), repeat=length):
             core = irreducible_core(word).bits
-            _, core_cost = evaluator.evaluate(core)
+            least = min(core[i:] + core[:i] for i in range(len(core)))
+            core_cost = evaluator.resolve([least])[0]
             direct_report = admissibility(word, cw_mm)
             if not direct_report.admissible:
                 assert not np.isfinite(core_cost)
@@ -402,3 +404,62 @@ class TestOneResolvePerSearch:
             assert not res.feasible and res.length == n_max
             return
         assert res == replace(best, counts=res.counts)
+
+
+class TestSearchMemoryBound:
+    """A search length whose necklaces would not fit in physical memory is
+    refused before any necklace is enumerated."""
+
+    def test_necklace_count_is_exact(self):
+        for length in range(1, 17):
+            assert search_module._necklace_count(length) == \
+                len(list(search_module._necklaces(length)))
+        # binary necklaces of length 24 (OEIS A000031)
+        assert search_module._necklace_count(24) == 699252
+
+    def test_roadmap_lengths_fit(self):
+        # the window-bound search targets lengths up to 24, all lengths at once
+        search_module._check_memory(range(1, 25))
+
+    @pytest.fixture()
+    def memory_for(self, monkeypatch):
+        """Set this machine's memory to the bytes that _check_memory counts
+        for the given lengths."""
+        real = os.sysconf
+
+        def patch(lengths):
+            size = sum(search_module._necklace_count(n) * (search_module._NECKLACE_BYTES + 8 * n)
+                       for n in lengths)
+            memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": size}
+            monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or real(name))
+
+        return patch
+
+    def test_length_past_memory_refused_before_enumeration(self, cw_model, cw_gains,
+                                                           est_weights, memory_for,
+                                                           monkeypatch):
+        memory_for([11])
+        search_module._check_memory([11])
+
+        def refuse(length):
+            raise AssertionError("necklaces were enumerated")
+
+        monkeypatch.setattr(search_module, "_necklaces", refuse)
+        with pytest.raises(DomainError, match="^a search of length 12 needs "):
+            search_fixed_length(12, cw_model, cw_gains, est_weights)
+        with pytest.raises(DomainError, match="^a search of length 11 needs "):
+            search_up_to(11, cw_model, cw_gains, est_weights, SearchOptions(all_lengths=True))
+
+    def test_up_to_refuses_only_the_length_it_reaches(self, cw_model, cw_gains, est_weights,
+                                                      memory_for):
+        # the CW model has its first admissible word at length 4; the
+        # lengths after it are never enumerated, so never refused
+        memory_for(range(1, 5))
+        assert search_up_to(40, cw_model, cw_gains, est_weights).length == 4
+        memory_for(range(1, 3))
+        with pytest.raises(DomainError, match="^a search of length 3 needs "):
+            search_up_to(40, cw_model, cw_gains, est_weights)
+
+    def test_length_past_counting_refused(self, cw_model, cw_gains, est_weights):
+        with pytest.raises(DomainError, match="^a search of length 65 has more than 2"):
+            search_fixed_length(65, cw_model, cw_gains, est_weights)

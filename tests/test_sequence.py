@@ -178,7 +178,7 @@ class TestGrowthConstant:
 
         def c_for(k):
             if k == 1:
-                return max(linalg.frobenius_norm(m) / r for m, r in zip(mats, radii))
+                return max(float(np.linalg.norm(m, "fro")) / r for m, r in zip(mats, radii))
             return max(math.exp(exact_log_fro_power(m, k) / k) / r for m, r in zip(mats, radii))
 
         c = growth_constant(cw_mm, family=family, **kwargs)

@@ -141,7 +141,7 @@ class TestBatching:
         for r, batched in enumerate(trajectories):
             single = simulate_run(cw_model, cw_gains, bits, cfg, r, target)
             np.testing.assert_array_equal(batched.eta, single.eta)
-            for name in ("x", "xhat", "u", "y"):
+            for name in ("x", "xhat", "u"):
                 a, b = getattr(batched, name), getattr(single, name)
                 np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
@@ -229,7 +229,8 @@ class TestViolations:
                         x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
         _, trajectories = run_ensemble(cw_model, cw_gains, "0011", cfg,
                                        return_trajectories=True)
-        frac = empirical_violation(trajectories, BoxConstraint(1e12, components=(0, 1, 2)))
+        frac = empirical_violation(np.stack([t.x for t in trajectories]),
+                                   BoxConstraint(1e12, components=(0, 1, 2)))
         assert np.all(frac == 0.0)
 
     def test_tiny_box_always_violated_under_noise(self, cw_model, cw_gains, base_cfg):
@@ -237,15 +238,16 @@ class TestViolations:
                         x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
         _, trajectories = run_ensemble(cw_model, cw_gains, "0011", cfg,
                                        return_trajectories=True)
-        frac = empirical_violation(trajectories, BoxConstraint(1e-9, components=(0, 1, 2)))
+        frac = empirical_violation(np.stack([t.x for t in trajectories]),
+                                   BoxConstraint(1e-9, components=(0, 1, 2)))
         assert np.all(frac[1:] == 1.0)
 
     def test_violation_from_run_ensemble_matches_helper(self, cw_model, cw_gains, base_cfg):
         box = BoxConstraint(2.5, components=(0, 1, 2))
         stats, trajectories = run_ensemble(cw_model, cw_gains, "0011", base_cfg,
                                            box=box, return_trajectories=True)
-        np.testing.assert_array_equal(stats.violation,
-                                      empirical_violation(trajectories, box))
+        xs = np.stack([t.x for t in trajectories])
+        np.testing.assert_array_equal(stats.violation, empirical_violation(xs, box))
 
     def test_chebyshev_exceedance_within_budget(self, cw_model, cw_gains, base_cfg):
         # Gaussian tails sit far inside the distribution-free bound
