@@ -76,9 +76,7 @@ from .search import (
 from .sim import (
     EnsembleStats,
     SimConfig,
-    Trajectory,
     empirical_violation,
     run_ensemble,
-    simulate_run,
     step_closed_loop,
 )

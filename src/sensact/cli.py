@@ -240,10 +240,9 @@ def cmd_sim_run(args) -> int:
     overrides = {"steps": args.steps, "runs": args.runs, "seed": args.seed}
     sim_cfg = sim_config_from_config(cfg, model.n, model.m, overrides)
     box, _ = chance_from_config(cfg, args.bound)
-    stats, trajectories = run_ensemble(model, gains, seq, sim_cfg, box=box,
-                                       return_trajectories=True)
+    stats = run_ensemble(model, gains, seq, sim_cfg, box=box)
     os.makedirs(args.out, exist_ok=True)
-    _write_trajectories(os.path.join(args.out, "trajectories.csv"), trajectories)
+    _write_trajectories(os.path.join(args.out, "trajectories.csv"), stats)
     _write_ensemble(os.path.join(args.out, "ensemble.csv"), stats)
     meta = dict(stats.meta)
     meta.update({"version": __version__, "config_echo": cfg or None,
@@ -281,22 +280,23 @@ def _csv_rows(block, blank_nonfinite=False):
 _MIN_ROWS_PER_WORKER = 500
 
 
-def _write_runs(fh, trajectories, runs):
-    """The CSV rows of the given runs, in order, written to text file fh."""
-    m = trajectories[0].u.shape[1]
+def _write_runs(fh, stats, runs):
+    """The CSV rows of the given runs of the ensemble record stats, in
+    order, written to text file fh. Each run is formatted on its own: one
+    repr of a whole chunk of runs would hold that chunk's text at once."""
+    m = stats.u.shape[2]
+    etas = [str(e) for e in stats.eta.tolist()] + [""]
     for run in runs:
-        traj = trajectories[run]
-        states = _csv_rows(np.hstack([traj.x, traj.xhat]))
+        states = _csv_rows(np.hstack([stats.x[run], stats.xhat[run]]))
         # u cells are blank where u is non-finite (no control on sensing
         # steps), and the final row's eta and u cells are blank: no step
         # follows the final state
-        controls = _csv_rows(traj.u, blank_nonfinite=True) + ["," * (m - 1)]
-        etas = [str(e) for e in traj.eta.tolist()] + [""]
+        controls = _csv_rows(stats.u[run], blank_nonfinite=True) + ["," * (m - 1)]
         fh.write("".join(f"{run},{k},{eta},{x},{u}\r\n" for k, (eta, x, u)
                          in enumerate(zip(etas, states, controls))))
 
 
-def _fork_writer(trajectories, runs, directory):
+def _fork_writer(stats, runs, directory):
     """Fork a child that writes the rows of runs to an anonymous temporary
     file in directory; returns (pid, file). The child leaves only through
     os._exit, with status 0 once its rows are flushed, so it never returns
@@ -311,15 +311,16 @@ def _fork_writer(trajectories, runs, directory):
         try:
             with open(tmp.fileno(), "w", newline="", encoding="utf-8",
                       closefd=False) as out:
-                _write_runs(out, trajectories, runs)
+                _write_runs(out, stats, runs)
             status = 0
         finally:
             os._exit(status)
     return pid, tmp
 
 
-def _write_trajectories(path, trajectories):
-    """Write trajectories.csv: a header row, then one row per run and step.
+def _write_trajectories(path, stats):
+    """Write trajectories.csv from the ensemble record stats: a header
+    row, then one row per run and step.
 
     The runs are cut into contiguous chunks, one per writer: workers is
     the smallest of the usable CPUs, the run count and the row count over
@@ -332,14 +333,13 @@ def _write_trajectories(path, trajectories):
     that fails raises OSError; on any error every child not yet reaped is
     killed and reaped.
     """
-    n = trajectories[0].x.shape[1]
-    m = trajectories[0].u.shape[1]
+    runs, horizon, n = stats.x.shape
+    m = stats.u.shape[2]
     header = (["run", "k", "eta"]
               + [f"x{i + 1}" for i in range(n)]
               + [f"xh{i + 1}" for i in range(n)]
               + [f"u{i + 1}" for i in range(m)])
-    runs = len(trajectories)
-    rows = runs * trajectories[0].x.shape[0]
+    rows = runs * horizon
     # the CPUs this process may run on; 1 where the platform cannot tell
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = max(1, min(cpus, runs, rows // _MIN_ROWS_PER_WORKER))
@@ -348,10 +348,10 @@ def _write_trajectories(path, trajectories):
     children = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_writer(trajectories, range(lo, hi), directory))
+            children.append(_fork_writer(stats, range(lo, hi), directory))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(header)
-            _write_runs(fh, trajectories, range(bounds[0], bounds[1]))
+            _write_runs(fh, stats, range(bounds[0], bounds[1]))
             fh.flush()  # the text layer may still hold chunk 0's last rows
             while children:
                 pid, tmp = children[0]

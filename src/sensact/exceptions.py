@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all sensact modules."""
+"""Exception hierarchy shared by all sensact modules, and the one refusal
+of work larger than physical memory."""
+
+import os
 
 
 class SensactError(Exception):
@@ -30,3 +33,12 @@ class NumericsError(SensactError, RuntimeError):
 
 class SchemaError(SensactError, ValueError):
     """A configuration or model file does not match the expected schema."""
+
+
+def check_memory(size: int, work: str, held: str = "") -> None:
+    """Refuse work whose data, size bytes held at once, would exceed this
+    machine's physical memory: DomainError, one line naming the work, its
+    size in GiB and what it is held for."""
+    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise DomainError(f"{work} needs {size / 2**30:,.1f} GiB{held}, "
+                          "more than this machine's memory")

@@ -109,12 +109,13 @@ class TargetSpec:
 
 
 def check_equilibrium(model: SystemModel, target: TargetSpec) -> None:
-    """Raise unless x_T = A x_T + B u_T holds to relative tolerance."""
+    """Raise unless x_T = A x_T + B u_T holds to relative tolerance; a
+    non-finite target has a NaN residual and fails too."""
     x, u = target.x_target, target.u_target
     if x.shape != (model.n,) or u.shape != (model.m,):
         raise DimensionError("target dimensions do not match the model")
     resid = np.linalg.norm(x - model.a @ x - model.b @ u)
-    if resid > 1e-8 * (1.0 + np.linalg.norm(x)):
+    if not resid <= 1e-8 * (1.0 + np.linalg.norm(x)):
         raise DomainError(f"target is not an equilibrium (residual {resid:.3g})")
 
 

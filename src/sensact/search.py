@@ -18,13 +18,12 @@ solve that the cost needs.
 """
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
-from .exceptions import DomainError
+from .exceptions import DomainError, check_memory
 from .covariance import _compose, _error_steps, _joint_steps
 from .plant import GainSet, ModeMatrices, SystemModel, mode_matrices
 from .sequence import SwitchSequence, _padded, admissibility, contractive_stacked
@@ -53,6 +52,14 @@ _BATCH = 512
 #: search_fixed_length on the CW model were 8 n + 161 bytes per necklace
 #: at n = 20 and 22 (Python 3.11, x86_64)
 _NECKLACE_BYTES = 200
+
+#: bytes a table row holds besides 24 bytes per bit, for each of the 2^n
+#: words of length n: its row and word tuples, the CLI's dict of two
+#: strings and a cost, and the row's share of the JSON text. tracemalloc
+#: peaks of seq search --n n --table --json, less those of seq search
+#: --n n, were 766, 857 and 907 bytes per word at n = 14, 16 and 18
+#: (Python 3.11, x86_64)
+_TABLE_ROW_BYTES = 480
 
 #: the longest length counted: past it a length has over 2^58 necklaces
 _MAX_LENGTH = 64
@@ -245,20 +252,23 @@ def _necklace_count(n: int) -> int:
     return sum(f << (n // d) for d, f in zip(divisors, phi)) // n
 
 
-def _check_memory(lengths) -> None:
+def _check_memory(lengths, include_table: bool = False) -> None:
     """Refuse a search, before it enumerates a necklace, whose necklaces of
     the given lengths would not fit in physical memory at once, as the
-    cache keeps them. Each necklace of length n is taken as
-    _NECKLACE_BYTES + 8 n bytes; a length past _MAX_LENGTH is refused
-    without counting."""
+    cache keeps them, together with their tables when include_table is
+    set. Each necklace of length n is taken as _NECKLACE_BYTES + 8 n
+    bytes, and each of its 2^n table rows as _TABLE_ROW_BYTES + 24 n; a
+    length past _MAX_LENGTH is refused without counting."""
     length = max(lengths)
     if length > _MAX_LENGTH:
         raise DomainError(f"a search of length {length} has more than 2^{_MAX_LENGTH - 6} "
                           "necklaces, more than any machine's memory")
     size = sum(_necklace_count(n) * (_NECKLACE_BYTES + 8 * n) for n in lengths)
-    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise DomainError(f"a search of length {length} needs {size / 2**30:,.1f} GiB "
-                          "for its necklaces, more than this machine's memory")
+    held = " for its necklaces"
+    if include_table:
+        size += sum((_TABLE_ROW_BYTES + 24 * n) << n for n in lengths)
+        held = " for its necklaces and table"
+    check_memory(size, f"a search of length {length}", held)
 
 
 def _necklaces(length: int):
@@ -331,7 +341,7 @@ def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
     rotations are expanded into words only for ties and the table."""
     if length < 1:
         raise DomainError("sequence length must be positive")
-    _check_memory([length])
+    _check_memory([length], options.include_table)
     if evaluator is None:
         evaluator = SequenceEvaluator(model, gains, weights)
     counts_before = dict(evaluator.counts)
@@ -356,7 +366,7 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
     evaluator = SequenceEvaluator(model, gains, weights)
     results = []
     if options.all_lengths:
-        _check_memory(range(1, n_max + 1))
+        _check_memory(range(1, n_max + 1), options.include_table)
         groups = [list(_necklaces(length)) for length in range(1, n_max + 1)]
         costs = evaluator.resolve([least for group in groups for least in group])
         start = 0
@@ -366,7 +376,8 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
             start += len(group)
     else:
         for length in range(1, n_max + 1):
-            _check_memory(range(1, length + 1))  # the cache keeps the shorter ones
+            # the cache keeps the shorter ones, and the results their tables
+            _check_memory(range(1, length + 1), options.include_table)
             necklaces = list(_necklaces(length))
             results.append(_select(length, necklaces, evaluator.resolve(necklaces),
                                    options.include_table))

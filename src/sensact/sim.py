@@ -2,8 +2,8 @@
 
 All runs of an ensemble are stepped together as one batch. Each run draws
 from its own random stream, derived from the ensemble seed and the run
-index, in the fixed order x0, all w, all v, so every run is reproducible
-on its own; simulate_run is the batch of one. Noise is
+index, in the fixed order x0, all w, all v, so run r of an ensemble does
+not depend on how many runs it has. Noise is
 Gaussian: standard-normal draws mapped through symmetric PSD square roots
 of the configured covariances (the sampling method is recorded in
 exported metadata).
@@ -14,32 +14,38 @@ the simulated estimation error then satisfies the analysis recursion
 e+ = Atil e + w + (1 - eta) L v exactly.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .exceptions import DimensionError, DomainError
+from .exceptions import DimensionError, DomainError, check_memory
 from .plant import GainSet, SystemModel, TargetSpec, check_equilibrium
 from .sequence import _as_bits
 
 __all__ = [
     "SimConfig",
-    "Trajectory",
     "EnsembleStats",
     "step_closed_loop",
-    "simulate_run",
     "run_ensemble",
     "empirical_violation",
 ]
+
+
+def _finite_vector(value, name) -> np.ndarray:
+    """value as a 1-D float array; DomainError naming it unless finite."""
+    vector = np.asarray(value, dtype=float).ravel()
+    if not np.isfinite(vector).all():
+        raise DomainError(f"{name} has non-finite entries")
+    return vector
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble description: horizon, run count, seed, initial-state
     distribution (Gaussian), initial estimate (defaults to the mean) and
-    target equilibrium."""
+    target equilibrium. steps and runs are positive integers, seed a
+    non-negative one, and the means finite."""
 
     steps: int
     runs: int
@@ -50,16 +56,22 @@ class SimConfig:
     target: TargetSpec = None
 
     def __post_init__(self):
+        for name in ("steps", "runs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.steps < 1 or self.runs < 1:
             raise DomainError("steps and runs must both be at least 1")
-        mean = np.asarray(self.x0_mean, dtype=float).ravel()
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
+        mean = _finite_vector(self.x0_mean, "x0_mean")
         cov = linalg.check_psd(self.x0_cov, "x0_cov")
         if cov.shape != (mean.size, mean.size):
             raise DimensionError("x0_cov shape does not match x0_mean")
         object.__setattr__(self, "x0_mean", mean)
         object.__setattr__(self, "x0_cov", cov)
         if self.xhat0 is not None:
-            xh = np.asarray(self.xhat0, dtype=float).ravel()
+            xh = _finite_vector(self.xhat0, "xhat0")
             if xh.shape != mean.shape:
                 raise DimensionError("xhat0 shape does not match x0_mean")
             object.__setattr__(self, "xhat0", xh)
@@ -71,26 +83,20 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One run's records; u rows are NaN on sensing steps (no control
-    exists there)."""
-
-    eta: np.ndarray    # (steps,)
-    x: np.ndarray      # (steps + 1, n)
-    xhat: np.ndarray   # (steps + 1, n)
-    u: np.ndarray      # (steps, m)
-
-
-@dataclass(frozen=True)
 class EnsembleStats:
-    """Per-step ensemble statistics across runs."""
+    """Per-step ensemble statistics across runs, with the ensemble itself:
+    eta, x, xhat and u are the arrays its runs were stepped in, not
+    copies (the run count is x.shape[0]). u rows are NaN on sensing steps
+    (no control exists there)."""
 
     mean: np.ndarray          # (steps + 1, n)
     cov: np.ndarray           # (steps + 1, n, n)
     error_mean: np.ndarray    # (steps + 1, n)
-    runs: int = 0
+    eta: np.ndarray           # (steps,)
+    x: np.ndarray             # (runs, steps + 1, n)
+    xhat: np.ndarray          # (runs, steps + 1, n)
+    u: np.ndarray             # (runs, steps, m)
     violation: np.ndarray = None    # (steps + 1,), set when a box is supplied
-    exceedance: np.ndarray = None   # (steps + 1,), Chebyshev ellipsoid overflow
     meta: dict = field(default_factory=dict)
 
 
@@ -123,35 +129,30 @@ def step_closed_loop(x, xhat, eta, w, v, model: SystemModel, gains: GainSet,
     return x_next, xhat_next, None, y
 
 
-def _check_memory(model: SystemModel, runs: int, steps: int, constrained=None):
+def _check_memory(model: SystemModel, runs: int, steps: int, constrained: int):
     """Refuse a batch, before anything is allocated, whose arrays alive at
     once would exceed physical memory (the overcommit policy decides
     whether np.empty fails or a later write does). _simulate holds xs,
     xhs, us and the w and v draws; run_ensemble then drops the draws
     and forms xs - xhs, then centered, each the size of xs, the
     (steps + 1, n, n) covariance, two means and, for a box of constrained
-    components, a copy of those columns of xs and its absolute value.
-    constrained is None for simulate_run, which forms no statistics."""
+    components, a copy of those columns of xs and its absolute value."""
     n, m, p = model.n, model.m, model.p
     rows = runs * (steps + 1)
-    peak = runs * steps * (n + p)
-    if constrained is not None:
-        peak = max(peak, rows * n + (steps + 1) * n * (n + 2) + 2 * rows * constrained)
-    size = 8 * (2 * rows * n + runs * steps * m + peak)
-    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise DomainError(f"an ensemble of {runs} runs x {steps} steps needs "
-                          f"{size / 2**30:,.1f} GiB, more than this machine's memory")
+    peak = max(runs * steps * (n + p),
+               rows * n + (steps + 1) * n * (n + 2) + 2 * rows * constrained)
+    check_memory(8 * (2 * rows * n + runs * steps * m + peak),
+                 f"an ensemble of {runs} runs x {steps} steps")
 
 
 def _simulate(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
-              run_indices, target: TargetSpec):
-    """Step the runs in run_indices together, one kernel call per step,
-    each run drawing from default_rng((seed, run)) in the order x0, all w,
-    all v. Returns the (runs, steps + 1, n) state and estimate arrays and
-    one Trajectory of row views per run."""
+              target: TargetSpec):
+    """Step the cfg.runs runs together, one kernel call per step, run r
+    drawing from default_rng((seed, r)) in the order x0, all w, all v.
+    Returns the (steps,) modes, the (runs, steps + 1, n) states and
+    estimates, and the (runs, steps, m) controls, NaN on sensing steps."""
     n, m, p = model.n, model.m, model.p
-    steps = cfg.steps
-    runs = len(run_indices)
+    steps, runs = cfg.steps, cfg.runs
     sqrt_x0 = linalg.psd_sqrt(cfg.x0_cov, "x0_cov")
     sqrt_w = linalg.psd_sqrt(model.sigma_w, "sigma_w")
     sqrt_v = linalg.psd_sqrt(model.sigma_v, "sigma_v")
@@ -160,8 +161,8 @@ def _simulate(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
     us = np.empty((runs, steps, m))
     w_draws = np.empty((runs, steps, n))
     v_draws = np.empty((runs, steps, p))
-    for r, run in enumerate(run_indices):
-        rng = np.random.default_rng((int(cfg.seed), int(run)))
+    for r in range(runs):
+        rng = np.random.default_rng((int(cfg.seed), r))
         xs[r, 0] = cfg.x0_mean + sqrt_x0 @ rng.standard_normal(n)
         w_draws[r] = rng.standard_normal((steps, n)) @ sqrt_w.T
         v_draws[r] = rng.standard_normal((steps, p)) @ sqrt_v.T
@@ -172,35 +173,20 @@ def _simulate(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
         xs[:, k + 1], xhs[:, k + 1], u, _ = step_closed_loop(
             xs[:, k], xhs[:, k], eta, w_draws[:, k], v_draws[:, k], model, gains, target)
         us[:, k] = np.nan if u is None else u
-    trajectories = [Trajectory(eta=etas, x=xs[r], xhat=xhs[r], u=us[r]) for r in range(runs)]
-    return xs, xhs, trajectories
-
-
-def simulate_run(model: SystemModel, gains: GainSet, bits, cfg: SimConfig,
-                 run_index: int, target: TargetSpec) -> Trajectory:
-    """Simulate one seeded run: the batch of one. Its trajectory is the
-    same whether it is simulated alone or inside an ensemble (to rounding
-    of the batched matrix products)."""
-    _check_memory(model, 1, cfg.steps)
-    return _simulate(model, gains, bits, cfg, [run_index], target)[2][0]
+    return etas, xs, xhs, us
 
 
 def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
-                 box=None, ellipsoid=None, return_trajectories: bool = False):
-    """Simulate cfg.runs independent trajectories and aggregate per-step
-    statistics (mean, covariance, error mean, plus box-violation fraction
-    when a box is given and Chebyshev exceedance when ellipsoid =
-    (phase_covs, phase_means, alpha, components) is given). All runs are
-    stepped together as one batch, each on its own random stream.
-
-    Returns EnsembleStats, or (EnsembleStats, list[Trajectory]) when
-    return_trajectories is set; the trajectories are row views of the
-    ensemble arrays.
-    """
+                 box=None) -> EnsembleStats:
+    """Simulate cfg.runs independent trajectories, stepped together as one
+    batch, each on its own random stream, and aggregate per-step
+    statistics: mean, covariance, error mean and, when a box is given,
+    the box-violation fraction. The returned record carries the ensemble
+    arrays as well."""
     bits = _as_bits(s)
     target = cfg.resolve_target(model)
     _check_memory(model, cfg.runs, cfg.steps, 0 if box is None else len(box.resolve(model.n)[0]))
-    xs, xhs, trajectories = _simulate(model, gains, bits, cfg, range(cfg.runs), target)
+    etas, xs, xhs, us = _simulate(model, gains, bits, cfg, target)
 
     mean = xs.mean(axis=0)
     err_mean = (xs - xhs).mean(axis=0)
@@ -208,16 +194,15 @@ def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
     denom = max(cfg.runs - 1, 1)
     cov = np.einsum("rki,rkj->kij", centered, centered) / denom
 
-    violation = None if box is None else empirical_violation(xs, box)
-    exceedance = None if ellipsoid is None else ellipsoid_exceedance(xs, *ellipsoid)
-
-    stats = EnsembleStats(
+    return EnsembleStats(
         mean=mean,
         cov=cov,
         error_mean=err_mean,
-        runs=cfg.runs,
-        violation=violation,
-        exceedance=exceedance,
+        eta=etas,
+        x=xs,
+        xhat=xhs,
+        u=us,
+        violation=None if box is None else empirical_violation(xs, box),
         meta={
             "seed": int(cfg.seed),
             "runs": int(cfg.runs),
@@ -226,9 +211,6 @@ def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
             "sampling": "standard_normal + PSD square root, per-run stream default_rng((seed, run))",
         },
     )
-    if return_trajectories:
-        return stats, trajectories
-    return stats
 
 
 def empirical_violation(xs, box) -> np.ndarray:
@@ -239,21 +221,3 @@ def empirical_violation(xs, box) -> np.ndarray:
     outside = np.abs(xs[:, :, list(idx)]) > widths[None, None, :]
     return outside.any(axis=2).mean(axis=0)
 
-
-def ellipsoid_exceedance(xs, phase_covs, phase_means, alpha: float,
-                         components=None) -> np.ndarray:
-    """Per-step fraction of runs outside the phase Chebyshev ellipsoid
-    (x - mu)' P^-1 (x - mu) > alpha^2, on the selected components of a
-    stacked (runs, steps+1, n) array."""
-    runs, horizon, n = xs.shape
-    idx = tuple(range(n)) if components is None else tuple(components)
-    sel = np.ix_(idx, idx)
-    period = phase_covs.period
-    inverses = [np.linalg.pinv(phase_covs[j][sel]) for j in range(period)]
-    out = np.empty(horizon)
-    for k in range(horizon):
-        mu_c = np.asarray(phase_means)[k % period][list(idx)]
-        diff = xs[:, k, list(idx)] - mu_c
-        q = np.einsum("ri,ij,rj->r", diff, inverses[k % period], diff)
-        out[k] = np.mean(q > alpha**2)
-    return out

@@ -23,7 +23,9 @@ bounding-sphere radius and support function of one Chebyshev ellipsoid
 (chance verification takes every phase at once); exact integer matrix
 powers for the growth constants' log-scaled power walk; and the two
 explicit loops, one-period map then phases, for the steady mean phases
-(the library reads monodromy and mean_propagate).
+(the library reads monodromy and mean_propagate). ellipsoid_exceedance,
+the per-step fraction of an ensemble outside the phase Chebyshev
+ellipsoids, has no library counterpart: no command reads it.
 """
 
 import csv
@@ -89,23 +91,23 @@ def scipy_dlyap(f, w):
     return sla.solve_discrete_lyapunov(f, w, method="bilinear")
 
 
-def write_trajectories_csv(path, trajectories):
-    """trajectories.csv written cell by cell through csv.writer: repr of
-    each float, blank u cells where u is non-finite, blank eta and u cells
-    on each run's final row."""
-    n = trajectories[0].x.shape[1]
-    m = trajectories[0].u.shape[1]
+def write_trajectories_csv(path, stats):
+    """trajectories.csv of an ensemble record written cell by cell through
+    csv.writer: repr of each float, blank u cells where u is non-finite,
+    blank eta and u cells on each run's final row."""
+    n = stats.x.shape[2]
+    m = stats.u.shape[2]
     header = (["run", "k", "eta"]
               + [f"x{i + 1}" for i in range(n)]
               + [f"xh{i + 1}" for i in range(n)]
               + [f"u{i + 1}" for i in range(m)])
+    etas = [str(e) for e in stats.eta.tolist()] + [""]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for run, traj in enumerate(trajectories):
-            etas = [str(e) for e in traj.eta.tolist()] + [""]
-            us = traj.u.tolist() + [[math.nan] * m]
-            for k, (x, xh) in enumerate(zip(traj.x.tolist(), traj.xhat.tolist())):
+        for run in range(stats.x.shape[0]):
+            us = stats.u[run].tolist() + [[math.nan] * m]
+            for k, (x, xh) in enumerate(zip(stats.x[run].tolist(), stats.xhat[run].tolist())):
                 writer.writerow([run, k, etas[k]]
                                 + [repr(v) for v in x]
                                 + [repr(v) for v in xh]
@@ -394,3 +396,22 @@ def loop_steady_mean_phases(mm, s, target):
         phases[k] = mu
         mu = mm.abar(eta) @ mu + feed * eta
     return phases
+
+
+def ellipsoid_exceedance(xs, phase_covs, phase_means, alpha: float,
+                         components=None) -> np.ndarray:
+    """Per-step fraction of runs outside the phase Chebyshev ellipsoid
+    (x - mu)' P^-1 (x - mu) > alpha^2, on the selected components of a
+    stacked (runs, steps+1, n) array; step k is phase k mod the period."""
+    runs, horizon, n = xs.shape
+    idx = tuple(range(n)) if components is None else tuple(components)
+    sel = np.ix_(idx, idx)
+    period = phase_covs.period
+    inverses = [np.linalg.pinv(phase_covs[j][sel]) for j in range(period)]
+    out = np.empty(horizon)
+    for k in range(horizon):
+        mu_c = np.asarray(phase_means)[k % period][list(idx)]
+        diff = xs[:, k, list(idx)] - mu_c
+        q = np.einsum("ri,ij,rj->r", diff, inverses[k % period], diff)
+        out[k] = np.mean(q > alpha**2)
+    return out

@@ -152,12 +152,10 @@ def test_criterion_7_monte_carlo_violations(cw_model, cw_gains):
     from sensact.sim import empirical_violation
 
     box = BoxConstraint(2.5, components=(0, 1, 2))
-    stats, trajectories = run_ensemble(cw_model, cw_gains, "0011", cfg, box=box,
-                                       return_trajectories=True)
+    stats = run_ensemble(cw_model, cw_gains, "0011", cfg, box=box)
     worst = float(stats.violation[120:].max())
     # the estimation-error process is printed alongside for comparison
-    errs = np.stack([t.x - t.xhat for t in trajectories])
-    err_worst = float(empirical_violation(errs, box)[120:].max())
+    err_worst = float(empirical_violation(stats.x - stats.xhat, box)[120:].max())
     print(f"  [diagnostic] state-process max steady violation {worst:.3f}; "
           f"error-process max steady violation {err_worst:.3f}")
     c.require(f"max steady violation {worst:.3f} <= 0.06", worst <= 0.06)
@@ -241,10 +239,9 @@ def test_criterion_8_property_suites(cw_model, cw_gains, cw_mm):
     # determinism of seeded ensembles
     cfg = SimConfig(steps=30, runs=6, seed=2024, x0_mean=np.ones(6),
                     x0_cov=1e-2 * np.eye(6))
-    _, t1 = run_ensemble(cw_model, cw_gains, "0011", cfg, return_trajectories=True)
-    _, t2 = run_ensemble(cw_model, cw_gains, "0011", cfg, return_trajectories=True)
-    det_ok = all(np.array_equal(a.x, b.x) and np.array_equal(a.xhat, b.xhat)
-                 for a, b in zip(t1, t2))
+    s1 = run_ensemble(cw_model, cw_gains, "0011", cfg)
+    s2 = run_ensemble(cw_model, cw_gains, "0011", cfg)
+    det_ok = np.array_equal(s1.x, s2.x) and np.array_equal(s1.xhat, s2.xhat)
     c.require("seeded ensemble determinism", det_ok)
 
     c.conclude()

@@ -20,11 +20,11 @@ import pytest
 
 from conftest import REPO_ROOT
 
-from sensact import linalg
+from sensact import linalg, sim
 from sensact.chance import BoxConstraint
 from sensact.covariance import ContractionCertificate, PeriodicCovariance
 from sensact.search import SequenceEvaluator
-from sensact.sim import Trajectory, ellipsoid_exceedance, empirical_violation
+from sensact.sim import EnsembleStats, empirical_violation, run_ensemble
 
 SRC = REPO_ROOT / "src" / "sensact"
 
@@ -35,7 +35,6 @@ ALLOWED = {
     "propagate_error_cov": "ROADMAP item 6: the exact transient replaces its loop",
     "steady_mean_phases": "ROADMAP item 8: the eventual chance certificate's mean phases",
     "uniform_growth_constant": "ROADMAP item 4: the sound dwell verdict",
-    "simulate_run": "README: every run is reproducible on its own, as the batch of one",
 }
 
 
@@ -116,11 +115,12 @@ def test_guard_sees_an_unread_function_and_method():
 
 # every name, field, parameter and input form retired from the public
 # surface, with the error that Python gives for an absent one
-def _trajectory():
-    from sensact.sim import Trajectory
-
-    return Trajectory(eta=np.zeros(1), x=np.zeros((2, 2)), xhat=np.zeros((2, 2)),
-                      u=np.zeros((1, 1)))
+def _stats():
+    """A one-run, one-step ensemble record of a 2-state, 1-input plant."""
+    return EnsembleStats(mean=np.zeros((2, 2)), cov=np.zeros((2, 2, 2)),
+                         error_mean=np.zeros((2, 2)), eta=np.zeros(1, dtype=int),
+                         x=np.zeros((1, 2, 2)), xhat=np.zeros((1, 2, 2)),
+                         u=np.zeros((1, 1, 1)))
 
 
 def _import_frobenius_norm():
@@ -138,16 +138,19 @@ RETIRED = {
     "SequenceEvaluator.evaluate": (AttributeError, lambda: SequenceEvaluator.evaluate),
     "BoxConstraint(per_component=)": (
         TypeError, lambda: BoxConstraint(1.0, per_component=(1.0, 2.0))),
-    "Trajectory.y": (AttributeError, lambda: _trajectory().y),
-    "Trajectory.error": (AttributeError, lambda: _trajectory().error),
-    "Trajectory(y=)": (TypeError, lambda: Trajectory(
-        eta=np.zeros(1), x=np.zeros((2, 2)), xhat=np.zeros((2, 2)), u=np.zeros((1, 1)),
-        y=np.zeros((1, 1)))),
+    # the ensemble is one record of stacked arrays, not a list of runs
+    "sim.Trajectory": (AttributeError, lambda: sim.Trajectory),
+    "sim.simulate_run": (AttributeError, lambda: sim.simulate_run),
+    "run_ensemble(return_trajectories=)": (
+        TypeError, lambda: run_ensemble(None, None, "0", None, return_trajectories=True)),
     "empirical_violation(list of Trajectory)": (
-        AttributeError, lambda: empirical_violation([_trajectory()], BoxConstraint(1.0))),
-    "ellipsoid_exceedance(list of Trajectory)": (
-        AttributeError, lambda: ellipsoid_exceedance(
-            [_trajectory()], PeriodicCovariance(phases=(np.eye(2),)), np.zeros((1, 2)), 1.0)),
+        AttributeError, lambda: empirical_violation(list(_stats().x), BoxConstraint(1.0))),
+    # the Chebyshev exceedance had no command; tests/oracles.py keeps it
+    "sim.ellipsoid_exceedance": (AttributeError, lambda: sim.ellipsoid_exceedance),
+    "run_ensemble(ellipsoid=)": (
+        TypeError, lambda: run_ensemble(None, None, "0", None, ellipsoid=())),
+    "EnsembleStats.exceedance": (AttributeError, lambda: _stats().exceedance),
+    "EnsembleStats.runs": (AttributeError, lambda: _stats().runs),
     "PeriodicCovariance(period=)": (
         TypeError, lambda: PeriodicCovariance(phases=(np.eye(2),), period=1)),
 }

@@ -12,7 +12,7 @@ import pytest
 from conftest import CW_CONFIG, REPO_ROOT
 from oracles import make_psd, write_trajectories_csv
 
-from sensact import __version__, cli, linalg, sim
+from sensact import __version__, cli, linalg, search, sim
 from sensact.cli import build_parser, main
 from sensact.covariance import steady_augmented_cov, steady_error_cov
 from sensact.exceptions import DomainError, SchemaError
@@ -543,6 +543,38 @@ class TestSeqSearch:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: a search of length {length} ")
 
+    def test_table_rows_counted_in_memory(self, model_file, capsys, monkeypatch):
+        # room for the necklaces of length 12 but not for its 4096 table
+        # rows: the table is refused with one line, the search alone runs
+        necklaces = search._necklace_count(12) * (search._NECKLACE_BYTES + 8 * 12)
+        real = os.sysconf
+        memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": necklaces}
+        monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or real(name))
+        capsys.readouterr()
+        assert main(["seq", "search", model_file, "--n", "12", "--table"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: a search of length 12 needs ")
+        assert captured.err.endswith(" GiB for its necklaces and table, "
+                                     "more than this machine's memory\n")
+        assert main(["seq", "search", model_file, "--n", "12"]) == 0
+        assert capsys.readouterr().out.startswith("optimum at length 12: ")
+
+    def test_table_bound_covers_the_command_peak(self, model_file, tmp_path, capsys):
+        # the tracemalloc peak of seq search --table --json, less that of
+        # the search alone, stays within the bytes counted for its rows
+        import tracemalloc
+
+        for length in (10, 12):
+            peaks = []
+            for extra in ([], ["--table", "--json", str(tmp_path / "t.json")]):
+                tracemalloc.start()
+                assert main(["seq", "search", model_file, "--n", str(length)] + extra) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert peaks[1] - peaks[0] <= (search._TABLE_ROW_BYTES + 24 * length) << length
+        capsys.readouterr()
+
     @pytest.mark.parametrize("argv", [
         ["seq", "search", "{model}", "--n", "8", "--threads", "2"],
         ["seq", "search", "{model}", "--n", "8", "--prefilter", "screen"],
@@ -686,9 +718,9 @@ class TestSimRun:
         reference = tmp_path / "reference.csv"
         write = cli._write_trajectories
 
-        def both(path, trajectories):
-            write(path, trajectories)
-            write_trajectories_csv(reference, trajectories)
+        def both(path, stats):
+            write(path, stats)
+            write_trajectories_csv(reference, stats)
 
         monkeypatch.setattr(cli, "_write_trajectories", both)
         out_dir = tmp_path / "sim"
@@ -800,9 +832,9 @@ class TestForkedTrajectoryWriter:
         reference = tmp_path / "reference.csv"
         write = cli._write_trajectories
 
-        def both(path, trajectories):
-            write(path, trajectories)
-            write_trajectories_csv(reference, trajectories)
+        def both(path, stats):
+            write(path, stats)
+            write_trajectories_csv(reference, stats)
 
         monkeypatch.setattr(cli, "_write_trajectories", both)
         self.force_workers(monkeypatch, cpus, min_rows=1)
@@ -840,12 +872,12 @@ class TestForkedTrajectoryWriter:
         parent = os.getpid()
         write_runs = cli._write_runs
 
-        def flaky(fh, trajectories, runs):
+        def flaky(fh, stats, runs):
             if (os.getpid() == parent) == (failing == "parent"):
                 raise OSError("formatting failed")
             if failing == "parent":
                 time.sleep(60)
-            write_runs(fh, trajectories, runs)
+            write_runs(fh, stats, runs)
 
         monkeypatch.setattr(cli, "_write_runs", flaky)
         self.force_workers(monkeypatch, 3, min_rows=1)

@@ -192,6 +192,15 @@ class TestTargetSpec:
                 cw_model, TargetSpec(np.ones(6), np.zeros(3))
             )
 
+    @pytest.mark.parametrize("x, u", [([np.nan], [1.0]), ([2.0], [np.nan])],
+                             ids=["nan-state", "nan-input"])
+    def test_non_finite_target_rejected(self, x, u):
+        model = SystemModel(
+            a=[[0.5]], b=[[1.0]], c=[[1.0]], sigma_w=[[0.0]], sigma_v=[[0.0]]
+        )
+        with pytest.raises(DomainError, match="not an equilibrium"):
+            check_equilibrium(model, TargetSpec(x, u))
+
     def test_supported_equilibrium_accepted(self):
         # x+ = 0.5 x + u with x_T = 2 requires u_T = 1
         model = SystemModel(

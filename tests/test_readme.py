@@ -20,3 +20,4 @@ def test_python_api_sketch_runs():
     assert np.array_equal(state.phases, joint.phases[:, :6, :6])
     assert namespace["result"].feasible
     assert namespace["stats"].mean.shape == (241, 6)
+    assert namespace["errors"].shape == (200, 241, 6)

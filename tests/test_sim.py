@@ -5,14 +5,9 @@ from sensact.chance import BoxConstraint, chebyshev_alpha
 from sensact.covariance import steady_augmented_cov, steady_error_cov
 from sensact.exceptions import DomainError
 from sensact.plant import TargetSpec, mode_matrices, synthesize_gains
-from sensact.sim import (
-    SimConfig,
-    ellipsoid_exceedance,
-    empirical_violation,
-    run_ensemble,
-    simulate_run,
-    step_closed_loop,
-)
+from sensact.sim import SimConfig, empirical_violation, run_ensemble, step_closed_loop
+
+from oracles import ellipsoid_exceedance
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +19,35 @@ def base_cfg():
         x0_mean=np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
         x0_cov=1e-2 * np.eye(6),
     )
+
+
+class TestSimConfig:
+    """A SimConfig is checked when it is built, as config load checks a
+    sim section: a bad value raises DomainError naming it, before any run
+    is simulated."""
+
+    MEAN = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("changes, name", [
+        ({"x0_mean": np.r_[MEAN[:5], np.nan]}, "x0_mean"),
+        ({"xhat0": np.r_[np.inf, MEAN[1:]]}, "xhat0"),
+        ({"steps": 2.5}, "steps"),
+        ({"steps": np.float64(3.0)}, "steps"),
+        ({"runs": True}, "runs"),
+        ({"seed": "7"}, "seed"),
+        ({"seed": -1}, "seed"),
+    ], ids=["nan-mean", "inf-estimate", "fractional-steps", "float-steps", "boolean-runs",
+            "string-seed", "negative-seed"])
+    def test_refused_at_the_boundary(self, changes, name):
+        fields = dict(steps=10, runs=2, seed=1, x0_mean=self.MEAN, x0_cov=1e-2 * np.eye(6))
+        fields.update(changes)
+        with pytest.raises(DomainError, match=f"^{name} "):
+            SimConfig(**fields)
+
+    def test_numpy_integers_accepted(self, cw_model, cw_gains):
+        cfg = SimConfig(steps=np.int64(4), runs=np.int32(2), seed=np.uint8(3),
+                        x0_mean=self.MEAN, x0_cov=1e-2 * np.eye(6))
+        assert run_ensemble(cw_model, cw_gains, "0011", cfg).x.shape == (2, 5, 6)
 
 
 class TestStepClosedLoop:
@@ -90,59 +114,57 @@ class TestReproducibility:
     def test_bit_identical_reruns(self, cw_model, cw_gains, base_cfg):
         cfg = SimConfig(steps=40, runs=8, seed=base_cfg.seed,
                         x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
-        s1, t1 = run_ensemble(cw_model, cw_gains, "0011", cfg, return_trajectories=True)
-        s2, t2 = run_ensemble(cw_model, cw_gains, "0011", cfg, return_trajectories=True)
-        for a, b in zip(t1, t2):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.xhat, b.xhat)
+        s1 = run_ensemble(cw_model, cw_gains, "0011", cfg)
+        s2 = run_ensemble(cw_model, cw_gains, "0011", cfg)
+        assert np.array_equal(s1.x, s2.x)
+        assert np.array_equal(s1.xhat, s2.xhat)
         assert np.array_equal(s1.mean, s2.mean)
 
     def test_runs_differ_from_each_other(self, cw_model, cw_gains, base_cfg):
         cfg = SimConfig(steps=10, runs=3, seed=5,
                         x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
-        _, trajectories = run_ensemble(cw_model, cw_gains, "0011", cfg,
-                                       return_trajectories=True)
-        assert not np.array_equal(trajectories[0].x, trajectories[1].x)
+        stats = run_ensemble(cw_model, cw_gains, "0011", cfg)
+        assert not np.array_equal(stats.x[0], stats.x[1])
 
     def test_simulate_run_composition(self, cw_model, cw_gains, base_cfg):
-        # simulate_run must equal the manual composition of step_closed_loop
-        # with the documented draw order (x0 block, w block, v block)
+        # run 0 of a one-run ensemble must equal the manual composition of
+        # step_closed_loop with the documented draw order (x0 block, w
+        # block, v block)
         from sensact.linalg import psd_sqrt
 
         cfg = SimConfig(steps=12, runs=1, seed=321,
                         x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
-        traj = simulate_run(cw_model, cw_gains, (0, 0, 1, 1), cfg, 0,
-                            TargetSpec.origin(6, 3))
+        stats = run_ensemble(cw_model, cw_gains, (0, 0, 1, 1), cfg)
         rng = np.random.default_rng((321, 0))
         x = cfg.x0_mean + psd_sqrt(cfg.x0_cov) @ rng.standard_normal(6)
         w = rng.standard_normal((12, 6)) @ psd_sqrt(cw_model.sigma_w).T
         v = rng.standard_normal((12, 3)) @ psd_sqrt(cw_model.sigma_v).T
         xh = cfg.x0_mean.copy()
-        np.testing.assert_array_equal(traj.x[0], x)
+        np.testing.assert_array_equal(stats.x[0, 0], x)
         for k in range(12):
             x, xh, _, _ = step_closed_loop(x, xh, (0, 0, 1, 1)[k % 4], w[k], v[k],
                                            cw_model, cw_gains, TargetSpec.origin(6, 3))
-            np.testing.assert_array_equal(traj.x[k + 1], x)
-            np.testing.assert_array_equal(traj.xhat[k + 1], xh)
+            np.testing.assert_array_equal(stats.x[0, k + 1], x)
+            np.testing.assert_array_equal(stats.xhat[0, k + 1], xh)
 
 
 class TestBatching:
     def test_ensemble_matches_single_runs(self, cw_model, cw_gains, base_cfg):
-        # each run stepped inside the batch equals the same run simulated
-        # alone, up to rounding of the batched matrix products: within
-        # 1e-12 relative, or absolute where a value is below 1 and
+        # run r does not depend on how many runs its ensemble has, a run
+        # alone included, up to rounding of the batched matrix products:
+        # within 1e-12 relative, or absolute where a value is below 1 and
         # cancellation leaves no relative precision
-        cfg = SimConfig(steps=60, runs=5, seed=2024,
-                        x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
-        target = TargetSpec.origin(6, 3)
-        _, trajectories = run_ensemble(cw_model, cw_gains, "0001100011", cfg,
-                                       return_trajectories=True)
-        bits = (0, 0, 0, 1, 1, 0, 0, 0, 1, 1)
-        for r, batched in enumerate(trajectories):
-            single = simulate_run(cw_model, cw_gains, bits, cfg, r, target)
-            np.testing.assert_array_equal(batched.eta, single.eta)
+        ensembles = {}
+        for runs in (1, 2, 5, 8):
+            cfg = SimConfig(steps=60, runs=runs, seed=2024,
+                            x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
+            ensembles[runs] = run_ensemble(cw_model, cw_gains, "0001100011", cfg)
+        largest = ensembles[8]
+        for runs, stats in ensembles.items():
+            np.testing.assert_array_equal(stats.eta, largest.eta)
             for name in ("x", "xhat", "u"):
-                a, b = getattr(batched, name), getattr(single, name)
+                a, b = getattr(stats, name), getattr(largest, name)[:runs]
+                assert a.shape == b.shape
                 np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -177,10 +199,9 @@ class TestDeterministicLimit:
         cfg = SimConfig(steps=80, runs=5, seed=7,
                         x0_mean=np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
                         x0_cov=np.zeros((6, 6)))
-        stats, trajectories = run_ensemble(quiet, cw_gains, "0011", cfg,
-                                           return_trajectories=True)
-        for t in trajectories[1:]:
-            assert np.array_equal(t.x, trajectories[0].x)
+        stats = run_ensemble(quiet, cw_gains, "0011", cfg)
+        for x in stats.x[1:]:
+            assert np.array_equal(x, stats.x[0])
         assert np.max(np.abs(stats.cov)) < 1e-20
         # admissible schedule drives the state to the origin target
         assert np.linalg.norm(stats.mean[-1]) < 1e-3 * np.linalg.norm(stats.mean[0])
@@ -227,41 +248,32 @@ class TestViolations:
     def test_infinite_box_never_violated(self, cw_model, cw_gains, base_cfg):
         cfg = SimConfig(steps=20, runs=10, seed=3,
                         x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
-        _, trajectories = run_ensemble(cw_model, cw_gains, "0011", cfg,
-                                       return_trajectories=True)
-        frac = empirical_violation(np.stack([t.x for t in trajectories]),
-                                   BoxConstraint(1e12, components=(0, 1, 2)))
+        stats = run_ensemble(cw_model, cw_gains, "0011", cfg)
+        frac = empirical_violation(stats.x, BoxConstraint(1e12, components=(0, 1, 2)))
         assert np.all(frac == 0.0)
 
     def test_tiny_box_always_violated_under_noise(self, cw_model, cw_gains, base_cfg):
         cfg = SimConfig(steps=20, runs=10, seed=3,
                         x0_mean=base_cfg.x0_mean, x0_cov=base_cfg.x0_cov)
-        _, trajectories = run_ensemble(cw_model, cw_gains, "0011", cfg,
-                                       return_trajectories=True)
-        frac = empirical_violation(np.stack([t.x for t in trajectories]),
-                                   BoxConstraint(1e-9, components=(0, 1, 2)))
+        stats = run_ensemble(cw_model, cw_gains, "0011", cfg)
+        frac = empirical_violation(stats.x, BoxConstraint(1e-9, components=(0, 1, 2)))
         assert np.all(frac[1:] == 1.0)
 
     def test_violation_from_run_ensemble_matches_helper(self, cw_model, cw_gains, base_cfg):
         box = BoxConstraint(2.5, components=(0, 1, 2))
-        stats, trajectories = run_ensemble(cw_model, cw_gains, "0011", base_cfg,
-                                           box=box, return_trajectories=True)
-        xs = np.stack([t.x for t in trajectories])
-        np.testing.assert_array_equal(stats.violation, empirical_violation(xs, box))
+        stats = run_ensemble(cw_model, cw_gains, "0011", base_cfg, box=box)
+        np.testing.assert_array_equal(stats.violation, empirical_violation(stats.x, box))
 
     def test_chebyshev_exceedance_within_budget(self, cw_model, cw_gains, base_cfg):
         # Gaussian tails sit far inside the distribution-free bound
         _, state = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
         alpha = chebyshev_alpha(3, 0.05)
-        stats, trajectories = run_ensemble(
-            cw_model, cw_gains, "0011", base_cfg,
-            ellipsoid=(state, np.zeros((4, 6)), alpha, (0, 1, 2)),
-            return_trajectories=True,
-        )
+        stats = run_ensemble(cw_model, cw_gains, "0011", base_cfg)
+        exceedance = ellipsoid_exceedance(stats.x, state, np.zeros((4, 6)), alpha,
+                                          components=(0, 1, 2))
         # steady window only; the transient phases are not cyclostationary
-        assert np.max(stats.exceedance[120:]) <= 0.05
-        xs = np.stack([t.x for t in trajectories])[:, 120:, :]
-        frac = ellipsoid_exceedance(xs, state, np.zeros((4, 6)), alpha,
+        assert np.max(exceedance[120:]) <= 0.05
+        frac = ellipsoid_exceedance(stats.x[:, 120:, :], state, np.zeros((4, 6)), alpha,
                                     components=(0, 1, 2))
         # phase alignment: step 120 is phase 0 of the 4-periodic schedule
-        np.testing.assert_array_equal(stats.exceedance[120:], frac)
+        np.testing.assert_array_equal(exceedance[120:], frac)
