@@ -143,6 +143,13 @@ RETIRED = {
     "sim.simulate_run": (AttributeError, lambda: sim.simulate_run),
     "run_ensemble(return_trajectories=)": (
         TypeError, lambda: run_ensemble(None, None, "0", None, return_trajectories=True)),
+    # Trajectory's retired fields stay off the record that replaced it
+    "Trajectory.y": (AttributeError, lambda: _stats().y),
+    "Trajectory.error": (AttributeError, lambda: _stats().error),
+    "Trajectory(y=)": (TypeError, lambda: EnsembleStats(
+        mean=np.zeros((2, 2)), cov=np.zeros((2, 2, 2)), error_mean=np.zeros((2, 2)),
+        eta=np.zeros(1, dtype=int), x=np.zeros((1, 2, 2)), xhat=np.zeros((1, 2, 2)),
+        u=np.zeros((1, 1, 1)), y=np.zeros((1, 1, 1)))),
     "empirical_violation(list of Trajectory)": (
         AttributeError, lambda: empirical_violation(list(_stats().x), BoxConstraint(1.0))),
     # the Chebyshev exceedance had no command; tests/oracles.py keeps it
