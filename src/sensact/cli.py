@@ -9,7 +9,6 @@ or schema error, 3 synthesis or numerical failure, 4 I/O error.
 """
 
 import argparse
-import csv
 import functools
 import os
 import shutil
@@ -260,40 +259,56 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _csv_rows(block, blank_nonfinite=False):
-    """The rows of a 2-D float array as comma-joined shortest reprs, cut
-    from one repr of the whole block: a float prints the same inside a
-    list, and its repr has no comma, bracket or blank, nor any letter but
-    those of inf and nan."""
-    text = repr(block.tolist())[2:-2]
-    if blank_nonfinite:
-        text = text.replace("-inf", "").replace("inf", "").replace("nan", "")
-    return text.replace(", ", ",").split("],[")
+def _template(leads, cells):
+    """CSV text with one CRLF-terminated row per lead: the lead, then that
+    row of cells (a conversion such as "%r", or "" for a blank cell),
+    comma-separated. The text % one value per conversion, in row order,
+    is the CSV; a float's %r and %s are both its shortest repr."""
+    return "".join(f"{lead},{','.join(row)}\r\n" for lead, row in zip(leads, cells))
 
 
 # Fewest CSV rows per writer process. Forking a writer and copying its
-# chunk back cost about 4 ms, and a row takes about 19 us to format, so two
-# writers break even near 500 rows. _write_trajectories alone on 0011,
-# medians of 21, one writer against two (2-core Xeon VM, Python 3.11.7):
-# 482 rows 7.2 / 9.3 ms, 505 rows 10.2 / 10.3 ms, 964 rows 19.5 / 14.6 ms,
-# 4820 rows 93 / 53 ms.
-_MIN_ROWS_PER_WORKER = 500
+# chunk back cost about 5 ms, and a row takes about 10 us to format, so two
+# writers break even near 1000 rows. _write_trajectories alone on 0011,
+# medians of 201 alternating pairs, one writer against two (2-core Xeon
+# VM, Python 3.11.7): 964 rows 9.9 / 10.4 ms, 1446 rows 14.3 / 12.6 ms;
+# the writer before the row template, at 12 us a row, broke even near 800
+# rows (964 rows 11.7 / 11.2 ms, 1446 rows 17.4 / 13.9 ms).
+_MIN_ROWS_PER_WORKER = 600
 
 
 def _write_runs(fh, stats, runs):
     """The CSV rows of the given runs of the ensemble record stats, in
-    order, written to text file fh. Each run is formatted on its own: one
-    repr of a whole chunk of runs would hold that chunk's text at once."""
+    order, written to text file fh: each run is one % substitution of its
+    values, gathered in row order from a [run | x | xhat | u] block, into
+    a template of its rows built once per call, in which the step numbers,
+    the etas, the commas and the blank cells are literal. A control cell
+    is blank where u is non-finite: in the template where it is in every
+    run (a sensing step's), else in that run. The final row's eta and u
+    cells are blank: no step follows the final state. One run's text is
+    held at a time."""
+    horizon, n = stats.x.shape[1:]
     m = stats.u.shape[2]
-    etas = [str(e) for e in stats.eta.tolist()] + [""]
+    substituted = np.ones((horizon, 1 + 2 * n + m), dtype=bool)
+    substituted[:-1, 1 + 2 * n:] = np.isfinite(stats.u).any(axis=0)
+    substituted[-1, 1 + 2 * n:] = False
+    cells = np.where(substituted[:, 1:], ["%r"] * (2 * n) + ["%s"] * m, "").tolist()
+    leads = [f"%d,{k},{eta}" for k, eta in enumerate(stats.eta.tolist() + [""])]
+    template = _template(leads, cells)
+    pick = np.flatnonzero(substituted)
+    controls = pick % (1 + 2 * n + m) > 2 * n
+    block = np.zeros(substituted.shape)
     for run in runs:
-        states = _csv_rows(np.hstack([stats.x[run], stats.xhat[run]]))
-        # u cells are blank where u is non-finite (no control on sensing
-        # steps), and the final row's eta and u cells are blank: no step
-        # follows the final state
-        controls = _csv_rows(stats.u[run], blank_nonfinite=True) + ["," * (m - 1)]
-        fh.write("".join(f"{run},{k},{eta},{x},{u}\r\n" for k, (eta, x, u)
-                         in enumerate(zip(etas, states, controls))))
+        block[:, 0] = run  # an exact float, which %d prints as the integer
+        block[:, 1:1 + n] = stats.x[run]
+        block[:, 1 + n:1 + 2 * n] = stats.xhat[run]
+        block[:-1, 1 + 2 * n:] = stats.u[run]
+        values = block.ravel()[pick]
+        blank = controls & ~np.isfinite(values)
+        if blank.any():
+            values = values.astype(object)
+            values[blank] = ""
+        fh.write(template % tuple(values.tolist()))
 
 
 def _fork_writer(stats, runs, directory):
@@ -301,7 +316,7 @@ def _fork_writer(stats, runs, directory):
     file in directory; returns (pid, file). The child leaves only through
     os._exit, with status 0 once its rows are flushed, so it never returns
     into the caller, flushes no inherited buffer and runs no atexit hook.
-    It calls no BLAS (hstack, tolist and repr only), so forking is safe
+    It calls no BLAS (element-wise numpy, tolist and %), so forking is safe
     with a BLAS thread pool running in the parent. Interval timers are not
     inherited across fork, so a parent's SIGALRM timer never fires in it."""
     tmp = tempfile.TemporaryFile(dir=directory)
@@ -350,7 +365,7 @@ def _write_trajectories(path, stats):
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             children.append(_fork_writer(stats, range(lo, hi), directory))
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(header)
+            fh.write(",".join(header) + "\r\n")
             _write_runs(fh, stats, range(bounds[0], bounds[1]))
             fh.flush()  # the text layer may still hold chunk 0's last rows
             while children:
@@ -374,14 +389,16 @@ def _write_trajectories(path, stats):
 
 
 def _write_ensemble(path, stats):
-    n = stats.mean.shape[1]
+    """Write ensemble.csv: a header row, then per step the step number,
+    the mean state and the violation fraction, blank without a box."""
+    horizon, n = stats.mean.shape
     header = ["k"] + [f"mean_x{i + 1}" for i in range(n)] + ["violation_fraction"]
+    values = stats.mean if stats.violation is None else np.column_stack(
+        [stats.mean, stats.violation])
+    cells = [["%r"] * n + ["%r" if stats.violation is not None else ""]] * horizon
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(stats.mean.shape[0]):
-            viol = "" if stats.violation is None else repr(float(stats.violation[k]))
-            writer.writerow([k] + [repr(float(v)) for v in stats.mean[k]] + [viol])
+        fh.write(",".join(header) + "\r\n")
+        fh.write(_template(range(horizon), cells) % tuple(values.ravel().tolist()))
 
 
 @functools.cache

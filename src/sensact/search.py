@@ -252,21 +252,22 @@ def _necklace_count(n: int) -> int:
     return sum(f << (n // d) for d, f in zip(divisors, phi)) // n
 
 
-def _check_memory(lengths, include_table: bool = False) -> None:
+def _check_memory(lengths, table_length: int = None) -> None:
     """Refuse a search, before it enumerates a necklace, whose necklaces of
     the given lengths would not fit in physical memory at once, as the
-    cache keeps them, together with their tables when include_table is
-    set. Each necklace of length n is taken as _NECKLACE_BYTES + 8 n
-    bytes, and each of its 2^n table rows as _TABLE_ROW_BYTES + 24 n; a
-    length past _MAX_LENGTH is refused without counting."""
+    cache keeps them, together with the table of table_length when one is
+    given (a search keeps one table, its winning length's). Each necklace
+    of length n is taken as _NECKLACE_BYTES + 8 n bytes, and each of the
+    2^n table rows of length n as _TABLE_ROW_BYTES + 24 n; a length past
+    _MAX_LENGTH is refused without counting."""
     length = max(lengths)
     if length > _MAX_LENGTH:
         raise DomainError(f"a search of length {length} has more than 2^{_MAX_LENGTH - 6} "
                           "necklaces, more than any machine's memory")
     size = sum(_necklace_count(n) * (_NECKLACE_BYTES + 8 * n) for n in lengths)
     held = " for its necklaces"
-    if include_table:
-        size += sum((_TABLE_ROW_BYTES + 24 * n) << n for n in lengths)
+    if table_length is not None:
+        size += (_TABLE_ROW_BYTES + 24 * table_length) << table_length
         held = " for its necklaces and table"
     check_memory(size, f"a search of length {length}", held)
 
@@ -290,29 +291,26 @@ def _necklaces(length: int):
             yield tuple(a[:i + 1])
 
 
-def _select(length: int, necklaces: list, costs: list, include_table: bool) -> SearchResult:
+def _words(length: int, least: tuple):
+    """(word, core) of each rotation of a necklace given by its least
+    rotation: the rotated core, repeated to the given length."""
+    for i in range(len(least)):
+        core = least[i:] + least[:i]
+        yield core * (length // len(least)), core
+
+
+def _select(length: int, necklaces: list, costs: list) -> SearchResult:
     """The cheapest word of one length from the cost of each of its
     necklaces: ties within COST_RTOL go to the shortest core, then the
-    lexicographically smallest word. The winner's report and the counts
-    are left to the caller."""
+    lexicographically smallest word. The winner's report, the counts and
+    the table are left to the caller."""
     best = min(costs)
     bound = best * (1.0 + COST_RTOL) if best < np.inf else -np.inf  # ties within COST_RTOL
-    candidates = []  # (word, core, cost)
-    table = []
-    for least, cost in zip(necklaces, costs):
-        if not (include_table or cost <= bound):
-            continue
-        for i in range(len(least)):
-            core = least[i:] + least[:i]
-            word = core * (length // len(least))
-            if include_table:
-                table.append((word, core, cost if np.isfinite(cost) else None))
-            if cost <= bound:
-                candidates.append((word, core, cost))
-    table.sort(key=lambda row: row[0])
+    candidates = [(word, core, cost) for least, cost in zip(necklaces, costs)
+                  if cost <= bound for word, core in _words(length, least)]
     if not candidates:
         return SearchResult(sequence=None, cost=float("inf"), report=None, core=None,
-                            length=length, table=tuple(table))
+                            length=length)
     winner = min(candidates, key=lambda c: (len(c[1]), c[0]))
     return SearchResult(
         sequence=SwitchSequence(winner[0]),
@@ -321,8 +319,17 @@ def _select(length: int, necklaces: list, costs: list, include_table: bool) -> S
         core=SwitchSequence(winner[1]),
         length=length,
         tied=tuple(SwitchSequence(c[0]) for c in sorted(candidates, key=lambda c: c[0])),
-        table=tuple(table),
     )
+
+
+def _table(length: int, necklaces: list, costs: list) -> tuple:
+    """Every word of one length as (word, core, cost), from the cost of
+    each of its necklaces, cost None where inadmissible, in lexicographic
+    order of the words."""
+    table = [(word, core, cost if np.isfinite(cost) else None)
+             for least, cost in zip(necklaces, costs) for word, core in _words(length, least)]
+    table.sort(key=lambda row: row[0])
+    return tuple(table)
 
 
 def _finish(result: SearchResult, counts: SearchCounts, mm: ModeMatrices) -> SearchResult:
@@ -341,12 +348,15 @@ def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
     rotations are expanded into words only for ties and the table."""
     if length < 1:
         raise DomainError("sequence length must be positive")
-    _check_memory([length], options.include_table)
+    _check_memory([length], length if options.include_table else None)
     if evaluator is None:
         evaluator = SequenceEvaluator(model, gains, weights)
     counts_before = dict(evaluator.counts)
     necklaces = list(_necklaces(length))
-    result = _select(length, necklaces, evaluator.resolve(necklaces), options.include_table)
+    costs = evaluator.resolve(necklaces)
+    result = _select(length, necklaces, costs)
+    if options.include_table:
+        result = replace(result, table=_table(length, necklaces, costs))
     counts = SearchCounts(enumerated=2**length,
                           **{k: evaluator.counts[k] - counts_before[k] for k in counts_before})
     return _finish(result, counts, evaluator.mm)
@@ -360,27 +370,30 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
     searched, the necklaces of all of them in one resolve call, and the
     global optimum returned (the shortest length on ties within
     COST_RTOL). The necklace cache is shared across lengths, and the
-    counts cover every length searched."""
+    counts cover every length searched. Only the winning length's table
+    is built; an infeasible search has none."""
     if n_max < 1:
         raise DomainError("maximum length must be positive")
     evaluator = SequenceEvaluator(model, gains, weights)
+    searched = []  # (necklaces, costs) of each length searched
     results = []
     if options.all_lengths:
-        _check_memory(range(1, n_max + 1), options.include_table)
+        # the kept table is the winner's, at most the longest length's
+        _check_memory(range(1, n_max + 1), n_max if options.include_table else None)
         groups = [list(_necklaces(length)) for length in range(1, n_max + 1)]
         costs = evaluator.resolve([least for group in groups for least in group])
         start = 0
         for length, group in enumerate(groups, 1):
-            results.append(_select(length, group, costs[start:start + len(group)],
-                                   options.include_table))
+            searched.append((group, costs[start:start + len(group)]))
+            results.append(_select(length, *searched[-1]))
             start += len(group)
     else:
         for length in range(1, n_max + 1):
-            # the cache keeps the shorter ones, and the results their tables
-            _check_memory(range(1, length + 1), options.include_table)
+            # the cache keeps the shorter ones; the table kept is this length's
+            _check_memory(range(1, length + 1), length if options.include_table else None)
             necklaces = list(_necklaces(length))
-            results.append(_select(length, necklaces, evaluator.resolve(necklaces),
-                                   options.include_table))
+            searched.append((necklaces, evaluator.resolve(necklaces)))
+            results.append(_select(length, *searched[-1]))
             if results[-1].feasible:
                 break
     best = None
@@ -390,5 +403,7 @@ def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
     if best is None:
         best = SearchResult(sequence=None, cost=float("inf"), report=None, core=None,
                             length=n_max)
+    elif options.include_table:
+        best = replace(best, table=_table(best.length, *searched[best.length - 1]))
     counts = SearchCounts(enumerated=sum(2**r.length for r in results), **evaluator.counts)
     return _finish(best, counts, evaluator.mm)

@@ -114,6 +114,19 @@ def write_trajectories_csv(path, stats):
                                 + [repr(v) if math.isfinite(v) else "" for v in us[k]])
 
 
+def write_ensemble_csv(path, stats):
+    """ensemble.csv of an ensemble record written cell by cell through
+    csv.writer: the step, repr of each mean entry, and repr of the
+    violation fraction, blank when the record has none."""
+    n = stats.mean.shape[1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k"] + [f"mean_x{i + 1}" for i in range(n)] + ["violation_fraction"])
+        for k, mean in enumerate(stats.mean.tolist()):
+            viol = "" if stats.violation is None else repr(float(stats.violation[k]))
+            writer.writerow([k] + [repr(v) for v in mean] + [viol])
+
+
 def kron_dlyap(f, w):
     """Solve X = F X F' + W by vectorization: (I - F(x)F) vec(X) = vec(W)."""
     f = np.asarray(f, dtype=float)

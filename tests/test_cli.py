@@ -4,13 +4,17 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import CW_CONFIG, REPO_ROOT
-from oracles import make_psd, write_trajectories_csv
+from oracles import make_psd, write_ensemble_csv, write_trajectories_csv
 
 from sensact import __version__, cli, linalg, search, sim
 from sensact.cli import build_parser, main
@@ -913,6 +917,102 @@ class TestForkedTrajectoryWriter:
         assert lines.count("before") == 1
         assert sum(line.startswith("wrote 3 runs x 30 steps") for line in lines) == 1
         assert done.stderr == ""
+
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e22, 1e-300, 5e-324, 0.1, -2.5]
+
+
+def special_record(violation=True):
+    """An ensemble record of 3 runs x 6 steps of a 2-state, 2-input plant
+    built by hand from values no simulation of the CW model produces. Its
+    controls cover every case of a control cell: finite in every run
+    (step 0); non-finite in every run on an actuation step (step 2,
+    column 0; step 5); non-finite in some runs only (steps 2 and 3); NaN
+    in every run on a sensing step (step 1); finite in one run on a
+    sensing step (step 4). Run 1 has no non-finite control outside the
+    cells that are non-finite in every run; runs 0 and 2 have some."""
+    runs, steps, n = 3, 6, 2
+    states = np.resize(np.array(SPECIAL_FLOATS), runs * (steps + 1) * n)
+    u = np.full((runs, steps, 2), math.nan)
+    u[:, 0] = [[0.1, -2.5], [-0.0, 1e22], [1e-300, 5e-324]]
+    u[:, 2, 1] = [math.inf, -0.0, 0.5]
+    u[:, 3] = [[-math.inf, math.nan], [1e22, 1e-300], [5e-324, -0.0]]
+    u[1, 4] = [-0.0, 1e22]
+    u[:, 5] = [[math.inf, -math.inf], [math.inf, math.nan], [-math.inf, math.inf]]
+    return sim.EnsembleStats(
+        mean=np.resize(np.roll(SPECIAL_FLOATS, 3), (steps + 1, n)),
+        cov=np.zeros((steps + 1, n, n)),
+        error_mean=np.zeros((steps + 1, n)),
+        eta=np.array([1, 0, 1, 1, 0, 1]),
+        x=states.reshape(runs, steps + 1, n),
+        xhat=np.roll(states, 5).reshape(runs, steps + 1, n),
+        u=u,
+        violation=np.resize(np.roll(SPECIAL_FLOATS, 6), steps + 1) if violation else None,
+    )
+
+
+class TestCsvContract:
+    """trajectories.csv and ensemble.csv hold, cell for cell, what the
+    per-cell csv.writer oracles write, on values the simulated model never
+    produces: NaN, infinities, -0.0, 1e22, 1e-300 and the smallest
+    subnormal, in states, estimates, controls and statistics."""
+
+    @pytest.mark.parametrize("writers", [1, 2, 3])
+    def test_trajectories_match_the_cell_oracle(self, tmp_path, monkeypatch, writers):
+        TestForkedTrajectoryWriter.force_workers(monkeypatch, writers, min_rows=1)
+        forks = TestForkedTrajectoryWriter.count_forks(monkeypatch)
+        stats = special_record()
+        cli._write_trajectories(tmp_path / "trajectories.csv", stats)
+        write_trajectories_csv(tmp_path / "reference.csv", stats)
+        written = (tmp_path / "trajectories.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert len(forks) == writers - 1
+        TestForkedTrajectoryWriter.assert_no_children()
+        lines = written.split(b"\r\n")
+        assert lines[1 + 1] == b"0,1,0,-inf,-0.0,-0.0,1e+22,,"
+        assert lines[1 + 7 + 4] == b"1,4,0,1e+22,1e-300,-2.5,nan,-0.0,1e+22"
+        for spelling in (b",nan,", b",inf,", b",1e-300,", b",5e-324,", b",-2.5,"):
+            assert spelling in written
+
+    @pytest.mark.parametrize("violation", [True, False])
+    def test_ensemble_matches_the_cell_oracle(self, tmp_path, violation):
+        stats = special_record(violation)
+        cli._write_ensemble(tmp_path / "ensemble.csv", stats)
+        write_ensemble_csv(tmp_path / "reference.csv", stats)
+        written = (tmp_path / "ensemble.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b"\r\n") == 1 + 7
+        first = b"0,5e-324,0.1," + (b"-0.0" if violation else b"")
+        assert written.split(b"\r\n")[1] == first
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_any_record_matches_the_cell_oracles(self, data):
+        runs = data.draw(st.integers(1, 3))
+        steps = data.draw(st.integers(1, 5))
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        values = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+
+        def array(*shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=values))
+
+        stats = sim.EnsembleStats(
+            mean=array(steps + 1, n), cov=np.zeros((steps + 1, n, n)),
+            error_mean=np.zeros((steps + 1, n)),
+            eta=np.array(data.draw(st.lists(st.integers(0, 1), min_size=steps,
+                                            max_size=steps))),
+            x=array(runs, steps + 1, n), xhat=array(runs, steps + 1, n),
+            u=array(runs, steps, m),
+            violation=array(steps + 1) if data.draw(st.booleans()) else None)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            cli._write_trajectories(tmp / "t", stats)
+            write_trajectories_csv(tmp / "t-ref", stats)
+            cli._write_ensemble(tmp / "e", stats)
+            write_ensemble_csv(tmp / "e-ref", stats)
+            assert (tmp / "t").read_bytes() == (tmp / "t-ref").read_bytes()
+            assert (tmp / "e").read_bytes() == (tmp / "e-ref").read_bytes()
 
 
 class TestOneModeMatricesPerCommand:

@@ -361,9 +361,9 @@ class TestNecklaceSearch:
 
 class TestOneResolvePerSearch:
     """search_up_to with all_lengths resolves the necklaces of every length
-    in one call; each length's winner, ties and table, and the counts, are
-    those of one search_fixed_length call per length on a shared
-    evaluator."""
+    in one call; each length's winner and ties, the counts, and the
+    winning length's table are those of one search_fixed_length call per
+    length on a shared evaluator. No other length's table is built."""
 
     @pytest.mark.parametrize("n_max", [1, 4, 7, 10])
     def test_all_lengths_is_sequential_search(self, n_max, cw_model, cw_gains, est_weights,
@@ -392,7 +392,7 @@ class TestOneResolvePerSearch:
         assert [r.length for r in selected] == list(range(1, n_max + 1))
         for one, seq in zip(selected, sequential):
             assert (one.sequence, one.core, one.tied, one.table) == \
-                (seq.sequence, seq.core, seq.tied, seq.table)
+                (seq.sequence, seq.core, seq.tied, ())
             assert one.cost.hex() == seq.cost.hex()
         best = None
         for seq in sequential:
@@ -424,12 +424,14 @@ class TestSearchMemoryBound:
     @pytest.fixture()
     def memory_for(self, monkeypatch):
         """Set this machine's memory to the bytes that _check_memory counts
-        for the given lengths."""
+        for the given lengths and table length, plus spare bytes."""
         real = os.sysconf
 
-        def patch(lengths):
+        def patch(lengths, table_length=None, spare=0):
             size = sum(search_module._necklace_count(n) * (search_module._NECKLACE_BYTES + 8 * n)
-                       for n in lengths)
+                       for n in lengths) + spare
+            if table_length is not None:
+                size += (search_module._TABLE_ROW_BYTES + 24 * table_length) << table_length
             memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": size}
             monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or real(name))
 
@@ -459,6 +461,40 @@ class TestSearchMemoryBound:
         memory_for(range(1, 3))
         with pytest.raises(DomainError, match="^a search of length 3 needs "):
             search_up_to(40, cw_model, cw_gains, est_weights)
+
+    @pytest.mark.parametrize("all_lengths, n_max, length", [(True, 12, 11), (False, 40, 4)])
+    def test_table_refused_only_past_the_kept_table(self, cw_model, cw_gains, est_weights,
+                                                    memory_for, all_lengths, n_max, length):
+        # a search keeps one table, its winner's: all lengths count the
+        # longest length's table, the largest that can win, and a search
+        # stopping at its first feasible length counts that length's only
+        last = n_max if all_lengths else length
+        opts = SearchOptions(all_lengths=all_lengths, include_table=True)
+        memory_for(range(1, last + 1), table_length=last)
+        result = search_up_to(n_max, cw_model, cw_gains, est_weights, opts)
+        assert result.length == length and len(result.table) == 2**length
+        memory_for(range(1, last + 1), table_length=last, spare=-1)
+        with pytest.raises(DomainError, match=f"^a search of length {last} needs .* "
+                                              "for its necklaces and table, "):
+            search_up_to(n_max, cw_model, cw_gains, est_weights, opts)
+
+    def test_all_lengths_table_leaves_the_peak(self, cw_model, cw_gains, est_weights):
+        # lengths 1..12 have 8190 words, and only the 2048 of the winning
+        # length 11 are tabled, once the evaluation's temporaries are
+        # freed: the table leaves the search's tracemalloc peak within 5%
+        # (holding every length's table raised it by 59%)
+        import tracemalloc
+
+        search_up_to(12, cw_model, cw_gains, est_weights, SearchOptions(all_lengths=True))
+        peaks = []
+        for table in (False, True):
+            tracemalloc.start()
+            result = search_up_to(12, cw_model, cw_gains, est_weights,
+                                  SearchOptions(all_lengths=True, include_table=table))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert result.length == 11 and len(result.table) == 2048
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_length_past_counting_refused(self, cw_model, cw_gains, est_weights):
         with pytest.raises(DomainError, match="^a search of length 65 has more than 2"):
