@@ -53,11 +53,11 @@ from .covariance import (
     ContractionCertificate,
     PeriodicCovariance,
     contraction_certificate,
-    mean_propagate,
     propagate_error_cov,
     steady_augmented_cov,
     steady_error_cov,
     steady_mean_phases,
+    transient,
 )
 from .chance import (
     BoxConstraint,

@@ -267,9 +267,9 @@ def _template(leads, cells):
     return "".join(f"{lead},{','.join(row)}\r\n" for lead, row in zip(leads, cells))
 
 
-# Fewest CSV rows per writer process. Forking a writer and copying its
-# chunk back cost about 5 ms, and a row takes about 10 us to format, so two
-# writers break even near 1000 rows. _write_trajectories alone on 0011,
+# The cost of a forked writer, in CSV rows. Forking a writer and copying
+# its chunk back cost about 5 ms, and a row takes about 10 us to format, so
+# two writers break even near 1000 rows. _write_trajectories alone on 0011,
 # medians of 201 alternating pairs, one writer against two (2-core Xeon
 # VM, Python 3.11.7): 964 rows 9.9 / 10.4 ms, 1446 rows 14.3 / 12.6 ms;
 # the writer before the row template, at 12 us a row, broke even near 800
@@ -337,16 +337,16 @@ def _write_trajectories(path, stats):
     """Write trajectories.csv from the ensemble record stats: a header
     row, then one row per run and step.
 
-    The runs are cut into contiguous chunks, one per writer: workers is
-    the smallest of the usable CPUs, the run count and the row count over
-    _MIN_ROWS_PER_WORKER, and at least 1. Forked children format every
-    chunk but the first, each into an anonymous temporary file next to
-    path, while this process writes the header and the first chunk
-    straight into path; it then appends the children's files in run
-    order. Every writer runs the same _write_runs, so the bytes do not
-    depend on the worker count, and one writer forks nothing. A child
-    that fails raises OSError; on any error every child not yet reaped is
-    killed and reaped.
+    The runs are cut into contiguous chunks, one per writer: workers, of
+    the counts up to the usable CPUs and the run count, minimises the
+    rows of the largest chunk plus _MIN_ROWS_PER_WORKER per forked writer,
+    the fewest on ties. Forked children format every chunk but the first,
+    each into an anonymous temporary file next to path, while this
+    process writes the header and the first chunk straight into path; it
+    then appends the children's files in run order. Every writer runs the
+    same _write_runs, so the bytes do not depend on the worker count, and
+    one writer forks nothing. A child that fails raises OSError; on any
+    error every child not yet reaped is killed and reaped.
     """
     runs, horizon, n = stats.x.shape
     m = stats.u.shape[2]
@@ -354,10 +354,10 @@ def _write_trajectories(path, stats):
               + [f"x{i + 1}" for i in range(n)]
               + [f"xh{i + 1}" for i in range(n)]
               + [f"u{i + 1}" for i in range(m)])
-    rows = runs * horizon
     # the CPUs this process may run on; 1 where the platform cannot tell
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = max(1, min(cpus, runs, rows // _MIN_ROWS_PER_WORKER))
+    workers = min(range(1, min(cpus, runs) + 1),
+                  key=lambda w: -(-runs // w) * horizon + (w - 1) * _MIN_ROWS_PER_WORKER)
     bounds = [runs * i // workers for i in range(workers + 1)]
     directory = os.path.dirname(os.path.abspath(path))
     children = []

@@ -32,16 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import DimensionError, NumericsError, StabilityError
+from .exceptions import DimensionError, DomainError, NumericsError, StabilityError
 from .plant import ModeMatrices, TargetSpec
-from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractive, monodromy
+from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractive
 
 __all__ = [
     "PeriodicCovariance",
     "ContractionCertificate",
+    "transient",
     "propagate_error_cov",
     "steady_error_cov",
-    "mean_propagate",
     "steady_mean_phases",
     "contraction_certificate",
     "steady_augmented_cov",
@@ -119,20 +119,6 @@ def _joint_steps(mm: ModeMatrices) -> tuple:
     w[:, :n, :n] = w[:, :n, n:] = w[:, n:, :n] = mm.sigma_w
     w[:, n:, n:] = noise
     return a, w
-
-
-def propagate_error_cov(p0, s, mm: ModeMatrices, steps: int):
-    """Trajectory P_0 ... P_steps of the error covariance under the
-    periodic extension of the sequence."""
-    p = linalg.check_psd(p0, "P0")
-    bits = _as_bits(s)
-    atil, noise = _error_steps(mm)
-    out = [p]
-    for k in range(steps):
-        eta = bits[k % len(bits)]
-        p = linalg.sym_part(atil[eta] @ p @ atil[eta].T + noise[eta])
-        out.append(p)
-    return out
 
 
 def _compose(later, earlier) -> tuple:
@@ -214,47 +200,70 @@ def steady_error_cov(s, mm: ModeMatrices) -> PeriodicCovariance:
     return _steady_phases(*_error_steps(mm), _as_bits(s), "observer")
 
 
-def mean_propagate(mm: ModeMatrices, mu_x0, mu_e0, s, target: TargetSpec, steps: int):
-    """Propagate the state and error means,
+def _affine_steps(mm: ModeMatrices, target: TargetSpec) -> tuple:
+    """(H, W) of both modes of the joint system in homogeneous
+    coordinates [z; 1], each a (2, 2n + 1, 2n + 1) stack, so that the mean
+    mu_z+ = Abreve mu_z + d_eta rides on the pairs of _joint_steps:
 
-        mu_x+ = Abar_k mu_x - eta_k B K mu_e + eta_k B (u_T - K x_T),
-        mu_e+ = Atil_k mu_e,
+        H = [Abreve  d_eta]    W = [W_eta  0]    d_eta = [eta B (u_T - K x_T)]
+            [0       1    ]        [0      0]            [0                 ]"""
+    h, w = (np.pad(m, ((0, 0), (0, 1), (0, 1))) for m in _joint_steps(mm))
+    h[:, -1, -1] = 1.0
+    h[1, :mm.n, -1] = mm.b @ (target.u_target - mm.k @ target.x_target)
+    return h, w
 
-    returning arrays of shape (steps + 1, n). The BK cross term uses the
-    full gain product (required dimensionally whenever m != n), and the
-    actuation feedforward accounts for the feedback's target offset.
-    """
-    bits = _as_bits(s)
-    mu_x = np.asarray(mu_x0, dtype=float).ravel().copy()
-    mu_e = np.asarray(mu_e0, dtype=float).ravel().copy()
+
+def transient(s, mm: ModeMatrices, target: TargetSpec, z0_mean, z0_cov, steps: int):
+    """Means (steps + 1, 2n) and covariances (steps + 1, 2n, 2n) of the
+    joint z = [x; e] over steps 0 ... steps under the periodic extension
+    of the sequence, from z_0 of mean z0_mean and covariance z0_cov. One
+    prefix scan of one period of _affine_steps gives, for each phase k,
+    the transition Phi_k, drift b_k and noise V_k from phase 0; a period
+    that starts from (mu, P) then ends in one stacked product,
+
+        mu_{k+1} = Phi_k mu + b_k,   P_{k+1} = sym(Phi_k P Phi_k' + V_k),
+
+    a horizon that ends inside a period taking its first phases only."""
+    dim = 2 * mm.n
+    mean = np.asarray(z0_mean, dtype=float).ravel()
+    cov = linalg.check_psd(z0_cov, "z0_cov")
+    if mean.shape != (dim,) or cov.shape != (dim, dim):
+        raise DimensionError("the joint mean and covariance must have dimension 2n")
+    if steps < 0:
+        raise DomainError("steps must be non-negative")
+    phi, acc = _prefix_scan(*_affine_steps(mm, target), _as_bits(s))
+    phi, drift, acc = phi[:, :dim, :dim], phi[:, :dim, dim], acc[:, :dim, :dim]
+    means, covs = [mean[None]], [cov[None]]
+    for start in range(0, steps, len(phi)):
+        head = phi[:steps - start]
+        means.append(head @ means[-1][-1] + drift[:len(head)])
+        covs.append(linalg.sym_part(head @ covs[-1][-1] @ head.transpose(0, 2, 1)
+                                    + acc[:len(head)]))
+    return np.concatenate(means), np.concatenate(covs)
+
+
+def propagate_error_cov(p0, s, mm: ModeMatrices, steps: int) -> np.ndarray:
+    """Error covariances P_0 ... P_steps, a (steps + 1, n, n) array, under
+    the periodic extension of the sequence: the error block of transient
+    from the error covariance p0."""
     n = mm.n
-    if mu_x.shape != (n,) or mu_e.shape != (n,):
-        raise DimensionError("mean vectors must match the state dimension")
-    bk = mm.b @ mm.k
-    feed = mm.b @ (target.u_target - mm.k @ target.x_target)
-    xs = np.empty((steps + 1, n))
-    es = np.empty((steps + 1, n))
-    xs[0], es[0] = mu_x, mu_e
-    for k in range(steps):
-        eta = bits[k % len(bits)]
-        mu_x = mm.abar(eta) @ mu_x - eta * (bk @ mu_e) + eta * feed
-        mu_e = mm.atilde(eta) @ mu_e
-        xs[k + 1], es[k + 1] = mu_x, mu_e
-    return xs, es
+    z0_cov = np.kron(np.diag([0.0, 1.0]), linalg.check_psd(p0, "P0"))
+    origin = TargetSpec.origin(n, mm.k.shape[0])
+    return transient(s, mm, origin, np.zeros(2 * n), z0_cov, steps)[1][:, n:, n:]
 
 
 def steady_mean_phases(mm: ModeMatrices, s, target: TargetSpec) -> np.ndarray:
-    """N-periodic steady state-mean phases (with mu_e = 0): the unique
-    periodic solution of the affine recursion mu+ = Abar_k mu + d_k:
-    mu_0 = (I - M)^-1 drift, M the monodromy and drift one period of
-    mean_propagate from zero. Zero when the target is the origin."""
-    bits = _as_bits(s)
-    big_m, _ = monodromy(bits, mm)
-    _contraction_radius(big_m, "control")
-    zero = np.zeros(mm.n)
-    drift = mean_propagate(mm, zero, zero, bits, target, len(bits))[0][-1]
-    mu0 = np.linalg.solve(np.eye(mm.n) - big_m, drift)
-    return mean_propagate(mm, mu0, zero, bits, target, len(bits) - 1)[0]
+    """N-periodic steady state-mean phases (with mu_e = 0), the unique
+    periodic solution of mu+ = Abar_k mu + d_k: one prefix scan of
+    _affine_steps gives the state block Phi_k and drift b_k of each
+    phase, mu_0 solves (I - M) mu_0 = b for the last, and mu_{k+1} =
+    Phi_k mu_0 + b_k. Zero when the target is the origin."""
+    n = mm.n
+    phi, _ = _prefix_scan(*_affine_steps(mm, target), _as_bits(s))
+    big_m, drift = phi[:, :n, :n], phi[:, :n, -1]
+    _contraction_radius(big_m[-1], "control")
+    mu0 = np.linalg.solve(np.eye(n) - big_m[-1], drift[-1])
+    return np.concatenate((mu0[None], big_m[:-1] @ mu0 + drift[:-1]))
 
 
 def contraction_certificate(s, mm: ModeMatrices) -> ContractionCertificate:

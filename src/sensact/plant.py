@@ -197,8 +197,7 @@ class ModeMatrices:
         the identity step (I, I) that pads a bit row past its period.
         Read-only, since a one-step product is a view of it."""
         eye = np.eye(self.n)
-        steps = np.array(((self.omega_bar0, self.omega_tilde0),
-                          (self.omega_bar1, self.omega_tilde1), (eye, eye)))
+        steps = np.array([(self.abar(eta), self.atilde(eta)) for eta in (0, 1)] + [(eye, eye)])
         steps.flags.writeable = False
         return steps
 

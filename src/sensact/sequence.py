@@ -31,7 +31,6 @@ __all__ = [
     "admissibility",
     "contractive_stacked",
     "is_contractive",
-    "monodromy",
 ]
 
 # sequences whose monodromy spectral radius is within this margin of 1 are
@@ -52,12 +51,13 @@ class SwitchSequence:
     bits: tuple
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+        # each bit is tested before int() could truncate 0.5 or 1.7 to a bit
+        bits = tuple(self.bits)
         if not bits:
             raise DomainError("switching sequence must be nonempty")
         if any(b not in (0, 1) for b in bits):
             raise DomainError("switching sequence bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", tuple(int(b) for b in bits))
 
     @classmethod
     def from_string(cls, text: str) -> "SwitchSequence":
@@ -80,11 +80,8 @@ class SwitchSequence:
 
 
 def _as_bits(s) -> tuple:
-    if isinstance(s, SwitchSequence):
-        return s.bits
-    if isinstance(s, str):
-        return SwitchSequence.from_string(s).bits
-    return SwitchSequence(tuple(s)).bits
+    """The bits of a SwitchSequence, a string of 0s and 1s or an iterable of bits."""
+    return (SwitchSequence.from_string(s) if isinstance(s, str) else SwitchSequence(s)).bits
 
 
 @dataclass(frozen=True)
@@ -256,13 +253,6 @@ def dwell_feasible(s, rates, c: float) -> DwellFeasibility:
 #: the step that pads a bit row past its period: the identity on both sides
 #: (ModeMatrices.side_steps[_PAD])
 _PAD = 2
-
-
-def monodromy(s, mm: ModeMatrices):
-    """Ordered one-period products (control, observer); index 0 applied first."""
-    bits = _as_bits(s)
-    prod_bar, prod_til = _stacked_products(mm.side_steps, np.array([bits]))[0]
-    return prod_bar, prod_til
 
 
 def is_contractive(rho):

@@ -21,11 +21,14 @@ export: the blended cost as the mean of per-phase traces (the search folds
 it into one segment), the one-step error noise of one mode, and the
 bounding-sphere radius and support function of one Chebyshev ellipsoid
 (chance verification takes every phase at once); exact integer matrix
-powers for the growth constants' log-scaled power walk; and the two
-explicit loops, one-period map then phases, for the steady mean phases
-(the library reads monodromy and mean_propagate). ellipsoid_exceedance,
-the per-step fraction of an ensemble outside the phase Chebyshev
-ellipsoids, has no library counterpart: no command reads it.
+powers for the growth constants' log-scaled power walk; the two explicit
+loops, one-period map then phases, for the steady mean phases (the
+library solves one prefix scan of homogeneous steps); and step-by-step
+loops of the mean and covariance recursions for the library's transient,
+which scans one period and advances whole periods by stacked products.
+ellipsoid_exceedance, the per-step fraction of an ensemble outside the
+phase Chebyshev ellipsoids, has no library counterpart: no command reads
+it.
 """
 
 import csv
@@ -409,6 +412,41 @@ def loop_steady_mean_phases(mm, s, target):
         phases[k] = mu
         mu = mm.abar(eta) @ mu + feed * eta
     return phases
+
+
+def loop_mean_propagate(mm, mu_x0, mu_e0, s, target, steps):
+    """State and error means over steps 0 ... steps, each (steps + 1, n),
+    one step at a time from (mu_x0, mu_e0):
+
+        mu_x+ = Abar_k mu_x - eta_k B K mu_e + eta_k B (u_T - K x_T),
+        mu_e+ = Atil_k mu_e."""
+    bits = SwitchSequence.from_string(s).bits if isinstance(s, str) else tuple(s)
+    mu_x = np.asarray(mu_x0, dtype=float).ravel()
+    mu_e = np.asarray(mu_e0, dtype=float).ravel()
+    bk = mm.b @ mm.k
+    feed = mm.b @ (target.u_target - mm.k @ target.x_target)
+    xs, es = [mu_x], [mu_e]
+    for k in range(steps):
+        eta = bits[k % len(bits)]
+        mu_x = mm.abar(eta) @ mu_x - eta * (bk @ mu_e) + eta * feed
+        mu_e = mm.atilde(eta) @ mu_e
+        xs.append(mu_x)
+        es.append(mu_e)
+    return np.array(xs), np.array(es)
+
+
+def loop_cov_propagate(a_modes, w_modes, p0, s, steps):
+    """Covariances P_0 ... P_steps of P+ = sym(A_eta P A_eta' + W_eta), one
+    step at a time under the periodic extension of the word s, given the
+    step matrices and noise of each mode."""
+    bits = SwitchSequence.from_string(s).bits if isinstance(s, str) else tuple(s)
+    p = np.asarray(p0, dtype=float)
+    out = [p]
+    for k in range(steps):
+        eta = bits[k % len(bits)]
+        p = linalg.sym_part(a_modes[eta] @ p @ a_modes[eta].T + w_modes[eta])
+        out.append(p)
+    return np.array(out)
 
 
 def ellipsoid_exceedance(xs, phase_covs, phase_means, alpha: float,

@@ -23,6 +23,9 @@ from oracles import (
     build_augmented,
     error_noise_term,
     kron_dlyap,
+    loop_cov_propagate,
+    loop_mean_propagate,
+    loop_steady_mean_phases,
     make_psd,
     make_stable,
     recursive_steady_phases,
@@ -33,14 +36,20 @@ from oracles import (
 import sensact.covariance as covariance_module
 from sensact import linalg
 from sensact.covariance import (
+    _error_steps,
     _joint_steps,
+    propagate_error_cov,
     steady_augmented_cov,
     steady_error_cov,
+    steady_mean_phases,
+    transient,
 )
 from sensact.exceptions import NilpotencyError, NumericsError, StabilityError
-from sensact.plant import GainSet, SystemModel, mode_matrices
+from sensact.plant import GainSet, SystemModel, TargetSpec, mode_matrices
 from sensact.search import (
+    COST_RTOL,
     CostWeights,
+    SearchOptions,
     SequenceEvaluator,
     _necklaces,
     search_fixed_length,
@@ -130,6 +139,15 @@ COST_MARGIN = 1e-6
 #: ||X|| is at least 1 / (1 - rho(M)^2), and it also grows with the
 #: transient gain of a non-normal M, which a radius margin does not see.
 STEIN_BOUND = 1e4
+
+#: radii and costs of a plant and of its image under a similarity of
+#: condition number at most 20 agree to this relative tolerance, and its
+#: steady phases to the next, each at least 40 times the largest seen
+#: over 1500 draws of test_similarity_invariance (7.8e-11 on radii,
+#: 1.7e-10 on costs, 2.4e-9 on phases, on words COST_MARGIN from the
+#: threshold)
+SIMILARITY_RTOL = 1e-8
+SIMILARITY_PHASE_RTOL = 1e-7
 
 
 def well_conditioned(steps) -> bool:
@@ -273,6 +291,50 @@ class TestProperties:
                 assert np.max(np.abs(p - r)) <= 1e-10 * np.max(np.abs(r))
 
     @PROPERTY
+    @given(plants(defective=True), st.lists(st.integers(0, 1), min_size=1, max_size=9),
+           st.integers(0, 40), st.integers(0, 2**32 - 1))
+    def test_transient_is_the_step_loops(self, plant, word, steps, seed):
+        # every step of the scan-and-period transient, horizons inside a
+        # period included, against the step-by-step loops, under the
+        # precondition of test_scan_phases_are_the_recursion on both the
+        # error and the joint system; each step within 1e-12 of its largest
+        # entry (1.4e-13 the largest over 1000 draws). The steady mean
+        # phases are within 1e-12 of the loop oracle (4.5e-14 the largest)
+        # and close the recursion.
+        model, gains = plant
+        mm = mode_matrices(model, gains)
+        word = tuple(word)
+        try:
+            admissibility(word, mm)
+        except NilpotencyError:
+            return
+        aug = build_augmented(model, gains)
+        assume(well_conditioned([mm.atilde(eta) for eta in word]))
+        assume(well_conditioned([aug.a_modes[eta] for eta in word]))
+        rng = np.random.default_rng(seed)
+        n = model.n
+        x_t = rng.standard_normal(n)
+        target = TargetSpec(x_t, (np.eye(n) - model.a) @ x_t)  # B = I
+        mu0, cov0 = rng.standard_normal(2 * n), make_psd(rng, 2 * n)
+        means, covs = transient(word, mm, target, mu0, cov0, steps)
+        xs, es = loop_mean_propagate(mm, mu0[:n], mu0[n:], word, target, steps)
+        joint = loop_cov_propagate(aug.a_modes, [aug.step_noise(eta) for eta in (0, 1)],
+                                   cov0, word, steps)
+        error = loop_cov_propagate(*_error_steps(mm), cov0[n:, n:], word, steps)
+        for got, ref in ((means, np.hstack((xs, es))), (covs, joint),
+                         (propagate_error_cov(cov0[n:, n:], word, mm, steps), error)):
+            for g, r in zip(got, ref):
+                assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+        phases = steady_mean_phases(mm, word, target)
+        ref = loop_steady_mean_phases(mm, word, target)
+        assert np.max(np.abs(phases - ref)) <= 1e-12 * np.max(np.abs(ref))
+        feed = target.u_target - gains.k @ x_t
+        for k, eta in enumerate(word):
+            nxt = phases[(k + 1) % len(word)]
+            resid = np.linalg.norm(mm.abar(eta) @ phases[k] + eta * feed - nxt)
+            assert resid <= 1e-12 * np.linalg.norm(nxt)
+
+    @PROPERTY
     @given(plants(), WEIGHTS, st.lists(st.integers(0, 1), min_size=1, max_size=7))
     def test_batched_cost_is_scalar_cost(self, plant, kind, word):
         model, gains = plant
@@ -345,6 +407,72 @@ class TestProperties:
             return
         for cost in costs[1:]:
             assert cost == pytest.approx(costs[0], rel=1e-9)
+
+    @PROPERTY
+    @given(plants(), WEIGHTS, st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_similarity_invariance(self, plant, kind, length, seed):
+        # the coordinates x -> T x, cond(T) <= 20, take (A, B, C) to
+        # (T A T^-1, T B, C T^-1), (K, L) to (K T^-1, T L), Sigma_w to
+        # T Sigma_w T' and each cost weight R to T^-T R T^-1: every
+        # monodromy is similar and every phase congruent. On each word of
+        # the length whose radii are COST_MARGIN from the threshold, the
+        # verdicts are equal, the radii and costs within SIMILARITY_RTOL;
+        # where every word is, each winner is in the other's tie class
+        # widened by that tolerance, and its steady error and joint phases
+        # are T P T' within SIMILARITY_PHASE_RTOL
+        model, gains = plant
+        n = model.n
+        rng = np.random.default_rng(seed)
+        (q1, _), (q2, _) = (np.linalg.qr(rng.standard_normal((n, n))) for _ in range(2))
+        t = q1 @ np.diag(rng.uniform(1.0, 20.0, n)) @ q2
+        ti = np.linalg.inv(t)
+        weights = make_weights(kind, n, rng)
+        moved_weights = CostWeights(*(None if r is None else ti.T @ r @ ti
+                                      for r in (weights.r_err, weights.r_state)),
+                                    r_eta=weights.r_eta)
+        moved = SystemModel(a=t @ model.a @ ti, b=t @ model.b, c=model.c @ ti,
+                            sigma_w=t @ model.sigma_w @ t.T, sigma_v=model.sigma_v)
+        moved_gains = GainSet(k=gains.k @ ti, l=t @ gains.l)
+        mm, moved_mm = mode_matrices(model, gains), mode_matrices(moved, moved_gains)
+        words = list(itertools.product((0, 1), repeat=length))
+        try:
+            reports = [admissibility(word, mm) for word in words]
+        except NilpotencyError:
+            return
+        options = SearchOptions(include_table=True)
+        try:
+            result = search_fixed_length(length, model, gains, weights, options)
+            moved_result = search_fixed_length(length, moved, moved_gains, moved_weights,
+                                               options)
+        except NumericsError:
+            assume(False)
+        clear = [all(abs(rho - (1.0 - CONTRACTION_MARGIN)) >= COST_MARGIN
+                     for rho in (r.qbar, r.qtilde)) for r in reports]
+        for word, report, row, moved_row, ok in zip(words, reports, result.table,
+                                                    moved_result.table, clear):
+            if not ok:
+                continue
+            moved_report = admissibility(word, moved_mm)
+            assert moved_report.admissible == report.admissible
+            for rho, moved_rho in ((report.qbar, moved_report.qbar),
+                                   (report.qtilde, moved_report.qtilde)):
+                assert moved_rho == pytest.approx(rho, rel=SIMILARITY_RTOL, abs=1e-12)
+            assert row[0] == moved_row[0] == word and (row[2] is None) == (moved_row[2] is None)
+            if row[2] is not None:
+                assert moved_row[2] == pytest.approx(row[2], rel=SIMILARITY_RTOL)
+        if not all(clear) or not result.feasible:
+            return
+        band = (1.0 + COST_RTOL) * (1.0 + SIMILARITY_RTOL) ** 2
+        for res, other in ((result, moved_result), (moved_result, result)):
+            costs = {word: cost for word, _, cost in other.table}
+            assert costs[res.sequence.bits] <= other.cost * band
+        word = result.sequence.bits
+        big_t = np.kron(np.eye(2), t)
+        for got, ref, big in ((steady_error_cov(word, moved_mm), steady_error_cov(word, mm), t),
+                              (steady_augmented_cov(word, moved_mm)[0],
+                               steady_augmented_cov(word, mm)[0], big_t)):
+            ref = big @ ref.phases @ big.T
+            assert np.max(np.abs(got.phases - ref)) <= SIMILARITY_PHASE_RTOL * np.max(np.abs(ref))
 
     @PROPERTY
     @given(plants(), st.sampled_from(["estimation", "blended", "state"]),

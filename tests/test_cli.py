@@ -829,11 +829,10 @@ class TestForkedTrajectoryWriter:
         return main(["sim", "run", model_file, word, "--steps", str(steps), "--runs", str(runs),
                      "--seed", "5", "--out", str(out_dir)])
 
-    @pytest.mark.parametrize("runs", [1, 2, 3, 7])
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_bytes_match_reference_for_any_worker_count(self, model_file, tmp_path,
-                                                        monkeypatch, capsys, runs, cpus):
-        reference = tmp_path / "reference.csv"
+    @staticmethod
+    def write_reference(monkeypatch, reference):
+        """Have every trajectories.csv written also be written to reference
+        by the per-cell oracle writer."""
         write = cli._write_trajectories
 
         def both(path, stats):
@@ -841,6 +840,13 @@ class TestForkedTrajectoryWriter:
             write_trajectories_csv(reference, stats)
 
         monkeypatch.setattr(cli, "_write_trajectories", both)
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 7])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_bytes_match_reference_for_any_worker_count(self, model_file, tmp_path,
+                                                        monkeypatch, capsys, runs, cpus):
+        reference = tmp_path / "reference.csv"
+        self.write_reference(monkeypatch, reference)
         self.force_workers(monkeypatch, cpus, min_rows=1)
         forks = self.count_forks(monkeypatch)
         out_dir = tmp_path / "sim"
@@ -857,16 +863,21 @@ class TestForkedTrajectoryWriter:
     @pytest.mark.parametrize("runs, steps, workers", [
         (1, 240, 1),   # one run is one chunk
         (2, 20, 1),    # 42 rows, below the row floor
-        (7, 240, 3),   # 1687 rows, three floors' worth
-        (20, 240, 8),  # 4820 rows, capped by the CPUs
+        (5, 240, 1),   # 1205 rows: two writers would split them 482 / 723
+        (6, 240, 2),   # 1446 rows, 723 per writer
+        (7, 240, 2),   # 1687 rows: chunks of 964 beat three of 723
+        (20, 240, 3),  # 4820 rows: chunks of 1687 beat four of 1205
     ])
     def test_forks_follow_the_row_floor(self, model_file, tmp_path, monkeypatch, capsys,
                                         runs, steps, workers):
+        reference = tmp_path / "reference.csv"
+        self.write_reference(monkeypatch, reference)
         self.force_workers(monkeypatch, 8, min_rows=500)
         forks = self.count_forks(monkeypatch)
         assert self.run_sim(model_file, tmp_path / "sim", runs, steps) == 0
         capsys.readouterr()
         assert len(forks) == workers - 1
+        assert (tmp_path / "sim" / "trajectories.csv").read_bytes() == reference.read_bytes()
         self.assert_no_children()
 
     @pytest.mark.parametrize("failing", ["child", "parent"])

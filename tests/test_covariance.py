@@ -10,6 +10,8 @@ from oracles import (
     build_augmented,
     error_noise_term,
     fit_decay_rate,
+    loop_cov_propagate,
+    loop_mean_propagate,
     loop_steady_mean_phases,
     make_psd,
     make_stable,
@@ -23,11 +25,11 @@ from sensact.covariance import (
     PeriodicCovariance,
     _joint_steps,
     contraction_certificate,
-    mean_propagate,
     propagate_error_cov,
     steady_augmented_cov,
     steady_error_cov,
     steady_mean_phases,
+    transient,
 )
 from sensact.exceptions import (
     DimensionError,
@@ -195,17 +197,28 @@ class TestSteadyErrorCov:
             assert np.max(np.abs(succ - steady[(k + 1) % n_p])) < 1e-8 * scale
 
 
+def joint_means(mm, mu_x0, mu_e0, s, target, steps):
+    """transient's state and error means from (mu_x0, mu_e0), with no
+    initial covariance."""
+    n = mm.n
+    means, _ = transient(s, mm, target, np.concatenate((mu_x0, mu_e0)),
+                         np.zeros((2 * n, 2 * n)), steps)
+    return means[:, :n], means[:, n:]
+
+
 class TestMeanPropagate:
+    """The mean recursion, through the joint means of transient."""
+
     def test_all_zero(self, cw_mm):
         target = TargetSpec.origin(6, 3)
-        xs, es = mean_propagate(cw_mm, np.zeros(6), np.zeros(6), "0011", target, 20)
+        xs, es = joint_means(cw_mm, np.zeros(6), np.zeros(6), "0011", target, 20)
         assert np.allclose(xs, 0.0) and np.allclose(es, 0.0)
 
     def test_decoupled_when_error_zero(self, cw_mm):
         rng = np.random.default_rng(3)
         mu0 = rng.standard_normal(6)
         target = TargetSpec.origin(6, 3)
-        xs, _ = mean_propagate(cw_mm, mu0, np.zeros(6), "0011", target, 8)
+        xs, _ = joint_means(cw_mm, mu0, np.zeros(6), "0011", target, 8)
         mu = mu0.copy()
         for k in range(8):
             mu = cw_mm.abar((0, 0, 1, 1)[k % 4]) @ mu
@@ -215,8 +228,8 @@ class TestMeanPropagate:
         rng = np.random.default_rng(4)
         target = TargetSpec.origin(6, 3)
         periods = 20
-        xs, es = mean_propagate(cw_mm, rng.standard_normal(6), rng.standard_normal(6),
-                                "0011", target, 4 * periods)
+        xs, es = joint_means(cw_mm, rng.standard_normal(6), rng.standard_normal(6),
+                             "0011", target, 4 * periods)
         norms = np.linalg.norm(xs[:: 4], axis=1)
         rep = admissibility("0011", cw_mm)
         rate = fit_decay_rate(norms[2:])
@@ -231,7 +244,7 @@ class TestMeanPropagate:
         gains = synthesize_gains(model, np.eye(1), np.eye(1))
         mm = mode_matrices(model, gains)
         target = TargetSpec([2.0], [1.0])
-        xs, _ = mean_propagate(mm, np.array([2.0]), np.zeros(1), "1", target, 5)
+        xs, _ = joint_means(mm, np.array([2.0]), np.zeros(1), "1", target, 5)
         np.testing.assert_allclose(xs, 2.0 * np.ones((6, 1)), rtol=1e-12)
 
     def test_steady_mean_zero_for_origin(self, cw_mm):
@@ -258,7 +271,50 @@ class TestMeanPropagate:
             nxt = phases[(k + 1) % len(bits)]
             resid = np.linalg.norm(mm.abar(eta) @ phases[k] + eta * feed - nxt)
             assert resid <= 1e-12 * np.linalg.norm(nxt)
-        assert phases.tobytes() == loop_steady_mean_phases(mm, word, target).tobytes()
+        # one scan re-associates the loop's products: 2.1e-16 measured
+        assert phase_rel_err(phases, loop_steady_mean_phases(mm, word, target)) <= 1e-14
+
+
+class TestTransient:
+    @pytest.mark.parametrize("steps", [0, 1, 3, 4, 5, 13, 41])
+    def test_horizon_is_the_step_loops(self, steps, cw_model, cw_gains, cw_mm):
+        # horizons of no step, inside the first period, on a period's
+        # end and inside a later one, on a word of period 7
+        rng = np.random.default_rng(steps)
+        word = "0011101"
+        # any target: the drift need not hold an equilibrium here
+        target = TargetSpec(rng.standard_normal(6), rng.standard_normal(3))
+        mu0, cov0 = rng.standard_normal(12), make_psd(rng, 12)
+        means, covs = transient(word, cw_mm, target, mu0, cov0, steps)
+        assert means.shape == (steps + 1, 12) and covs.shape == (steps + 1, 12, 12)
+        xs, es = loop_mean_propagate(cw_mm, mu0[:6], mu0[6:], word, target, steps)
+        aug = build_augmented(cw_model, cw_gains)
+        ref = loop_cov_propagate(aug.a_modes, [aug.step_noise(eta) for eta in (0, 1)],
+                                 cov0, word, steps)
+        # the loop, not the scan, sets the tolerance: at 13 steps the loop's
+        # covariance is 1.3e-12 from the same loop in long double, the
+        # scan's 7e-15 (joint step norms up to 67 on the CW model)
+        assert phase_rel_err(means, np.hstack((xs, es))) <= 1e-11
+        assert phase_rel_err(covs, ref) <= 1e-11
+
+    def test_error_block_is_propagate_error_cov(self, cw_mm):
+        rng = np.random.default_rng(9)
+        cov0 = make_psd(rng, 12)
+        _, covs = transient("0011", cw_mm, TargetSpec.origin(6, 3), np.zeros(12), cov0, 10)
+        # the error block does not read the state and cross blocks
+        cov0[:6], cov0[:, :6] = 0.0, 0.0
+        assert np.array_equal(propagate_error_cov(cov0[6:, 6:], "0011", cw_mm, 10),
+                              covs[:, 6:, 6:])
+
+    @pytest.mark.parametrize("mean, cov, steps, error", [
+        (np.zeros(6), np.zeros((12, 12)), 3, DimensionError),
+        (np.zeros(12), np.zeros((6, 6)), 3, DimensionError),
+        (np.zeros(12), -np.eye(12), 3, DomainError),
+        (np.zeros(12), np.zeros((12, 12)), -1, DomainError),
+    ], ids=["mean", "cov", "indefinite", "steps"])
+    def test_rejects_bad_input(self, cw_mm, mean, cov, steps, error):
+        with pytest.raises(error):
+            transient("0011", cw_mm, TargetSpec.origin(6, 3), mean, cov, steps)
 
 
 class TestContraction:

@@ -14,12 +14,12 @@ from sensact.sequence import (
     _MAX_KSTAR,
     _MAX_POWERS,
     SwitchSequence,
+    _stacked_products,
     admissibility,
     dwell_counts,
     dwell_feasible,
     growth_constant,
     irreducible_core,
-    monodromy,
     proper_divisors,
     uniform_growth_constant,
 )
@@ -57,6 +57,20 @@ class TestSwitchSequence:
             SwitchSequence((0, 2))
         with pytest.raises(DomainError):
             SwitchSequence.from_string("01x")
+
+    @pytest.mark.parametrize("bits", [(0.5, 1.7), np.array([0.9, 1.2]), ("1",), (0, "0"),
+                                      (1, float("nan"))])
+    def test_rejects_bits_that_int_would_truncate(self, bits):
+        # each raw bit is tested against 0 and 1 before it is made an int
+        with pytest.raises(DomainError, match="bits must be 0 or 1"):
+            SwitchSequence(bits)
+
+    @pytest.mark.parametrize("bits", [(0, 1), (False, True), np.array([0, 1]),
+                                      (np.int8(0), np.uint64(1)), (0.0, 1.0),
+                                      np.array([0.0, 1.0])])
+    def test_accepts_every_form_of_a_bit(self, bits):
+        s = SwitchSequence(bits)
+        assert s.bits == (0, 1) and all(type(b) is int for b in s.bits)
 
 
 class TestProperDivisors:
@@ -317,7 +331,7 @@ class TestAdmissibility:
         assert not rep.admissible
 
     def test_order_of_factors(self, cw_mm):
-        prod_bar, _ = monodromy("0011", cw_mm)
+        prod_bar, _ = _stacked_products(cw_mm.side_steps, np.array([(0, 0, 1, 1)]))[0]
         expected = (cw_mm.abar(1) @ cw_mm.abar(1) @ cw_mm.abar(0) @ cw_mm.abar(0))
         np.testing.assert_allclose(prod_bar, expected)
 

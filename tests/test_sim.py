@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from sensact.chance import BoxConstraint, chebyshev_alpha
-from sensact.covariance import steady_augmented_cov, steady_error_cov
+from sensact.covariance import steady_augmented_cov, steady_error_cov, transient
 from sensact.exceptions import DomainError
-from sensact.plant import TargetSpec, mode_matrices, synthesize_gains
+from sensact.plant import SystemModel, TargetSpec, mode_matrices, synthesize_gains
 from sensact.sim import SimConfig, empirical_violation, run_ensemble, step_closed_loop
 
-from oracles import ellipsoid_exceedance
+from oracles import ellipsoid_exceedance, make_stable
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +191,6 @@ class TestBatching:
 
 class TestDeterministicLimit:
     def test_noiseless_ensemble_collapses(self, cw_model, cw_gains):
-        from sensact.plant import SystemModel
-
         quiet = SystemModel(a=cw_model.a, b=cw_model.b, c=cw_model.c,
                             sigma_w=np.zeros((6, 6)), sigma_v=np.zeros((3, 3)),
                             ts=cw_model.ts)
@@ -205,6 +203,27 @@ class TestDeterministicLimit:
         assert np.max(np.abs(stats.cov)) < 1e-20
         # admissible schedule drives the state to the origin target
         assert np.linalg.norm(stats.mean[-1]) < 1e-3 * np.linalg.norm(stats.mean[0])
+
+    @pytest.mark.parametrize("word", ["0011", "0010111", "01" + "0" * 37 + "1101"])
+    def test_noiseless_runs_are_the_exact_mean(self, word):
+        # with no noise and a point initial state, every run is the exact
+        # joint mean of transient: x its state mean, x - xhat its error mean
+        rng = np.random.default_rng(21)
+        a = make_stable(rng, 3, 0.95)
+        b, c = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+        model = SystemModel(a=a, b=b, c=c, sigma_w=np.zeros((3, 3)), sigma_v=np.zeros((2, 2)))
+        gains = synthesize_gains(model, np.eye(3), np.eye(2))
+        u_t = np.array([0.7, -1.3])
+        target = TargetSpec(np.linalg.solve(np.eye(3) - a, b @ u_t), u_t)
+        x0, xhat0 = rng.standard_normal(3), rng.standard_normal(3)
+        cfg = SimConfig(steps=120, runs=3, seed=5, x0_mean=x0, x0_cov=np.zeros((3, 3)),
+                        xhat0=xhat0, target=target)
+        stats = run_ensemble(model, gains, word, cfg)
+        means, _ = transient(word, mode_matrices(model, gains), target,
+                             np.concatenate((x0, x0 - xhat0)), np.zeros((6, 6)), 120)
+        for x, xhat in zip(stats.x, stats.xhat):
+            np.testing.assert_allclose(x, means[:, :3], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(x - xhat, means[:, 3:], rtol=1e-12, atol=1e-12)
 
 
 class TestEnsembleStatistics:
