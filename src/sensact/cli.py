@@ -489,9 +489,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _leaf_parsers() -> dict:
+    """{(group, command): its parser} of build_parser()'s tree, read from
+    each level's subparsers action (argparse has no public accessor)."""
+    def commands(parser):
+        return next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {(group, cmd): leaf for group, sub in commands(build_parser()).items()
+            for cmd, leaf in commands(sub).items()}
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsed by the command's own parser
+    when argv starts with a group and a command. Any other argv, and any
+    argv whose command parser leaves an argument over, goes to the full
+    parser, so every usage, help and error text is the full parser's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    leaf = _leaf_parsers().get(tuple(argv[:2]))
+    if leaf is not None:
+        args, extras = leaf.parse_known_args(argv[2:])
+        if not extras:
+            args.group, args.cmd = argv[:2]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, DomainError, DimensionError) as exc:

@@ -278,12 +278,11 @@ def load_config(path) -> dict:
     def refuse(name):
         raise SchemaError(f"{path}: {name} is not a finite number")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh, parse_constant=refuse)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                              f"{exc.msg}") from exc
+    try:
+        raw = _read_json(path, parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from exc
     validate_config(raw)
     return raw
 
@@ -576,12 +575,25 @@ def save_model(path, model, gains, summary=None, config_echo=None):
 
 
 def load_model(path):
+    try:
+        doc = _read_json(path)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    return model_from_dict(doc)
+
+
+def _read_json(path, **kwargs):
+    """json.load of the file at path. Bytes that are not UTF-8, and JSON
+    nested past the parser's recursion limit, are SchemaErrors naming the
+    file; JSONDecodeError is left to the caller, which words its message."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return model_from_dict(doc)
+            return json.load(fh, **kwargs)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from exc
+        except RecursionError as exc:
+            raise SchemaError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def resolve_config_path(path: str) -> str:

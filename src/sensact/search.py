@@ -17,6 +17,7 @@ dwell-time screen: it is sufficient only, and it cannot spare the steady
 solve that the cost needs.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -245,6 +246,7 @@ class SequenceEvaluator:
         return [self._cache[least] for least in necklaces]
 
 
+@functools.cache
 def _necklace_count(n: int) -> int:
     """Number of binary necklaces of length n: (1/n) sum_{d | n} phi(d) 2^(n/d)."""
     divisors = [d for d in range(1, n + 1) if n % d == 0]

@@ -25,7 +25,10 @@ powers for the growth constants' log-scaled power walk; the two explicit
 loops, one-period map then phases, for the steady mean phases (the
 library solves one prefix scan of homogeneous steps); and step-by-step
 loops of the mean and covariance recursions for the library's transient,
-which scans one period and advances whole periods by stacked products.
+which scans one period and advances whole periods by stacked products;
+and the broadcasting one-matrix path of the symmetric and
+semi-definite checks, norms by einsum over stacks, for the library's
+one-matrix kernel of Python-float scalars and dot-product norms.
 ellipsoid_exceedance, the per-step fraction of an ensemble outside the
 phase Chebyshev ellipsoids, has no library counterpart: no command reads
 it.
@@ -288,6 +291,35 @@ def sampled_ellipsoid_support(p, alpha, direction, samples, seed=0):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     pts = alpha * u @ sqrt_p.T
     return float(np.max(pts @ np.asarray(direction, dtype=float)))
+
+
+def check_psd_reference(a, name="matrix", psd=True):
+    """linalg.check_psd of one matrix, or check_symmetric with psd=False,
+    as they were computed before the one-matrix kernel: the stacked path's
+    broadcasting code, run on one matrix. s is the largest entry modulus
+    (floored at the smallest normal float), the symmetry bound is
+    SYM_RTOL (1/s + ||M/s||_F), and the semi-definite test takes the
+    smallest eigenvalue of sym(M/s) against the same bound."""
+    m = np.asarray(a, dtype=float)
+    m = linalg.as_square(m, name)
+    s = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True, initial=0.0),
+                   np.finfo(float).tiny)
+    unit = m / s
+    scale = 1.0 / s[..., 0, 0] + _einsum_fro(unit)
+    if np.any(_einsum_fro(unit - unit.swapaxes(-1, -2)) > linalg.SYM_RTOL * scale):
+        raise DomainError(f"{name} is not symmetric")
+    if psd and m.size and np.any(np.min(np.linalg.eigvalsh(_halved_sym(unit)), axis=-1)
+                                 < -linalg.SYM_RTOL * scale):
+        raise DomainError(f"{name} is not positive semi-definite")
+    return _halved_sym(m)
+
+
+def _einsum_fro(stack):
+    return np.sqrt(np.einsum("...ij,...ij->...", stack, stack))
+
+
+def _halved_sym(a):
+    return 0.5 * a + 0.5 * a.swapaxes(-1, -2)
 
 
 def make_stable(rng, n, rho):

@@ -408,6 +408,27 @@ class TestMalformedModelFile:
         assert not (tmp_path / "out").exists()
 
 
+class TestUnreadableFile:
+    """A config or model file whose bytes are not UTF-8, or whose JSON
+    nests past the parser's recursion limit, is an input error: exit 2
+    with one line naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"plant": "caf\xe9"}', "not UTF-8 text: invalid continuation byte at byte 14"),
+        (b"[" * 200000 + b"]" * 200000, "JSON nested too deeply to read"),
+    ], ids=["not-utf-8", "nested-200000-deep"])
+    @pytest.mark.parametrize("argv", [
+        ["model", "build", "{bad}", "-o", "{out}"],
+        ["seq", "check", "{bad}", "0011", "--json", "{out}"],
+    ], ids=["config", "model"])
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, content, message, argv):
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_bytes(content)
+        assert main([a.format(bad=bad, out=out) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+
 class TestRepeatedWork:
     """Each command takes each eigenvalue decomposition once, and only
     those its output reads: one batched call per admissibility decision
@@ -1175,6 +1196,76 @@ class TestFullPipeline:
         assert main(["sim", "run", str(model), found, "--steps", "24", "--runs", "3",
                      "--seed", "2", "--out", str(tmp_path / "sim")]) == 0
         capsys.readouterr()
+
+
+#: for each command: -h, a missing positional, an unrecognised option, a
+#: badly typed value where the command has a typed option, and one valid
+#: call; then argv that name no command
+_PARITY_ARGV = [
+    ["model", "build", "-h"], ["model", "build"], ["model", "build", "c.json", "--bogus"],
+    ["model", "build", "c.json", "-o", "m.json"],
+    ["seq", "check", "-h"], ["seq", "check", "m.json"], ["seq", "check", "m.json", "0011", "-x"],
+    ["seq", "check", "m.json", "0011", "--bound", "nope"],
+    ["seq", "check", "m.json", "0011", "--dwell", "--chance", "--bound", "22", "--delta",
+     "0.05", "--json", "r.json"],
+    ["seq", "dwell", "-h"], ["seq", "dwell", "m.json"], ["seq", "dwell", "m.json", "01", "--no"],
+    ["seq", "dwell", "m.json", "01", "--kstar", "x"],
+    ["seq", "dwell", "m.json", "01", "--kstar", "3", "--family", "all", "--search-kstar"],
+    ["seq", "search", "-h"], ["seq", "search", "--n", "8"],
+    ["seq", "search", "m.json", "--n", "8", "--bogus"], ["seq", "search", "m.json", "--n", "x"],
+    ["seq", "search", "m.json", "--n-max", "8", "--all-lengths", "--table", "--json", "r.json"],
+    ["cov", "steady", "-h"], ["cov", "steady", "m.json"], ["cov", "steady", "m.json", "01", "--x"],
+    ["cov", "steady", "m.json", "0011", "--augmented", "--json", "r.json"],
+    ["chance", "verify", "-h"], ["chance", "verify", "m.json"],
+    ["chance", "verify", "m.json", "01", "extra"],
+    ["chance", "verify", "m.json", "01", "--bound", "nope"],
+    ["chance", "verify", "m.json", "0011", "--bound", "22", "--delta", "0.05", "--json", "r.json"],
+    ["sim", "run", "-h"], ["sim", "run", "m.json", "0011"],
+    ["sim", "run", "m.json", "0011", "--out", "d", "--threads", "2"],
+    ["sim", "run", "m.json", "0011", "--out", "d", "--bound", "nope"],
+    ["sim", "run", "m.json", "0011", "--steps", "60", "--runs", "20", "--seed", "3",
+     "--bound", "2.5", "--out", "d"],
+    [], ["seq"], ["seq", "bogus"], ["bogus"], ["--version"],
+    ["-h"], ["seq", "-h"], ["seq", "steady", "m.json", "0011"], ["seq", "search", "--version"],
+    ["seq", "search", "m.json", "--n", "8", "--", "extra"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """The namespace parse returns for argv, or its exit code, stdout and
+    stderr."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+    assert capsys.readouterr() == ("", "")
+    return args
+
+
+class TestDirectParsing:
+    """A command's own parser decides argv that start with its group and
+    name; every outcome is the full parser's."""
+
+    @pytest.mark.parametrize("argv", _PARITY_ARGV, ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, argv, capsys):
+        assert _parsed(cli._parse_args, argv, capsys) == \
+            _parsed(build_parser().parse_args, argv, capsys)
+
+    def test_every_command_has_its_parser(self):
+        commands = {("model", "build"), ("seq", "check"), ("seq", "dwell"), ("seq", "search"),
+                    ("cov", "steady"), ("chance", "verify"), ("sim", "run")}
+        leaves = cli._leaf_parsers()
+        assert set(leaves) == commands
+        assert all(leaves[key].prog == "sensact " + " ".join(key) for key in commands)
+
+    def test_valid_command_skips_the_full_parser(self, monkeypatch):
+        def full(argv):
+            raise AssertionError("parsed by the full parser")
+
+        monkeypatch.setattr(build_parser(), "parse_args", full)
+        args = cli._parse_args(["seq", "search", "m.json", "--n", "8"])
+        assert (args.func, args.n) == (cli.cmd_seq_search, 8)
 
 
 class TestRepeatedCalls:

@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     build_augmented,
+    check_psd_reference,
     decimal_expm,
     error_noise_term,
     kron_dlyap,
@@ -207,6 +208,108 @@ class TestNilpotency:
         verdicts = linalg.is_nilpotent(np.stack(mats)).tolist()
         assert verdicts == [linalg.is_nilpotent(m) for m in mats]
         assert verdicts == [kind != "random" for kind, _ in kinds]
+
+
+def _edge_ratios(m):
+    """The reference check's symmetry and semi-definite statistics of a
+    finite square matrix, each over its bound: ||skew(M/s)||_F and
+    -lambda_min(sym(M/s)), over SYM_RTOL (1/s + ||M/s||_F)."""
+    s = max(np.abs(m).max(initial=0.0), np.finfo(float).tiny)
+    unit = m / s
+    bound = linalg.SYM_RTOL * (1.0 / s + np.linalg.norm(unit))
+    ratios = [np.linalg.norm(unit - unit.T) / bound]
+    if m.size:
+        ratios.append(-np.linalg.eigvalsh(0.5 * unit + 0.5 * unit.T)[0] / bound)
+    return ratios
+
+
+@st.composite
+def check_inputs(draw):
+    """One input of the one-matrix checks: PSD, indefinite and asymmetric
+    matrices scaled by 10^-300 to 10^300; matrices at a drawn relative
+    distance of 1e-9 to 0.5 from the symmetry edge, the semi-definite edge
+    or both, on either side; zero, empty and 1 x 1 matrices; non-finite
+    entries; non-square, 1-D and 3-D inputs; each as an array or as nested
+    lists."""
+    kind = draw(st.sampled_from(["psd", "indefinite", "asymmetric", "symmetry edge",
+                                 "psd edge", "both edges", "zero", "non-finite",
+                                 "non-square", "1-D", "3-D"]))
+    n = draw(st.integers(0 if kind == "zero" else 1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    root = rng.standard_normal((n, n))
+    m = root @ root.T / n
+    if kind == "indefinite":
+        m -= np.trace(m) / n * np.eye(n)
+    elif kind == "asymmetric":
+        m = root
+    elif kind == "zero":
+        m = np.zeros((n, n))
+    elif kind == "non-square":
+        m = rng.standard_normal((n, n + 1))
+    elif kind == "1-D":
+        m = root[0]
+    elif kind == "3-D":
+        m = np.stack([m, m])
+    # the 1/s term of the bound swamps every entry of M/s below 1e-8
+    m = m * 10.0 ** draw(st.integers(-8 if "edge" in kind else -300, 300))
+    if kind == "non-finite":
+        m[rng.integers(n), rng.integers(n)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+
+    def at_ratio(target, build, statistic):
+        # the statistic is close to linear in t: two rescalings land near
+        # the target, within the rounding of an eigenvalue
+        t = target
+        for _ in range(2):
+            t *= target / statistic(build(t))
+        return build(t)
+
+    # both statistics over their bounds are close to x / bound, x the skew
+    # norm of M or minus its smallest eigenvalue, with bound formed so that
+    # it does not overflow
+    if "edge" in kind:
+        s = np.abs(m).max()
+        bound = linalg.SYM_RTOL * (1.0 / s + np.linalg.norm(m / s)) * s
+    sides = st.sampled_from([-1.0, 1.0])
+    if kind in ("psd edge", "both edges"):
+        target = 1.0 + draw(sides) * 10.0 ** draw(st.floats(-9.0, -0.3))
+        w, v = np.linalg.eigh(m)
+        m = at_ratio(target, lambda t: (v * np.concatenate([[-t * bound], w[1:]])) @ v.T,
+                     lambda x: _edge_ratios(x)[1])
+    if kind in ("symmetry edge", "both edges") and n > 1:
+        # inside the symmetry bound with the semi-definite edge, so that
+        # the eigenvalue test runs on a matrix that is not quite symmetric
+        target = (draw(st.floats(0.3, 0.99)) if kind == "both edges"
+                  else 1.0 + draw(sides) * 10.0 ** draw(st.floats(-9.0, -0.3)))
+        k = np.triu(rng.standard_normal((n, n)), 1)
+        k = (k - k.T) / np.linalg.norm(k - k.T)
+        base = m
+        m = at_ratio(target, lambda t: base + t * bound / 2.0 * k, lambda x: _edge_ratios(x)[0])
+    if m.ndim == 2 and m.shape[0] == m.shape[1] and np.isfinite(m).all():
+        assume(all(abs(r - 1.0) >= 1e-9 for r in _edge_ratios(m)))
+    return m.tolist() if draw(st.booleans()) else m
+
+
+def _outcome(check, m, **kwargs):
+    """(dtype, shape, bytes) of what check returns, or (type, message) of
+    what it raises."""
+    try:
+        out = check(m, "M", **kwargs)
+    except (DimensionError, DomainError) as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestCheckKernel:
+    """The one-matrix kernel of check_symmetric and check_psd gives the
+    verdict, message and returned bytes of the broadcasting code it
+    replaced, kept in tests/oracles.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(check_inputs())
+    def test_same_outcome_as_reference(self, m):
+        assert _outcome(linalg.check_psd, m) == _outcome(check_psd_reference, m)
+        assert _outcome(linalg.check_symmetric, m) == \
+            _outcome(check_psd_reference, m, psd=False)
 
 
 def _rel(x, ref):

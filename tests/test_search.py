@@ -417,6 +417,16 @@ class TestSearchMemoryBound:
         # binary necklaces of length 24 (OEIS A000031)
         assert search_module._necklace_count(24) == 699252
 
+    def test_each_length_counted_once(self, monkeypatch):
+        search_module._check_memory(range(1, 9))
+        gcds = []
+        real_gcd = search_module.math.gcd
+        monkeypatch.setattr(search_module.math, "gcd", lambda *a: gcds.append(a) or real_gcd(*a))
+        # a search up to length 8 checks lengths 1..k at every length k
+        for length in range(1, 9):
+            search_module._check_memory(range(1, length + 1))
+        assert gcds == []
+
     def test_roadmap_lengths_fit(self):
         # the window-bound search targets lengths up to 24, all lengths at once
         search_module._check_memory(range(1, 25))
