@@ -51,7 +51,6 @@ from .sequence import (
 )
 from .covariance import (
     ContractionCertificate,
-    PeriodicCovariance,
     contraction_certificate,
     propagate_error_cov,
     steady_augmented_cov,

@@ -8,6 +8,7 @@ support functions realize the Pontryagin difference for boxes); the
 bounding-sphere radius is reported as the conservative variant.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ class BoxConstraint:
     components: tuple = None
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise DomainError("box half-width must be positive")
+        if not 0 < self.half_width <= sys.float_info.max:  # NaN fails too
+            raise DomainError("box half-width must be positive and finite")
         if self.components is not None:
             comps = tuple(self.components)
             if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
@@ -134,7 +135,7 @@ def verify_chance(s, mm: ModeMatrices, box: BoxConstraint, delta: float,
     """
     _, state_covs = steady_augmented_cov(s, mm)  # validates admissibility
     n = mm.n
-    period = state_covs.period
+    period = len(state_covs)
     idx, widths = box.resolve(n)
     alpha = chebyshev_alpha(len(idx), delta)
 
@@ -145,11 +146,19 @@ def verify_chance(s, mm: ModeMatrices, box: BoxConstraint, delta: float,
         raise DimensionError(f"mean_phases must have shape {(period, n)}")
 
     # all phases at once: batched LAPACK runs the one-matrix routine on each
-    # phase, so radii, margins and verdicts equal the per-phase formulas
+    # phase, so radii, margins and verdicts equal the per-phase formulas.
+    # The phases are symmetric by construction, so one eigvalsh gives the
+    # radii and the semi-definite verdict w_min < -SYM_RTOL (1 + ||P||_F),
+    # tested on w divided by its largest modulus so that nothing overflows
     cols = list(idx)
-    covs = linalg.check_psd(state_covs.phases[:, cols][:, :, cols], "P",
-                            stacked=True)
-    radii = alpha * np.sqrt(np.max(np.linalg.eigvalsh(covs), axis=-1))
+    covs = state_covs[:, cols][:, :, cols]
+    w = np.linalg.eigvalsh(covs)
+    top = np.maximum(np.abs(w).max(axis=-1), linalg._TINY)
+    unit = w / top[:, None]
+    fro = np.sqrt(np.sum(unit * unit, axis=-1))
+    if np.any(unit[:, 0] < -linalg.SYM_RTOL * (1.0 / top + fro)):
+        raise DomainError("P is not positive semi-definite")
+    radii = alpha * np.sqrt(w[:, -1])
     supports = alpha * np.sqrt(np.clip(np.diagonal(covs, axis1=-2, axis2=-1), 0.0, None))
     mus = np.abs(mean_phases[:, cols])
     margins = widths - mus - supports

@@ -93,6 +93,8 @@ def cmd_seq_check(args) -> int:
     model, gains, cfg = _load(args)
     mm = mode_matrices(model, gains)
     seq = SwitchSequence.from_string(args.bits)
+    # checked before anything is printed
+    chance_inputs = _chance_inputs(args, cfg) if args.chance else None
     core = irreducible_core(seq)
     report = admissibility(seq, mm)
     d = dwell_counts(seq)
@@ -121,7 +123,7 @@ def cmd_seq_check(args) -> int:
         print(f"dwell screen: c={c:.4f} lhs_ctrl={feas.lhs_ctrl:.4f} "
               f"lhs_obs={feas.lhs_obs:.4f} passes={'yes' if feas.passes else 'no'}")
     if args.chance:
-        chance = verify_chance(seq, mm, *_chance_inputs(args, cfg))
+        chance = verify_chance(seq, mm, *chance_inputs)
         out["chance"] = chance.to_dict()
         print(f"chance: alpha={chance.alpha:.4f} radii "
               f"[{chance.min_radius:.4f}, {chance.max_radius:.4f}] "
@@ -188,7 +190,7 @@ def cmd_seq_search(args) -> int:
 
 def _traces(phases) -> str:
     """The trace of each phase, formatted %.6g, from one stacked trace."""
-    return " ".join(f"{t:.6g}" for t in np.trace(phases.phases, axis1=1, axis2=2))
+    return " ".join(f"{t:.6g}" for t in np.trace(phases, axis1=1, axis2=2))
 
 
 def cmd_cov_steady(args) -> int:
@@ -198,18 +200,18 @@ def cmd_cov_steady(args) -> int:
     if args.augmented:
         # one joint solve: the error phases are its error blocks
         joint, state = steady_augmented_cov(seq, mm)
-        err = joint.block(slice(mm.n, None))
+        err = joint[:, mm.n:, mm.n:]
     else:
         err = steady_error_cov(seq, mm)
     out = {
         "sequence": str(seq),
-        "period": err.period,
-        "error_phases": {str(k): err[k] for k in range(err.period)},
+        "period": len(err),
+        "error_phases": {str(k): p for k, p in enumerate(err)},
     }
     print(f"steady error covariance traces: {_traces(err)}")
     if args.augmented:
-        out["state_phases"] = {str(k): state[k] for k in range(state.period)}
-        out["joint_phases"] = {str(k): joint[k] for k in range(joint.period)}
+        out["state_phases"] = {str(k): p for k, p in enumerate(state)}
+        out["joint_phases"] = {str(k): p for k, p in enumerate(joint)}
         print(f"steady state covariance traces: {_traces(state)}")
     if args.json:
         _write_text(args.json, dump_json(out))

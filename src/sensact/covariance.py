@@ -37,7 +37,6 @@ from .plant import ModeMatrices, TargetSpec
 from .sequence import CONTRACTION_MARGIN, _as_bits, admissibility, is_contractive
 
 __all__ = [
-    "PeriodicCovariance",
     "ContractionCertificate",
     "transient",
     "propagate_error_cov",
@@ -46,35 +45,6 @@ __all__ = [
     "contraction_certificate",
     "steady_augmented_cov",
 ]
-
-
-@dataclass(frozen=True)
-class PeriodicCovariance:
-    """Steady per-phase covariances P_0 ... P_{N-1} of an N-periodic
-    recursion (phase k holds the covariance at steps k, k+N, ...), as one
-    (N, n, n) array; a sequence of N matrices is stacked into one."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float)
-        if phases.ndim != 3:
-            raise DimensionError("phases must be an (N, n, n) stack, N the period")
-        object.__setattr__(self, "phases", phases)
-
-    @property
-    def period(self) -> int:
-        return len(self.phases)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.phases[k % self.period]
-
-    def __iter__(self):
-        return iter(self.phases)
-
-    def block(self, index: slice) -> "PeriodicCovariance":
-        """The diagonal block [index, index] of every phase, as a view."""
-        return PeriodicCovariance(phases=self.phases[:, index, index])
 
 
 @dataclass(frozen=True)
@@ -173,10 +143,10 @@ def _contraction_radius(big_m, side: str) -> float:
     return rho
 
 
-def _steady_phases(modes, noise, bits, side) -> PeriodicCovariance:
-    """Steady phases P_0 ... P_{N-1} from one prefix scan; side names the
-    monodromy whose radius is checked, None when the caller has decided
-    that it contracts."""
+def _steady_phases(modes, noise, bits, side) -> np.ndarray:
+    """Steady phases P_0 ... P_{N-1}, an (N, n, n) array, from one prefix
+    scan; side names the monodromy whose radius is checked, None when the
+    caller has decided that it contracts."""
     phi, acc = _prefix_scan(modes, noise, bits)
     if side is not None:
         _contraction_radius(phi[-1], side)
@@ -188,11 +158,13 @@ def _steady_phases(modes, noise, bits, side) -> PeriodicCovariance:
         phases[1:] = linalg.sym_part(head @ p0 @ head.transpose(0, 2, 1) + acc[:-1])
     if not np.isfinite(phases).all():
         raise NumericsError("steady phase covariance is not finite")
-    return PeriodicCovariance(phases=phases)
+    return phases
 
 
-def steady_error_cov(s, mm: ModeMatrices) -> PeriodicCovariance:
-    """Unique N-periodic steady solution of the error-covariance recursion.
+def steady_error_cov(s, mm: ModeMatrices) -> np.ndarray:
+    """Unique N-periodic steady solution of the error-covariance recursion:
+    the (N, n, n) array of phases P_0 ... P_{N-1}, phase k holding the
+    covariance at steps k, k + N, ...
 
     Requires the observer-side monodromy to be contractive; raises
     StabilityError otherwise (no bounded solution exists).
@@ -285,11 +257,11 @@ def contraction_certificate(s, mm: ModeMatrices) -> ContractionCertificate:
 def steady_augmented_cov(s, mm: ModeMatrices):
     """Steady per-phase covariances of the joint (state, error) system.
 
-    Returns (joint, state) where joint holds the 2n x 2n phase
-    covariances and state their upper-left n x n state blocks. Requires
-    full admissibility; the augmented monodromy is block-triangular and
-    inherits its spectrum from the two diagonal blocks, so the
-    admissibility verdict on both decides it.
+    Returns (joint, state): joint the (N, 2n, 2n) array of phase
+    covariances and state the view of their upper-left n x n state
+    blocks. Requires full admissibility; the augmented monodromy is
+    block-triangular and inherits its spectrum from the two diagonal
+    blocks, so the admissibility verdict on both decides it.
     """
     bits = _as_bits(s)
     report = admissibility(bits, mm)
@@ -299,4 +271,4 @@ def steady_augmented_cov(s, mm: ModeMatrices):
             f"(qbar={report.qbar:.6g}, qtilde={report.qtilde:.6g})"
         )
     joint = _steady_phases(*_joint_steps(mm), bits, None)
-    return joint, joint.block(slice(None, mm.n))
+    return joint, joint[:, :mm.n, :mm.n]

@@ -83,35 +83,30 @@ def as_square(a, name="matrix") -> np.ndarray:
     return m
 
 
-def check_symmetric(a, name="matrix", stacked=False) -> np.ndarray:
+def check_symmetric(a, name="matrix") -> np.ndarray:
     """Validate symmetry to relative tolerance and return the exact
-    symmetric part (so downstream eigh calls are well posed). With
-    stacked=True, a is a (..., n, n) stack, validated matrix by matrix: it
-    fails if any matrix does, with the message of the one-matrix check."""
-    return (_symmetric_scaled if stacked else _symmetric_one)(a, name)[0]
+    symmetric part (so downstream eigh calls are well posed)."""
+    return _symmetric_one(a, name)[0]
 
 
-def check_psd(a, name="matrix", stacked=False) -> np.ndarray:
-    """Validate symmetric positive semi-definiteness (to tolerance), of one
-    matrix or, with stacked=True, of each matrix of a (..., n, n) stack."""
-    if stacked:
-        m, unit, scale = _symmetric_scaled(a, name)
-        bad = m.size and np.any(np.min(np.linalg.eigvalsh(sym_part(unit)), axis=-1)
-                                < -SYM_RTOL * scale)
-    else:
-        m, unit, scale = _symmetric_one(a, name)
-        # eigvalsh returns the eigenvalues in ascending order
-        bad = m.size and np.linalg.eigvalsh(0.5 * unit + 0.5 * unit.T)[0] < -SYM_RTOL * scale
-    if bad:
+def check_psd(a, name="matrix") -> np.ndarray:
+    """Validate symmetric positive semi-definiteness (to tolerance)."""
+    m, unit, scale = _symmetric_one(a, name)
+    # eigvalsh returns the eigenvalues in ascending order
+    if m.size and np.linalg.eigvalsh(0.5 * unit + 0.5 * unit.T)[0] < -SYM_RTOL * scale:
         raise DomainError(f"{name} is not positive semi-definite")
     return m
 
 
 def _symmetric_one(a, name) -> tuple:
-    """_symmetric_scaled's test of one matrix, returning (sym(M), M / s,
-    1 / s + ||M / s||_F), in a dozen numpy calls: every command checks 5-6
-    matrices while it sets up. The scalars are Python floats, and each
-    Frobenius norm is one dot product of a raveled matrix."""
+    """The symmetry test of one matrix M, returning (sym(M), M / s,
+    1 / s + ||M / s||_F), s the largest entry modulus of M, or the
+    smallest normal float if that is larger, so that 1 / s is finite: the
+    tests of check_symmetric and check_psd are invariant under the
+    division, which keeps their norms and eigenvalues from overflowing.
+    A dozen numpy calls: every command checks 5-6 matrices while it sets
+    up. The scalars are Python floats, and each Frobenius norm is one dot
+    product of a raveled matrix."""
     m = as_square(a, name)
     s = max(float(np.abs(m).max(initial=0.0)), _TINY)
     unit = m / s
@@ -121,26 +116,6 @@ def _symmetric_one(a, name) -> tuple:
     if math.sqrt(skew @ skew) > SYM_RTOL * scale:
         raise DomainError(f"{name} is not symmetric")
     return 0.5 * m + 0.5 * m.T, unit, scale
-
-
-def _symmetric_scaled(a, name) -> tuple:
-    """check_symmetric's test of each matrix M of a (..., n, n) stack,
-    returning (sym(M), M / s, (1 + ||M||_F) / s), s the largest entry
-    modulus of M, or the smallest normal float if that is larger, so that
-    1 / s is finite: the tests of check_symmetric and check_psd are
-    invariant under the division, which keeps their norms and eigenvalues
-    from overflowing."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim < 3 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"{name} must be a stack of square matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError(f"{name} has non-finite entries")
-    s = np.maximum(np.abs(m).max(axis=(-2, -1), keepdims=True, initial=0.0), _TINY)
-    unit = m / s
-    scale = 1.0 / s[..., 0, 0] + _fro(unit)
-    if np.any(_fro(unit - unit.swapaxes(-1, -2)) > SYM_RTOL * scale):
-        raise DomainError(f"{name} is not symmetric")
-    return sym_part(m), unit, scale
 
 
 def sym_part(a) -> np.ndarray:

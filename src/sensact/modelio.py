@@ -519,10 +519,10 @@ def model_to_dict(model: SystemModel, gains: GainSet, summary=None, config_echo=
 
 def _model_array(doc: dict, key: str) -> np.ndarray:
     """doc[key] as a float array; SchemaError naming the key when it is
-    not numeric or is ragged."""
+    not numeric, is ragged or holds an integer past float range."""
     try:
         return np.array(doc[key], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"model file key {key!r}: not a numeric matrix") from None
 
 
@@ -543,7 +543,7 @@ def model_from_dict(doc: dict):
             raise SchemaError(f"model file missing key {key!r}")
     try:
         ts = float(doc["ts"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError("model file key 'ts': not a number") from None
     model = SystemModel(
         a=_model_array(doc, "a"),

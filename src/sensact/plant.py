@@ -14,6 +14,7 @@ closed-loop matrices are written as sums,
 i.e. K and L absorb the minus sign of the textbook LQR/observer formulas.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,8 +66,8 @@ class SystemModel:
             raise DimensionError(
                 f"sigma_v has shape {sv.shape}, expected square of size {c.shape[0]}"
             )
-        if self.ts <= 0:
-            raise DomainError("sampling period must be positive")
+        if not 0 < self.ts <= sys.float_info.max:  # NaN fails too
+            raise DomainError("sampling period must be positive and finite")
         for name, val in (("a", a), ("b", b), ("c", c), ("sigma_w", sw), ("sigma_v", sv)):
             object.__setattr__(self, name, val)
 
@@ -228,8 +229,9 @@ class CwParams:
     ts: float
 
     def __post_init__(self):
-        if self.mass <= 0 or self.mean_motion <= 0 or self.ts <= 0:
-            raise DomainError("CW parameters must be strictly positive")
+        if not all(0 < value <= sys.float_info.max
+                   for value in (self.mass, self.mean_motion, self.ts)):
+            raise DomainError("CW parameters must be strictly positive and finite")
 
 
 def build_cw_continuous(params: CwParams):

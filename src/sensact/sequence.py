@@ -93,10 +93,6 @@ class DwellSummary:
     n1: int
     ns: int
 
-    @property
-    def period(self) -> int:
-        return self.n0 + self.n1
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:

@@ -90,8 +90,6 @@ class EnsembleStats:
     (no control exists there)."""
 
     mean: np.ndarray          # (steps + 1, n)
-    cov: np.ndarray           # (steps + 1, n, n)
-    error_mean: np.ndarray    # (steps + 1, n)
     eta: np.ndarray           # (steps,)
     x: np.ndarray             # (runs, steps + 1, n)
     xhat: np.ndarray          # (runs, steps + 1, n)
@@ -133,14 +131,12 @@ def _check_memory(model: SystemModel, runs: int, steps: int, constrained: int):
     """Refuse a batch, before anything is allocated, whose arrays alive at
     once would exceed physical memory (the overcommit policy decides
     whether np.empty fails or a later write does). _simulate holds xs,
-    xhs, us and the w and v draws; run_ensemble then drops the draws
-    and forms xs - xhs, then centered, each the size of xs, the
-    (steps + 1, n, n) covariance, two means and, for a box of constrained
-    components, a copy of those columns of xs and its absolute value."""
+    xhs, us and the w and v draws; run_ensemble then drops the draws and
+    forms the mean and, for a box of constrained components, a copy of
+    those columns of xs and its absolute value."""
     n, m, p = model.n, model.m, model.p
     rows = runs * (steps + 1)
-    peak = max(runs * steps * (n + p),
-               rows * n + (steps + 1) * n * (n + 2) + 2 * rows * constrained)
+    peak = max(runs * steps * (n + p), (steps + 1) * n + 2 * rows * constrained)
     check_memory(8 * (2 * rows * n + runs * steps * m + peak),
                  f"an ensemble of {runs} runs x {steps} steps")
 
@@ -180,24 +176,15 @@ def run_ensemble(model: SystemModel, gains: GainSet, s, cfg: SimConfig,
                  box=None) -> EnsembleStats:
     """Simulate cfg.runs independent trajectories, stepped together as one
     batch, each on its own random stream, and aggregate per-step
-    statistics: mean, covariance, error mean and, when a box is given,
-    the box-violation fraction. The returned record carries the ensemble
-    arrays as well."""
+    statistics: the mean and, when a box is given, the box-violation
+    fraction. The returned record carries the ensemble arrays as well."""
     bits = _as_bits(s)
     target = cfg.resolve_target(model)
     _check_memory(model, cfg.runs, cfg.steps, 0 if box is None else len(box.resolve(model.n)[0]))
     etas, xs, xhs, us = _simulate(model, gains, bits, cfg, target)
 
-    mean = xs.mean(axis=0)
-    err_mean = (xs - xhs).mean(axis=0)
-    centered = xs - mean[None, :, :]
-    denom = max(cfg.runs - 1, 1)
-    cov = np.einsum("rki,rkj->kij", centered, centered) / denom
-
     return EnsembleStats(
-        mean=mean,
-        cov=cov,
-        error_mean=err_mean,
+        mean=xs.mean(axis=0),
         eta=etas,
         x=xs,
         xhat=xhs,

@@ -30,8 +30,9 @@ and the broadcasting one-matrix path of the symmetric and
 semi-definite checks, norms by einsum over stacks, for the library's
 one-matrix kernel of Python-float scalars and dot-product norms.
 ellipsoid_exceedance, the per-step fraction of an ensemble outside the
-phase Chebyshev ellipsoids, has no library counterpart: no command reads
-it.
+phase Chebyshev ellipsoids, and ensemble_moments, the per-step sample
+covariance and error mean of an ensemble, have no library counterpart:
+no command reads them.
 """
 
 import csv
@@ -295,8 +296,8 @@ def sampled_ellipsoid_support(p, alpha, direction, samples, seed=0):
 
 def check_psd_reference(a, name="matrix", psd=True):
     """linalg.check_psd of one matrix, or check_symmetric with psd=False,
-    as they were computed before the one-matrix kernel: the stacked path's
-    broadcasting code, run on one matrix. s is the largest entry modulus
+    as they were computed before the one-matrix kernel: the broadcasting
+    code of the stacked path that the kernel replaced, run on one matrix. s is the largest entry modulus
     (floored at the smallest normal float), the symmetry bound is
     SYM_RTOL (1/s + ||M/s||_F), and the semi-definite test takes the
     smallest eigenvalue of sym(M/s) against the same bound."""
@@ -351,11 +352,11 @@ def sequence_cost(s, steady_err, steady_state, weights):
     n_period = len(bits)
     total = weights.r_eta * sum(bits)
     if weights.needs_error_cov:
-        if steady_err is None or steady_err.period != n_period:
+        if steady_err is None or len(steady_err) != n_period:
             raise DimensionError("error covariance phases do not match the sequence period")
         total += sum(float(np.trace(weights.r_err @ p)) for p in steady_err)
     if weights.needs_state_cov:
-        if steady_state is None or steady_state.period != n_period:
+        if steady_state is None or len(steady_state) != n_period:
             raise DimensionError("state covariance phases do not match the sequence period")
         total += sum(float(np.trace(weights.r_state @ p)) for p in steady_state)
     return total / n_period
@@ -489,7 +490,7 @@ def ellipsoid_exceedance(xs, phase_covs, phase_means, alpha: float,
     runs, horizon, n = xs.shape
     idx = tuple(range(n)) if components is None else tuple(components)
     sel = np.ix_(idx, idx)
-    period = phase_covs.period
+    period = len(phase_covs)
     inverses = [np.linalg.pinv(phase_covs[j][sel]) for j in range(period)]
     out = np.empty(horizon)
     for k in range(horizon):
@@ -498,3 +499,17 @@ def ellipsoid_exceedance(xs, phase_covs, phase_means, alpha: float,
         q = np.einsum("ri,ij,rj->r", diff, inverses[k % period], diff)
         out[k] = np.mean(q > alpha**2)
     return out
+
+
+def ensemble_moments(stats):
+    """(cov, error_mean) of an ensemble record: the per-step sample
+    covariance (steps + 1, n, n) of the states, with the unbiased
+    denominator (one run divides by 1), and the per-step mean
+    (steps + 1, n) of the estimation error x - xhat."""
+    xs, xhs = stats.x, stats.xhat
+    mean = xs.mean(axis=0)
+    err_mean = (xs - xhs).mean(axis=0)
+    centered = xs - mean[None, :, :]
+    denom = max(xs.shape[0] - 1, 1)
+    cov = np.einsum("rki,rkj->kij", centered, centered) / denom
+    return cov, err_mean

@@ -4,13 +4,14 @@ and the names retired from it stay retired.
 The guard parses src/sensact/ and fails when a name in a module's
 __all__, or a public method of a class in that __all__, is referenced
 nowhere in src/sensact/ outside its own definition, its __all__ entry and
-the package's re-exports in __init__.py. A reference is a read of the
-bare name (not for a method) or of an attribute of that name, such as
-linalg.sym_part or report.passes. Names are matched as text, not
-resolved to objects, so a method counts as read when an attribute of its
-name is read anywhere. ALLOWED exempts a name that a
-roadmap item or a README property reads, with that item or property as
-its reason.
+the package's re-exports in __init__.py; or when a field of a dataclass
+in that __all__ is read nowhere in src/sensact/, its own class's methods
+included. A reference is a read of the bare name (not for a method or a
+field) or of an attribute of that name, such as linalg.sym_part or
+report.passes. Names are matched as text, not resolved to objects, so a
+method or field counts as read when an attribute of its name is read
+anywhere. ALLOWED exempts a name that a roadmap item or a README property
+reads, with that item or property as its reason.
 """
 
 import ast
@@ -22,7 +23,7 @@ from conftest import REPO_ROOT
 
 from sensact import covariance, linalg, sequence, sim
 from sensact.chance import BoxConstraint
-from sensact.covariance import ContractionCertificate, PeriodicCovariance
+from sensact.covariance import ContractionCertificate
 from sensact.search import SequenceEvaluator
 from sensact.sim import EnsembleStats, empirical_violation, run_ensemble
 
@@ -32,6 +33,9 @@ SRC = REPO_ROOT / "src" / "sensact"
 ALLOWED = {
     "contraction_certificate": "ROADMAP item 3: the Stein bound reads gamma and "
                                "monodromy_norm_sq",
+    "gamma": "ROADMAP item 3: the Stein bound's noise constant",
+    "qtilde_sq": "ROADMAP item 3: the Stein bound's contraction factor",
+    "monodromy_norm_sq": "ROADMAP item 3: the Stein bound's one-period norm factor",
     "propagate_error_cov": "ROADMAP item 6: criterion 8 reads the error block of transient",
     "steady_mean_phases": "ROADMAP item 8: the eventual chance certificate's mean phases",
     "uniform_growth_constant": "ROADMAP item 4: the sound dwell verdict",
@@ -72,6 +76,10 @@ def _read(name, trees, skip, bare) -> bool:
     return False
 
 
+def _is_dataclass(node) -> bool:
+    return any(ast.unparse(deco).startswith("dataclass") for deco in node.decorator_list)
+
+
 def unread_names(modules) -> list:
     """The qualified public names of the modules that nothing reads."""
     trees = list(modules.values())
@@ -84,10 +92,13 @@ def unread_names(modules) -> list:
                 unread.append(f"{module}.{name}")
             if not isinstance(definition, ast.ClassDef):
                 continue
-            for method in definition.body:
-                if (isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
-                        and not _read(method.name, trees, method, bare=False)):
-                    unread.append(f"{module}.{name}.{method.name}")
+            for member in definition.body:
+                if (isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                        and not _read(member.name, trees, member, bare=False)):
+                    unread.append(f"{module}.{name}.{member.name}")
+                if (isinstance(member, ast.AnnAssign) and _is_dataclass(definition)
+                        and not _read(member.target.id, trees, None, bare=False)):
+                    unread.append(f"{module}.{name}.{member.target.id}")
     return unread
 
 
@@ -106,21 +117,28 @@ def test_allowed_names_are_still_unread():
 def test_guard_sees_an_unread_function_and_method():
     modules = _modules()
     modules["extra"] = ast.parse(
-        "__all__ = ['orphan', 'Holder']\n"
+        "__all__ = ['orphan', 'Holder', 'Record']\n"
         "def orphan():\n    return orphan()\n"
         "class Holder:\n    def idle(self):\n        return self.idle()\n"
-        "def _reader():\n    return Holder()\n")
-    assert unread_names(modules)[-2:] == ["extra.orphan", "extra.Holder.idle"]
+        "@dataclass(frozen=True)\n"
+        "class Record:\n    kept: int\n    dropped: int\n"
+        "    def _own(self):\n        return self.kept_by_own\n"
+        "    kept_by_own: int = 0\n"
+        "def _reader():\n    return Holder(), Record(1, 2).kept\n")
+    assert unread_names(modules)[-3:] == ["extra.orphan", "extra.Holder.idle",
+                                          "extra.Record.dropped"]
 
 
 # every name, field, parameter and input form retired from the public
 # surface, with the error that Python gives for an absent one
+#: the fields of a one-run, one-step ensemble record of a 2-state,
+#: 1-input plant
+_STATS_FIELDS = dict(mean=np.zeros((2, 2)), eta=np.zeros(1, dtype=int), x=np.zeros((1, 2, 2)),
+                     xhat=np.zeros((1, 2, 2)), u=np.zeros((1, 1, 1)))
+
+
 def _stats():
-    """A one-run, one-step ensemble record of a 2-state, 1-input plant."""
-    return EnsembleStats(mean=np.zeros((2, 2)), cov=np.zeros((2, 2, 2)),
-                         error_mean=np.zeros((2, 2)), eta=np.zeros(1, dtype=int),
-                         x=np.zeros((1, 2, 2)), xhat=np.zeros((1, 2, 2)),
-                         u=np.zeros((1, 1, 1)))
+    return EnsembleStats(**_STATS_FIELDS)
 
 
 def _import_frobenius_norm():
@@ -129,6 +147,10 @@ def _import_frobenius_norm():
 
 def _import_mean_propagate():
     from sensact import mean_propagate  # noqa: F401
+
+
+def _import_periodic_covariance():
+    from sensact import PeriodicCovariance  # noqa: F401
 
 
 RETIRED = {
@@ -150,10 +172,7 @@ RETIRED = {
     # Trajectory's retired fields stay off the record that replaced it
     "Trajectory.y": (AttributeError, lambda: _stats().y),
     "Trajectory.error": (AttributeError, lambda: _stats().error),
-    "Trajectory(y=)": (TypeError, lambda: EnsembleStats(
-        mean=np.zeros((2, 2)), cov=np.zeros((2, 2, 2)), error_mean=np.zeros((2, 2)),
-        eta=np.zeros(1, dtype=int), x=np.zeros((1, 2, 2)), xhat=np.zeros((1, 2, 2)),
-        u=np.zeros((1, 1, 1)), y=np.zeros((1, 1, 1)))),
+    "Trajectory(y=)": (TypeError, lambda: EnsembleStats(**_STATS_FIELDS, y=np.zeros((1, 1, 1)))),
     "empirical_violation(list of Trajectory)": (
         AttributeError, lambda: empirical_violation(list(_stats().x), BoxConstraint(1.0))),
     # the Chebyshev exceedance had no command; tests/oracles.py keeps it
@@ -162,14 +181,28 @@ RETIRED = {
         TypeError, lambda: run_ensemble(None, None, "0", None, ellipsoid=())),
     "EnsembleStats.exceedance": (AttributeError, lambda: _stats().exceedance),
     "EnsembleStats.runs": (AttributeError, lambda: _stats().runs),
-    "PeriodicCovariance(period=)": (
-        TypeError, lambda: PeriodicCovariance(phases=(np.eye(2),), period=1)),
+    # steady phases are plain (N, n, n) arrays
+    "covariance.PeriodicCovariance": (AttributeError, lambda: covariance.PeriodicCovariance),
+    "sensact.PeriodicCovariance": (ImportError, _import_periodic_covariance),
+    # one PSD check path: the one-matrix kernel; verify_chance takes one
+    # eigvalsh of its phase stack
+    "check_psd(stacked=)": (TypeError, lambda: linalg.check_psd(np.eye(2), "P", stacked=True)),
+    "check_symmetric(stacked=)": (
+        TypeError, lambda: linalg.check_symmetric(np.eye(2), "P", stacked=True)),
+    # no command read the ensemble's sample covariance or error mean;
+    # tests/oracles.py forms them from x and xhat
+    "EnsembleStats.cov": (AttributeError, lambda: _stats().cov),
+    "EnsembleStats.error_mean": (AttributeError, lambda: _stats().error_mean),
+    "EnsembleStats(cov=)": (
+        TypeError, lambda: EnsembleStats(**_STATS_FIELDS, cov=np.zeros((2, 2, 2)))),
     # covariance.transient scans one period for the means too; the step
     # loops are test oracles, and the one-period products come from
     # sequence._stacked_products
     "covariance.mean_propagate": (AttributeError, lambda: covariance.mean_propagate),
     "sensact.mean_propagate": (ImportError, _import_mean_propagate),
     "sequence.monodromy": (AttributeError, lambda: sequence.monodromy),
+    # nothing read it; the period of a DwellSummary is n0 + n1
+    "DwellSummary.period": (AttributeError, lambda: sequence.DwellSummary(1, 1, 2).period),
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import CW_CONFIG
 from oracles import (
     ChanceSpec,
+    check_psd_reference,
     confidence_radius,
     ellipsoid_support,
     make_psd,
@@ -21,7 +22,7 @@ from sensact.chance import (
     verify_chance,
 )
 from sensact.cli import main
-from sensact.covariance import PeriodicCovariance, steady_augmented_cov
+from sensact.covariance import steady_augmented_cov
 from sensact.exceptions import DimensionError, DomainError, StabilityError
 from sensact.plant import SystemModel, mode_matrices, synthesize_gains
 from sensact.sequence import admissibility
@@ -125,6 +126,12 @@ class TestBoxConstraint:
         with pytest.raises(DomainError):
             BoxConstraint(0.0)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf, float("1e400"), 10**400],
+                             ids=["nan", "inf", "1e400", "int-past-float-range"])
+    def test_rejects_non_finite(self, width):
+        with pytest.raises(DomainError, match="half-width must be positive and finite"):
+            BoxConstraint(width)
+
 
 class TestVerifyChance:
     def test_large_box_passes(self, cw_model, cw_gains):
@@ -199,12 +206,23 @@ def admissible_word(mm, period, seed):
     raise AssertionError(f"no admissible word of period {period}")
 
 
-def outcome(check, a, stacked=False):
-    """The matrix a check returns, or the type and message it raises."""
+def verdict(check, *args):
+    """None when a check passes, else the type and message it raises."""
     try:
-        return check(a, "P", stacked)
+        check(*args)
     except (DimensionError, DomainError) as exc:
         return type(exc), str(exc)
+    return None
+
+
+def with_phases(monkeypatch, phases):
+    """Make verify_chance receive the (N, n, n) state phases given."""
+    real = steady_augmented_cov
+
+    def patched(s, mm):
+        return real(s, mm)[0], np.asarray(phases, dtype=float)
+
+    monkeypatch.setattr(chance_module, "steady_augmented_cov", patched)
 
 
 class TestStackedChance:
@@ -241,17 +259,11 @@ class TestStackedChance:
         """Negate phase 2 of the state covariances that verify_chance
         receives, so that one phase of the stack is not PSD; returns the
         constrained block of that phase."""
-        real = steady_augmented_cov
-
-        def patched(s, mm):
-            joint, state = real(s, mm)
-            phases = list(state.phases)
-            phases[2] = -phases[2]
-            return joint, PeriodicCovariance(phases=tuple(phases))
-
-        monkeypatch.setattr(chance_module, "steady_augmented_cov", patched)
-        _, state = real("0011", mode_matrices(cw_model, cw_gains))
-        return -state[2][np.ix_((0, 1, 2), (0, 1, 2))]
+        _, state = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
+        state = state.copy()
+        state[2] = -state[2]
+        with_phases(monkeypatch, state)
+        return state[2][np.ix_((0, 1, 2), (0, 1, 2))]
 
     def test_non_psd_phase_raises_the_scalar_error(self, cw_model, cw_gains, one_bad_phase):
         with pytest.raises(DomainError) as scalar:
@@ -266,56 +278,57 @@ class TestStackedChance:
         assert main(["chance", "verify", model, "0011", "--bound", "22", "--delta", "0.05"]) == 2
         assert "P is not positive semi-definite" in capsys.readouterr().err
 
-    def test_checks_agree_item_by_item(self):
+    def test_checks_agree_item_by_item(self, cw_model, cw_gains, monkeypatch):
+        # one eigvalsh of the stack decides every phase as the one-matrix
+        # check does, on either side of the tolerance
         rng = np.random.default_rng(11)
-        good = [make_psd(rng, 4) for _ in range(3)]
-        scale = 1.0 + np.linalg.norm(good[0], "fro")
-        tol = linalg.SYM_RTOL * scale
+        good = [make_psd(rng, 6) for _ in range(3)]
+        tol = linalg.SYM_RTOL * (1.0 + np.linalg.norm(good[0], "fro"))
         w, v = np.linalg.eigh(good[0])
-        skew = np.triu(np.ones((4, 4)), 1)
-        skew = (skew - skew.T) / np.linalg.norm(skew - skew.T, "fro")
 
         def with_min_eig(value):
-            return (v * np.concatenate([[value], w[1:]])) @ v.T
+            m = (v * np.concatenate([[value], w[1:]])) @ v.T
+            return 0.5 * m + 0.5 * m.T
 
-        items = good + [
-            np.zeros((4, 4)),
-            good[0] + 0.3 * tol * skew,          # asymmetric within tolerance
-            good[0] + 3.0 * tol * skew,          # asymmetric beyond it
-            with_min_eig(-0.3 * tol),            # negative eigenvalue within tolerance
-            with_min_eig(-3.0 * tol),            # beyond it
-            -good[1],
-        ]
-        expected = {
-            linalg.check_symmetric: [True] * 5 + [False, True, True, True],
-            linalg.check_psd: [True] * 5 + [False, True, False, False],
-        }
-        for check, accepts in expected.items():
-            for item, accepted in zip(items, accepts):
-                single = outcome(check, item)
-                stacked = outcome(check, np.stack([good[2], item, good[1]]), stacked=True)
-                assert isinstance(single, np.ndarray) == accepted
-                if accepted:
-                    assert np.array_equal(stacked[1], single)
-                else:
-                    assert stacked == single
-        accepted = np.stack(items[:5] + [items[6]])
-        assert np.array_equal(linalg.check_psd(accepted.reshape(2, 3, 4, 4), stacked=True),
-                              linalg.check_psd(accepted, stacked=True).reshape(2, 3, 4, 4))
+        items = [with_min_eig(f * tol) for f in (0.3, 3.0, -0.3, -3.0)]
+        items += [np.zeros((6, 6)), -good[1]]
+        mm = mode_matrices(cw_model, cw_gains)
+        outcomes = []
+        for item in items:
+            with_phases(monkeypatch, [good[2], item, good[1]])
+            expected = verdict(check_psd_reference, item, "P")
+            assert verdict(verify_chance, "0011", mm, BoxConstraint(22.0), 0.05) == expected
+            outcomes.append(expected is None)
+        assert outcomes == [True, True, True, False, True, False]
 
     @pytest.mark.parametrize("a, message", [
         ([[1e300, 0.0], [0.0, -1e300]], "not positive semi-definite"),
         ([[1e300, 1e300], [0.0, 1e300]], "not symmetric"),
     ], ids=["indefinite", "asymmetric"])
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_huge_entries_checked_without_overflow(self, a, message, stacked):
+    def test_huge_entries_checked_without_overflow(self, a, message):
         # ||M||_F overflows here; a tolerance scale taken from it was inf
         # and let both matrices through
-        a = np.array(a)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
-                linalg.check_psd(np.stack([np.eye(2), a]) if stacked else a, stacked=stacked)
+                linalg.check_psd(np.array(a))
+
+    def test_huge_phases_checked_without_overflow(self, cw_model, cw_gains, monkeypatch):
+        # ||P||_F of these phases overflows; the tolerance is taken from
+        # the eigenvalues divided by the largest modulus, so an indefinite
+        # phase still raises and a PSD stack has finite radii
+        rng = np.random.default_rng(12)
+        psd = [1e300 * make_psd(rng, 6) for _ in range(3)]
+        mm = mode_matrices(cw_model, cw_gains)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with_phases(monkeypatch, [psd[0], -psd[1], psd[2]])
+            with pytest.raises(DomainError, match="P is not positive semi-definite"):
+                verify_chance("0011", mm, BoxConstraint(22.0), 0.05)
+            with_phases(monkeypatch, psd)
+            report = verify_chance("0011", mm, BoxConstraint(22.0), 0.05)
+        radii = [ph.radius for ph in report.phases]
+        assert len(radii) == 3 and all(1e150 < r < math.inf for r in radii)
 
     def test_huge_symmetric_entries_stay_finite(self):
         # the symmetric part halves each term before the sum, so entries
@@ -324,15 +337,6 @@ class TestStackedChance:
             warnings.simplefilter("error")
             p = linalg.check_psd([[1e308, 1e308], [1e308, 1e308]])
         assert np.array_equal(p, np.full((2, 2), 1e308))
-
-    def test_stack_shape_and_entries_checked(self):
-        for shape in ((3, 4, 5), (4, 4)):
-            with pytest.raises(DimensionError, match="stack of square matrices"):
-                linalg.check_psd(np.zeros(shape), "P", stacked=True)
-        bad = np.zeros((3, 2, 2))
-        bad[1, 0, 0] = np.nan
-        with pytest.raises(DomainError, match="non-finite"):
-            linalg.check_psd(bad, "P", stacked=True)
 
     def test_one_matrix_checks_reject_stacks(self):
         # a stack passed where one matrix is expected must not broadcast

@@ -17,6 +17,7 @@ from conftest import CW_CONFIG, REPO_ROOT
 from oracles import make_psd, write_ensemble_csv, write_trajectories_csv
 
 from sensact import __version__, cli, linalg, search, sim
+from sensact.chance import BoxConstraint
 from sensact.cli import build_parser, main
 from sensact.covariance import steady_augmented_cov, steady_error_cov
 from sensact.exceptions import DomainError, SchemaError
@@ -339,8 +340,12 @@ class TestMalformedModelFile:
          "model file key 'a': not a numeric matrix"),
         ("k", _first_entry(math.nan), "K has non-finite entries"),
         ("l", _first_entry(math.inf), "L has non-finite entries"),
+        ("ts", lambda ts: math.nan, "sampling period must be positive and finite"),
+        ("ts", lambda ts: 10**400, "model file key 'ts': not a number"),
+        ("a", _first_entry(10**400), "model file key 'a': not a numeric matrix"),
     ], ids=["k-rows", "k-columns", "l-columns", "l-rows", "ts-text", "a-text",
-            "sigma_w-text", "k-text", "a-not-square", "a-ragged", "k-nan", "l-inf"])
+            "sigma_w-text", "k-text", "a-not-square", "a-ragged", "k-nan", "l-inf",
+            "ts-nan", "ts-past-float-range", "a-past-float-range"])
     def test_exit_2_naming_the_key(self, model_file, tmp_path, key, edit, message):
         doc = json.loads(pathlib.Path(model_file).read_text(encoding="utf-8"))
         doc[key] = edit(doc[key])
@@ -505,7 +510,7 @@ class TestCovSteadyTraces:
         lines = capsys.readouterr().out.splitlines()
         # the error phases of --augmented are the joint phases' error blocks
         joint, state = steady_augmented_cov(word, mode_matrices(model, gains))
-        err = joint.phases[:, model.n:, model.n:]
+        err = joint[:, model.n:, model.n:]
         assert lines == [
             "steady error covariance traces: " + " ".join(f"{np.trace(p):.6g}" for p in err),
             "steady state covariance traces: " + " ".join(f"{np.trace(p):.6g}" for p in state),
@@ -650,6 +655,41 @@ class TestChanceVerify:
         assert "exact fail" in capsys.readouterr().out
 
 
+class TestNonFiniteInputs:
+    """A bound that is not finite is an input error: exit 2 and one stderr
+    line, before any output is written. argparse reads 1e400 as inf. (A
+    model file's ts: TestMalformedModelFile.)"""
+
+    @staticmethod
+    def assert_refused(argv, capsys, *outputs):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not any(path.exists() for path in outputs)
+        return captured.err
+
+    @pytest.mark.parametrize("bound", ["nan", "inf", "1e400"])
+    def test_chance_verify(self, model_file, tmp_path, capsys, bound):
+        out = tmp_path / "c.json"
+        err = self.assert_refused(["chance", "verify", model_file, "0011", "--bound", bound,
+                                   "--delta", "0.05", "--json", str(out)], capsys, out)
+        assert "half-width must be positive and finite" in err
+
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_seq_check_chance(self, model_file, tmp_path, capsys, bound):
+        out = tmp_path / "check.json"
+        self.assert_refused(["seq", "check", model_file, "0011", "--chance", "--bound", bound,
+                             "--delta", "0.05", "--json", str(out)], capsys, out)
+
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_sim_run(self, model_file, tmp_path, capsys, bound):
+        out_dir = tmp_path / "sim"
+        self.assert_refused(["sim", "run", model_file, "0011", "--runs", "2", "--steps", "4",
+                             "--bound", bound, "--out", str(out_dir)], capsys, out_dir)
+
+
 class TestChanceInputs:
     """seq check --chance and chance verify take --bound and --delta, else
     the config echo's chance section, and refuse a missing one alike."""
@@ -783,29 +823,39 @@ class TestSimRun:
 
     def test_ensemble_peak_counted_before_allocation(self, model_file, tmp_path, capsys,
                                                      monkeypatch):
-        # room for the five arrays that _simulate holds (5 runs x 20 steps
-        # of the 6-state, 3-input, 3-output CW model) but not for the
-        # statistics formed beside them: refused before anything is
-        # simulated, in Python and on the command line
+        # the peak of an ensemble (5 runs x 20 steps of the 6-state,
+        # 3-input, 3-output CW model) is the five arrays that _simulate
+        # holds: the mean and the box columns formed after it, once the
+        # draws are dropped, are smaller. With memory for exactly that
+        # peak the ensemble runs; with one byte less it is refused before
+        # anything is simulated, in Python and on the command line
         runs, steps, n, m, p = 5, 20, 6, 3, 3
         five_arrays = 8 * runs * (2 * (steps + 1) * n + steps * (n + m + p))
+        after = 8 * (2 * runs * (steps + 1) * n + runs * steps * m + (steps + 1) * n
+                     + 2 * runs * (steps + 1) * 3)
+        assert after < five_arrays
         real = os.sysconf
         memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": five_arrays}
         monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or real(name))
+        model, gains, cfg = load_model(model_file)
+        sim_cfg = sim.SimConfig(steps=steps, runs=runs, seed=1, x0_mean=np.zeros(n),
+                                x0_cov=np.eye(n))
+        box = BoxConstraint(2.5, components=(0, 1, 2))
+        assert sim.run_ensemble(model, gains, "0011", sim_cfg, box=box).x.shape == (
+            runs, steps + 1, n)
+        argv = ["sim", "run", model_file, "0011", "--runs", str(runs), "--steps", str(steps)]
+        assert main(argv + ["--out", str(tmp_path / "fits")]) == 0
 
         def refuse(*args):
             raise AssertionError("the ensemble was simulated")
 
+        memory["SC_PHYS_PAGES"] = five_arrays - 1
         monkeypatch.setattr(sim, "_simulate", refuse)
-        model, gains, cfg = load_model(model_file)
-        sim_cfg = sim.SimConfig(steps=steps, runs=runs, seed=1, x0_mean=np.zeros(n),
-                                x0_cov=np.eye(n))
         with pytest.raises(DomainError, match=f"{runs} runs x {steps} steps needs "):
-            sim.run_ensemble(model, gains, "0011", sim_cfg)
+            sim.run_ensemble(model, gains, "0011", sim_cfg, box=box)
         out_dir = tmp_path / "sim"
         capsys.readouterr()
-        assert main(["sim", "run", model_file, "0011", "--runs", str(runs), "--steps",
-                     str(steps), "--out", str(out_dir)]) == 2
+        assert main(argv + ["--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{runs} runs x {steps} steps needs " in err
         assert not out_dir.exists()
@@ -974,8 +1024,6 @@ def special_record(violation=True):
     u[:, 5] = [[math.inf, -math.inf], [math.inf, math.nan], [-math.inf, math.inf]]
     return sim.EnsembleStats(
         mean=np.resize(np.roll(SPECIAL_FLOATS, 3), (steps + 1, n)),
-        cov=np.zeros((steps + 1, n, n)),
-        error_mean=np.zeros((steps + 1, n)),
         eta=np.array([1, 0, 1, 1, 0, 1]),
         x=states.reshape(runs, steps + 1, n),
         xhat=np.roll(states, 5).reshape(runs, steps + 1, n),
@@ -1030,8 +1078,7 @@ class TestCsvContract:
             return data.draw(hnp.arrays(np.float64, shape, elements=values))
 
         stats = sim.EnsembleStats(
-            mean=array(steps + 1, n), cov=np.zeros((steps + 1, n, n)),
-            error_mean=np.zeros((steps + 1, n)),
+            mean=array(steps + 1, n),
             eta=np.array(data.draw(st.lists(st.integers(0, 1), min_size=steps,
                                             max_size=steps))),
             x=array(runs, steps + 1, n), xhat=array(runs, steps + 1, n),
@@ -1172,7 +1219,7 @@ class TestCovSteadyValues:
         # joint phases' error blocks, equal to the error solve to rounding
         for k in range(10):
             assert np.max(np.abs(joint[k][6:, 6:] - err[k])) <= 1e-11 * np.max(np.abs(err[k]))
-        for key, phases in [("error_phases", joint.phases[:, 6:, 6:]),
+        for key, phases in [("error_phases", joint[:, 6:, 6:]),
                             ("state_phases", state), ("joint_phases", joint)]:
             assert sorted(doc[key], key=int) == [str(k) for k in range(10)]
             for k, expected in enumerate(phases):

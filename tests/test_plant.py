@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,14 @@ class TestCwConstruction:
     def test_rejects_nonpositive_params(self):
         with pytest.raises(DomainError):
             CwParams(mass=0.0, mean_motion=0.001, ts=30.0)
+
+    @pytest.mark.parametrize("field", ["mass", "mean_motion", "ts"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400],
+                             ids=["nan", "inf", "int-past-float-range"])
+    def test_rejects_non_finite_params(self, field, value):
+        params = {"mass": 140.0, "mean_motion": 0.001, "ts": 30.0, field: value}
+        with pytest.raises(DomainError, match="strictly positive and finite"):
+            CwParams(**params)
 
 
 class TestZoh:
@@ -219,6 +229,12 @@ class TestSystemModelValidation:
         with pytest.raises(DomainError):
             SystemModel(a=np.eye(2), b=np.eye(2), c=np.eye(2),
                         sigma_w=[[1.0, 0.5], [0.0, 1.0]], sigma_v=np.eye(2))
+
+    @pytest.mark.parametrize("ts", [math.nan, math.inf, 0.0])
+    def test_rejects_a_sampling_period_that_is_not_positive_and_finite(self, cw_model, ts):
+        with pytest.raises(DomainError, match="sampling period must be positive and finite"):
+            SystemModel(a=cw_model.a, b=cw_model.b, c=cw_model.c, sigma_w=cw_model.sigma_w,
+                        sigma_v=cw_model.sigma_v, ts=ts)
 
     @pytest.mark.parametrize("name", ["sigma_v", "sigma_w"])
     def test_rejects_non_psd_noise(self, cw_model, name):

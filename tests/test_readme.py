@@ -16,8 +16,8 @@ def test_python_api_sketch_runs():
     exec(compile(sketch, "README.md (Python API sketch)", "exec"), namespace)
     assert namespace["report"].admissible
     err, joint, state = namespace["err"], namespace["joint"], namespace["state"]
-    assert err.phases.shape == (4, 6, 6) and joint.phases.shape == (4, 12, 12)
-    assert np.array_equal(state.phases, joint.phases[:, :6, :6])
+    assert err.shape == (4, 6, 6) and joint.shape == (4, 12, 12)
+    assert np.array_equal(state, joint[:, :6, :6])
     assert namespace["result"].feasible
     assert namespace["stats"].mean.shape == (241, 6)
     assert namespace["errors"].shape == (200, 241, 6)

@@ -7,7 +7,7 @@ from sensact.exceptions import DomainError
 from sensact.plant import SystemModel, TargetSpec, mode_matrices, synthesize_gains
 from sensact.sim import SimConfig, empirical_violation, run_ensemble, step_closed_loop
 
-from oracles import ellipsoid_exceedance, make_stable
+from oracles import ellipsoid_exceedance, ensemble_moments, make_stable
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +200,8 @@ class TestDeterministicLimit:
         stats = run_ensemble(quiet, cw_gains, "0011", cfg)
         for x in stats.x[1:]:
             assert np.array_equal(x, stats.x[0])
-        assert np.max(np.abs(stats.cov)) < 1e-20
+        cov, _ = ensemble_moments(stats)
+        assert np.max(np.abs(cov)) < 1e-20
         # admissible schedule drives the state to the origin target
         assert np.linalg.norm(stats.mean[-1]) < 1e-3 * np.linalg.norm(stats.mean[0])
 
@@ -232,33 +233,34 @@ class TestEnsembleStatistics:
         # analytic phase covariance, elementwise within five standard
         # errors of the sample covariance estimator
         _, state = steady_augmented_cov("0011", mode_matrices(cw_model, cw_gains))
-        stats = run_ensemble(cw_model, cw_gains, "0011", base_cfg)
+        cov, _ = ensemble_moments(run_ensemble(cw_model, cw_gains, "0011", base_cfg))
         runs = base_cfg.runs
         for k in (200, 201, 202, 203):
             p = state[k % 4]
             se = np.sqrt((np.outer(np.diag(p), np.diag(p)) + p**2) / runs)
-            assert np.all(np.abs(stats.cov[k] - p) <= 5.0 * se)
+            assert np.all(np.abs(cov[k] - p) <= 5.0 * se)
 
     def test_error_mean_vanishes(self, cw_model, cw_gains, base_cfg):
-        stats = run_ensemble(cw_model, cw_gains, "0011", base_cfg)
+        _, error_mean = ensemble_moments(run_ensemble(cw_model, cw_gains, "0011", base_cfg))
         err = steady_error_cov("0011", mode_matrices(cw_model, cw_gains))
         for k in range(200, 240):
             se = np.sqrt(np.trace(err[k % 4]) / base_cfg.runs)
-            assert np.linalg.norm(stats.error_mean[k]) <= 3.0 * se
+            assert np.linalg.norm(error_mean[k]) <= 3.0 * se
 
     def test_cyclostationarity(self, cw_model, cw_gains, base_cfg):
-        stats = run_ensemble(cw_model, cw_gains, "0011", base_cfg)
+        cov, _ = ensemble_moments(run_ensemble(cw_model, cw_gains, "0011", base_cfg))
         # same-phase covariance traces one period apart agree within
         # sampling scatter (10 percent is generous at 200 runs)
         for k in (220, 221, 222, 223):
-            t1 = np.trace(stats.cov[k])
-            t2 = np.trace(stats.cov[k + 4])
+            t1 = np.trace(cov[k])
+            t2 = np.trace(cov[k + 4])
             assert abs(t1 - t2) <= 0.35 * max(t1, t2)
 
     def test_boundedness_of_constructed_schedule(self, cw_model, cw_gains, base_cfg):
         # the dwell-screen-built 8-step schedule keeps the ensemble bounded
         stats = run_ensemble(cw_model, cw_gains, "00011111", base_cfg)
-        traces = [np.trace(stats.cov[k]) for k in range(120, 241)]
+        cov, _ = ensemble_moments(stats)
+        traces = [np.trace(cov[k]) for k in range(120, 241)]
         assert max(traces) < 1e3
         assert np.linalg.norm(stats.mean[-1]) < np.linalg.norm(stats.mean[0])
 
