@@ -66,7 +66,6 @@ from .chance import (
 )
 from .search import (
     CostWeights,
-    SearchOptions,
     SearchResult,
     SequenceEvaluator,
     search_fixed_length,

@@ -34,7 +34,7 @@ from .modelio import (
     sim_config_from_config,
 )
 from .plant import mode_matrices
-from .search import SearchOptions, search_fixed_length, search_up_to
+from .search import search_fixed_length, search_up_to
 from .sequence import (
     SwitchSequence,
     admissibility,
@@ -153,11 +153,11 @@ def cmd_seq_dwell(args) -> int:
 def cmd_seq_search(args) -> int:
     model, gains, cfg = _load(args)
     weights = cost_weights_from_config(cfg, model.n)
-    options = SearchOptions(all_lengths=args.all_lengths, include_table=args.table)
     if args.n is not None:
-        result = search_fixed_length(args.n, model, gains, weights, options)
+        result = search_fixed_length(args.n, model, gains, weights, table=args.table)
     else:
-        result = search_up_to(args.n_max, model, gains, weights, options)
+        result = search_up_to(args.n_max, model, gains, weights, all_lengths=args.all_lengths,
+                              table=args.table)
     out = {
         "feasible": result.feasible,
         "length": result.length,
@@ -178,7 +178,7 @@ def cmd_seq_search(args) -> int:
         print(f"tie class ({len(result.tied)}): {' '.join(str(s) for s in result.tied)}")
     else:
         print(f"no admissible sequence up to length {result.length}")
-    if args.table and result.table:
+    if result.table:
         out["table"] = [
             {"word": "".join(map(str, w)), "core": "".join(map(str, c)), "cost": cost}
             for w, c, cost in result.table

@@ -411,11 +411,16 @@ def is_nilpotent(m):
     chain collapses ||M^n|| to rounding noise. Flag when the n-th power
     undershoots the tightest split product by twelve orders of magnitude
     (a zero matrix does; a 1 x 1 matrix is nilpotent when it is zero).
-    The ratio is scale invariant, so strongly contractive matrices are
-    never misflagged. A stack takes one power loop and one norm reduction.
+    Each matrix is tested divided by its largest entry modulus, a zero
+    matrix left at zero, so that its powers and their squared entries
+    neither underflow nor overflow: the verdict does not change when a
+    matrix is scaled, and strongly contractive matrices are never
+    misflagged. A stack takes one power loop and one norm reduction.
     """
     single = np.ndim(m) != 3
     stack = as_square(m)[None] if single else np.asarray(m, dtype=float)
+    scale = np.abs(stack).max(axis=(1, 2), keepdims=True)
+    stack = stack / np.where(scale > 0.0, scale, 1.0)
     n = stack.shape[-1]
     if n < 2:
         verdicts = _fro(stack) == 0.0

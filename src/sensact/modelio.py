@@ -248,14 +248,6 @@ def parse_matrix(spec, path, size=None) -> np.ndarray:
     return m
 
 
-def _matrix_shape(spec, path) -> tuple:
-    """The shape of a valid matrix spec; an eye shorthand's is read from
-    its size, without building it."""
-    if _is_eye(spec):
-        return (_eye_size(spec, path),) * 2
-    return parse_matrix(spec, path).shape
-
-
 def _number(obj, path, positive=False):
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         _fail(path, "expected a number")
@@ -273,49 +265,17 @@ def _vector(obj, path, size) -> np.ndarray:
 
 
 def load_config(path) -> dict:
-    """Read and validate a config file; returns the parsed dict. The
-    non-standard constants NaN and Infinity are refused."""
+    """Read a config file; returns the parsed dict, which
+    build_from_config checks. The non-standard constants NaN and Infinity
+    are refused."""
     def refuse(name):
         raise SchemaError(f"{path}: {name} is not a finite number")
 
     try:
-        raw = _read_json(path, parse_constant=refuse)
+        return _read_json(path, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
-    validate_config(raw)
-    return raw
-
-
-def validate_config(cfg: dict):
-    """Check a parsed config. The plant's sizes n, m and p come first, so
-    that every matrix shorthand of a known size is checked before it is
-    built; the cost, chance and sim sections are checked by the functions
-    that read them from a model file's config echo."""
-    _expect_keys(cfg, "$", ["plant", "noise", "gains"], ["cost", "chance", "sim"])
-
-    plant = cfg["plant"]
-    _expect_keys(plant, "$.plant", ["ts"], ["cw", "continuous", "c"])
-    _number(plant["ts"], "$.plant.ts", positive=True)
-    if ("cw" in plant) == ("continuous" in plant):
-        _fail("$.plant", "exactly one of 'cw' or 'continuous' is required")
-    n, m, p = _plant_sizes(plant)
-
-    _expect_keys(cfg["noise"], "$.noise", ["sigma_w", "sigma_v"])
-    parse_matrix(cfg["noise"]["sigma_w"], "$.noise.sigma_w", n)
-    parse_matrix(cfg["noise"]["sigma_v"], "$.noise.sigma_v", p)
-
-    _expect_keys(cfg["gains"], "$.gains", ["q", "r"], ["q_obs", "r_obs"])
-    for key, size in (("q", n), ("r", m), ("q_obs", n), ("r_obs", p)):
-        if key in cfg["gains"]:
-            parse_matrix(cfg["gains"][key], f"$.gains.{key}", size)
-
-    if "cost" in cfg:
-        _cost_section(cfg["cost"], "$.cost", n)
-    if "chance" in cfg:
-        _chance_section(cfg["chance"], "$.chance")
-    if "sim" in cfg:
-        _sim_section(cfg["sim"], "$.sim", n, m)
 
 
 #: past this mean motion 3 mean_motion^2, an entry of the CW dynamics, overflows
@@ -330,11 +290,13 @@ _MAX_STATE_DIM = 32
 
 
 def _plant_sizes(plant) -> tuple:
-    """(n, m, p) of a plant section, its matrices checked against each
-    other before any is built. A nested list or a diag is bounded by its
-    own text, an eye only by its number, so the state dimension n comes
-    from the first of A (rows), B (rows) and C (columns) that is not an
-    eye, is at most _MAX_STATE_DIM, and every matrix must agree with it."""
+    """(n, m, p, matrices) of a plant section, matrices mapping each of
+    "a", "b" and "c" that it gives to its matrix, checked against each
+    other before an eye is built. A nested list or a diag is bounded by
+    its own text, an eye only by its number, so the state dimension n
+    comes from the first of A (rows), B (rows) and C (columns) that is not
+    an eye, is at most _MAX_STATE_DIM, and every matrix must agree with
+    it; an eye is built only then, at size n."""
     if "cw" in plant:
         _expect_keys(plant["cw"], "$.plant.cw", ["mass", "mean_motion"])
         _number(plant["cw"]["mass"], "$.plant.cw.mass", positive=True)
@@ -347,26 +309,33 @@ def _plant_sizes(plant) -> tuple:
         _expect_keys(plant["continuous"], "$.plant.continuous", ["a", "b"])
         if "c" not in plant:
             _fail("$.plant", "'c' is required for a 'continuous' plant")
-        specs = {f"$.plant.continuous.{key}": (plant["continuous"][key], axes)
+        specs = {key: (f"$.plant.continuous.{key}", plant["continuous"][key], axes)
                  for key, axes in (("a", (0, 1)), ("b", (0,)))}
     if "c" in plant:
-        specs["$.plant.c"] = (plant["c"], (1,))
-    shapes = {path: _matrix_shape(spec, path) for path, (spec, _) in specs.items()}
+        specs["c"] = ("$.plant.c", plant["c"], (1,))
+    matrices, shapes = {}, {}
+    for key, (path, spec, _) in specs.items():
+        if _is_eye(spec):
+            shapes[key] = (_eye_size(spec, path),) * 2
+        else:
+            matrices[key] = parse_matrix(spec, path)
+            shapes[key] = matrices[key].shape
     if "continuous" in plant:
-        source = next((path for path, (spec, _) in specs.items() if not _is_eye(spec)),
-                      "$.plant.continuous.a")
-        n = shapes[source][specs[source][1][0]]
-        m = shapes["$.plant.continuous.b"][1]
+        source = next((key for key in specs if key in matrices), "a")
+        n = shapes[source][specs[source][2][0]]
+        m = shapes["b"][1]
         if n > _MAX_STATE_DIM:
-            where = f"{source}.eye" if _is_eye(specs[source][0]) else source
+            where = specs[source][0] + ("" if source in matrices else ".eye")
             _fail(where, f"state dimension {n} is above the cap of {_MAX_STATE_DIM}")
-    for path, (spec, axes) in specs.items():
-        if any(shapes[path][axis] != n for axis in axes):
-            where = f"{path}.eye" if _is_eye(spec) else path
-            _fail(where, f"shape {shapes[path]} disagrees with the state dimension {n}")
+    for key, (path, spec, axes) in specs.items():
+        if any(shapes[key][axis] != n for axis in axes):
+            where = path if key in matrices else f"{path}.eye"
+            _fail(where, f"shape {shapes[key]} disagrees with the state dimension {n}")
+        if key not in matrices:
+            matrices[key] = parse_matrix(spec, path, n)
     if "c" in plant:
-        p = shapes["$.plant.c"][0]
-    return n, m, p
+        p = shapes["c"][0]
+    return n, m, p, matrices
 
 
 def _cost_section(cost, path, n) -> tuple:
@@ -421,32 +390,48 @@ def _sim_section(sim, path, n, m) -> dict:
 
 
 def build_from_config(cfg: dict):
-    """Construct (SystemModel, GainSet) from a validated config."""
+    """Check a parsed config and construct (SystemModel, GainSet) from it
+    in one pass, each matrix parsed once. The plant's sizes n, m and p come
+    first, so that every matrix shorthand of a known size is checked before
+    it is built, and the whole config is checked before the plant is
+    discretized; the cost, chance and sim sections are checked as the
+    functions that read them from a model file's config echo check them."""
+    _expect_keys(cfg, "$", ["plant", "noise", "gains"], ["cost", "chance", "sim"])
+
     plant = cfg["plant"]
-    ts = float(plant["ts"])
+    _expect_keys(plant, "$.plant", ["ts"], ["cw", "continuous", "c"])
+    ts = _number(plant["ts"], "$.plant.ts", positive=True)
+    if ("cw" in plant) == ("continuous" in plant):
+        _fail("$.plant", "exactly one of 'cw' or 'continuous' is required")
+    n, m, p, matrices = _plant_sizes(plant)
+
+    _expect_keys(cfg["noise"], "$.noise", ["sigma_w", "sigma_v"])
+    sigma_w = parse_matrix(cfg["noise"]["sigma_w"], "$.noise.sigma_w", n)
+    sigma_v = parse_matrix(cfg["noise"]["sigma_v"], "$.noise.sigma_v", p)
+
+    _expect_keys(cfg["gains"], "$.gains", ["q", "r"], ["q_obs", "r_obs"])
+    weights = {key: parse_matrix(cfg["gains"][key], f"$.gains.{key}", size)
+               for key, size in (("q", n), ("r", m), ("q_obs", n), ("r_obs", p))
+               if key in cfg["gains"]}
+
+    if "cost" in cfg:
+        _cost_section(cfg["cost"], "$.cost", n)
+    if "chance" in cfg:
+        _chance_section(cfg["chance"], "$.chance")
+    if "sim" in cfg:
+        _sim_section(cfg["sim"], "$.sim", n, m)
+
     if "cw" in plant:
         params = CwParams(mass=float(plant["cw"]["mass"]),
                           mean_motion=float(plant["cw"]["mean_motion"]), ts=ts)
         a_c, b_c = build_cw_continuous(params)
-        default_c = np.hstack([np.eye(3), np.zeros((3, 3))])
+        matrices.setdefault("c", np.hstack([np.eye(3), np.zeros((3, 3))]))
     else:
-        a_c = parse_matrix(plant["continuous"]["a"], "$.plant.continuous.a")
-        b_c = parse_matrix(plant["continuous"]["b"], "$.plant.continuous.b")
-        default_c = None
+        a_c, b_c = matrices["a"], matrices["b"]
     a, b = discretize_zoh(a_c, b_c, ts)
-    c = parse_matrix(plant["c"], "$.plant.c") if "c" in plant else default_c
-    model = SystemModel(
-        a=a, b=b, c=c,
-        sigma_w=parse_matrix(cfg["noise"]["sigma_w"], "$.noise.sigma_w"),
-        sigma_v=parse_matrix(cfg["noise"]["sigma_v"], "$.noise.sigma_v"),
-        ts=ts,
-    )
-    gains_cfg = cfg["gains"]
-    q = parse_matrix(gains_cfg["q"], "$.gains.q")
-    r = parse_matrix(gains_cfg["r"], "$.gains.r")
-    q_obs = parse_matrix(gains_cfg["q_obs"], "$.gains.q_obs") if "q_obs" in gains_cfg else None
-    r_obs = parse_matrix(gains_cfg["r_obs"], "$.gains.r_obs") if "r_obs" in gains_cfg else None
-    gains = synthesize_gains(model, q, r, q_obs, r_obs)
+    model = SystemModel(a=a, b=b, c=matrices["c"], sigma_w=sigma_w, sigma_v=sigma_v, ts=ts)
+    gains = synthesize_gains(model, weights["q"], weights["r"], weights.get("q_obs"),
+                             weights.get("r_obs"))
     return model, gains
 
 

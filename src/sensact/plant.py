@@ -133,9 +133,8 @@ class ModeMatrices:
     by hand or with dataclasses.replace carries valid noise too; the
     matrices are not. Their spectral radii,
     Frobenius norms and nilpotency flags, each a 4-tuple in that order,
-    are taken on first read, once per instance, over the distinct
-    matrices only: A, which mode_matrices passes as both omega_bar0 and
-    omega_tilde1, counts once.
+    are taken on first read, once per instance, each over one stack of
+    the four matrices.
     """
 
     a: np.ndarray
@@ -166,30 +165,24 @@ class ModeMatrices:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def _per_mode(self, measure) -> tuple:
-        """measure of the stack of distinct matrices (omega_bar0,
-        omega_bar1, omega_tilde0[, omega_tilde1]), as a list, spread over
-        the four modes."""
-        mats = (self.omega_bar0, self.omega_bar1, self.omega_tilde0)
-        if self.omega_tilde1 is self.omega_bar0:
-            values = measure(np.stack(mats))
-            return (*values, values[0])
-        return tuple(measure(np.stack(mats + (self.omega_tilde1,))))
+    def _stack(self) -> np.ndarray:
+        """(omega_bar0, omega_bar1, omega_tilde0, omega_tilde1) as one stack."""
+        return np.stack((self.omega_bar0, self.omega_bar1, self.omega_tilde0, self.omega_tilde1))
 
     @cached_property
     def spectral_radii(self) -> tuple:
         """Spectral radii of the four matrices, one batched eigvals call."""
-        return self._per_mode(lambda stack: linalg.spectral_radii(stack).tolist())
+        return tuple(linalg.spectral_radii(self._stack()).tolist())
 
     @cached_property
     def fro_norms(self) -> tuple:
         """Frobenius norms of the four matrices."""
-        return self._per_mode(lambda stack: [float(np.linalg.norm(m, "fro")) for m in stack])
+        return tuple(float(np.linalg.norm(m, "fro")) for m in self._stack())
 
     @cached_property
     def nilpotent(self) -> tuple:
         """Numerical nilpotency of the four matrices, one stacked test."""
-        return self._per_mode(lambda stack: linalg.is_nilpotent(stack).tolist())
+        return tuple(linalg.is_nilpotent(self._stack()).tolist())
 
     @cached_property
     def side_steps(self) -> np.ndarray:

@@ -31,7 +31,6 @@ from .sequence import SwitchSequence, _padded, admissibility, contractive_stacke
 
 __all__ = [
     "CostWeights",
-    "SearchOptions",
     "SearchResult",
     "SequenceEvaluator",
     "search_fixed_length",
@@ -98,15 +97,6 @@ class CostWeights:
 
 
 @dataclass(frozen=True)
-class SearchOptions:
-    """all_lengths: search_up_to searches every length up to n_max;
-    include_table: the result lists every word's cost."""
-
-    all_lengths: bool = False
-    include_table: bool = False
-
-
-@dataclass(frozen=True)
 class SearchCounts:
     enumerated: int = 0
     cores_evaluated: int = 0
@@ -136,7 +126,8 @@ class SearchResult:
 
 
 class SequenceEvaluator:
-    """Memoized, batched per-necklace evaluation shared across search calls.
+    """Memoized, batched per-necklace evaluation shared across the lengths
+    of a search.
 
     The cache maps a necklace's least rotation to its exact cost (inf when
     not admissible), which every rotation shares. counts are per core (a
@@ -258,7 +249,7 @@ def _check_memory(lengths, table_length: int = None) -> None:
     """Refuse a search, before it enumerates a necklace, whose necklaces of
     the given lengths would not fit in physical memory at once, as the
     cache keeps them, together with the table of table_length when one is
-    given (a search keeps one table, its winning length's). Each necklace
+    given (a search keeps one table, its reported length's). Each necklace
     of length n is taken as _NECKLACE_BYTES + 8 n bytes, and each of the
     2^n table rows of length n as _TABLE_ROW_BYTES + 24 n; a length past
     _MAX_LENGTH is refused without counting."""
@@ -334,78 +325,70 @@ def _table(length: int, necklaces: list, costs: list) -> tuple:
     return tuple(table)
 
 
-def _finish(result: SearchResult, counts: SearchCounts, mm: ModeMatrices) -> SearchResult:
-    """The result with its counts and, when feasible, the winning word's
-    own admissibility report."""
-    if result.feasible:
-        result = replace(result, report=admissibility(result.sequence, mm))
-    return replace(result, counts=counts)
-
-
-def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
-                        weights: CostWeights, options: SearchOptions = SearchOptions(),
-                        evaluator: SequenceEvaluator = None) -> SearchResult:
-    """Return the cheapest admissible one of all 2^N words of one length
-    (deterministic tie-breaking). Each necklace is evaluated once, and its
-    rotations are expanded into words only for ties and the table."""
-    if length < 1:
-        raise DomainError("sequence length must be positive")
-    _check_memory([length], length if options.include_table else None)
-    if evaluator is None:
-        evaluator = SequenceEvaluator(model, gains, weights)
-    counts_before = dict(evaluator.counts)
-    necklaces = list(_necklaces(length))
-    costs = evaluator.resolve(necklaces)
-    result = _select(length, necklaces, costs)
-    if options.include_table:
-        result = replace(result, table=_table(length, necklaces, costs))
-    counts = SearchCounts(enumerated=2**length,
-                          **{k: evaluator.counts[k] - counts_before[k] for k in counts_before})
-    return _finish(result, counts, evaluator.mm)
-
-
-def search_up_to(n_max: int, model: SystemModel, gains: GainSet,
-                 weights: CostWeights, options: SearchOptions = SearchOptions()) -> SearchResult:
-    """Search lengths 1, 2, ... until one admits an admissible schedule
-    (returning that length's optimum), or exhaust n_max and report
-    infeasibility. With all_lengths set, every length up to n_max is
-    searched, the necklaces of all of them in one resolve call, and the
-    global optimum returned (the shortest length on ties within
-    COST_RTOL). The necklace cache is shared across lengths, and the
-    counts cover every length searched. Only the winning length's table
-    is built; an infeasible search has none."""
-    if n_max < 1:
-        raise DomainError("maximum length must be positive")
+def _search(groups, model: SystemModel, gains: GainSet, weights: CostWeights,
+            table: bool) -> SearchResult:
+    """Search the lengths of each group in turn, the necklaces of one group
+    in one resolve call on an evaluator shared by all groups, and stop
+    after the first group that admits an admissible word. The result is
+    the optimum over the lengths searched (the shortest length on ties
+    within COST_RTOL), or the last length's infeasible result. Its counts
+    cover every length searched, its report is the winning word's own
+    admissibility report, and its table, when asked for, is that of its
+    own length. Before a group is enumerated, the necklaces of every
+    length searched so far, which the cache keeps, and the table of the
+    group's longest length must fit in memory."""
     evaluator = SequenceEvaluator(model, gains, weights)
-    searched = []  # (necklaces, costs) of each length searched
+    searched = {}  # length -> (necklaces, costs)
     results = []
-    if options.all_lengths:
-        # the kept table is the winner's, at most the longest length's
-        _check_memory(range(1, n_max + 1), n_max if options.include_table else None)
-        groups = [list(_necklaces(length)) for length in range(1, n_max + 1)]
-        costs = evaluator.resolve([least for group in groups for least in group])
+    for group in groups:
+        _check_memory([*searched, *group], max(group) if table else None)
+        necklaces = [list(_necklaces(length)) for length in group]
+        costs = evaluator.resolve([least for each in necklaces for least in each])
         start = 0
-        for length, group in enumerate(groups, 1):
-            searched.append((group, costs[start:start + len(group)]))
-            results.append(_select(length, *searched[-1]))
-            start += len(group)
-    else:
-        for length in range(1, n_max + 1):
-            # the cache keeps the shorter ones; the table kept is this length's
-            _check_memory(range(1, length + 1), length if options.include_table else None)
-            necklaces = list(_necklaces(length))
-            searched.append((necklaces, evaluator.resolve(necklaces)))
-            results.append(_select(length, *searched[-1]))
-            if results[-1].feasible:
-                break
+        for length, each in zip(group, necklaces):
+            searched[length] = (each, costs[start:start + len(each)])
+            results.append(_select(length, *searched[length]))
+            start += len(each)
+        if any(result.feasible for result in results):
+            break
     best = None
     for result in results:
         if result.feasible and (best is None or result.cost < best.cost * (1.0 - COST_RTOL)):
             best = result
     if best is None:
-        best = SearchResult(sequence=None, cost=float("inf"), report=None, core=None,
-                            length=n_max)
-    elif options.include_table:
-        best = replace(best, table=_table(best.length, *searched[best.length - 1]))
-    counts = SearchCounts(enumerated=sum(2**r.length for r in results), **evaluator.counts)
-    return _finish(best, counts, evaluator.mm)
+        best = results[-1]
+    else:
+        best = replace(best, report=admissibility(best.sequence, evaluator.mm))
+    if table:
+        best = replace(best, table=_table(best.length, *searched[best.length]))
+    counts = SearchCounts(enumerated=sum(2**length for length in searched), **evaluator.counts)
+    return replace(best, counts=counts)
+
+
+def search_fixed_length(length: int, model: SystemModel, gains: GainSet,
+                        weights: CostWeights, *, table: bool = False) -> SearchResult:
+    """Return the cheapest admissible one of all 2^N words of one length
+    (deterministic tie-breaking). Each necklace is evaluated once, and its
+    rotations are expanded into words only for ties and the table, which
+    with table set lists every word's cost."""
+    if length < 1:
+        raise DomainError("sequence length must be positive")
+    return _search([[length]], model, gains, weights, table)
+
+
+def search_up_to(n_max: int, model: SystemModel, gains: GainSet, weights: CostWeights, *,
+                 all_lengths: bool = False, table: bool = False) -> SearchResult:
+    """Search lengths 1, 2, ... until one admits an admissible schedule
+    (returning that length's optimum), or exhaust n_max and report
+    infeasibility at n_max. With all_lengths set, every length up to n_max
+    is searched, the necklaces of all of them in one resolve call, and the
+    global optimum returned (the shortest length on ties within
+    COST_RTOL). The necklace cache is shared across lengths, and the
+    counts cover every length searched. With table set, the result lists
+    every word of its own length, n_max when infeasible, as
+    search_fixed_length does."""
+    if n_max < 1:
+        raise DomainError("maximum length must be positive")
+    lengths = range(1, n_max + 1)
+    return _search([lengths] if all_lengths else [[length] for length in lengths],
+                   model, gains, weights, table)

@@ -21,7 +21,7 @@ import pytest
 
 from conftest import REPO_ROOT
 
-from sensact import covariance, linalg, sequence, sim
+from sensact import covariance, linalg, modelio, search, sequence, sim
 from sensact.chance import BoxConstraint
 from sensact.covariance import ContractionCertificate
 from sensact.search import SequenceEvaluator
@@ -149,6 +149,10 @@ def _import_mean_propagate():
     from sensact import mean_propagate  # noqa: F401
 
 
+def _import_search_options():
+    from sensact import SearchOptions  # noqa: F401
+
+
 def _import_periodic_covariance():
     from sensact import PeriodicCovariance  # noqa: F401
 
@@ -203,6 +207,18 @@ RETIRED = {
     "sequence.monodromy": (AttributeError, lambda: sequence.monodromy),
     # nothing read it; the period of a DwellSummary is n0 + n1
     "DwellSummary.period": (AttributeError, lambda: sequence.DwellSummary(1, 1, 2).period),
+    # one search driver: table and all_lengths are keyword arguments, and
+    # a search_fixed_length call builds its own evaluator
+    "search.SearchOptions": (AttributeError, lambda: search.SearchOptions),
+    "sensact.SearchOptions": (ImportError, _import_search_options),
+    "search_fixed_length(evaluator=)": (TypeError, lambda: search.search_fixed_length(
+        1, None, None, None, evaluator=None)),
+    # a fifth positional argument, as a SearchOptions was passed, is not
+    # taken for table=
+    "search_fixed_length(5 positional)": (TypeError, lambda: search.search_fixed_length(
+        1, None, None, None, object())),
+    # build_from_config checks a config as it builds it
+    "modelio.validate_config": (AttributeError, lambda: modelio.validate_config),
 }
 
 

@@ -49,7 +49,6 @@ from sensact.plant import GainSet, SystemModel, TargetSpec, mode_matrices
 from sensact.search import (
     COST_RTOL,
     CostWeights,
-    SearchOptions,
     SequenceEvaluator,
     _necklaces,
     search_fixed_length,
@@ -439,11 +438,10 @@ class TestProperties:
             reports = [admissibility(word, mm) for word in words]
         except NilpotencyError:
             return
-        options = SearchOptions(include_table=True)
         try:
-            result = search_fixed_length(length, model, gains, weights, options)
+            result = search_fixed_length(length, model, gains, weights, table=True)
             moved_result = search_fixed_length(length, moved, moved_gains, moved_weights,
-                                               options)
+                                               table=True)
         except NumericsError:
             assume(False)
         clear = [all(abs(rho - (1.0 - CONTRACTION_MARGIN)) >= COST_MARGIN
@@ -619,7 +617,7 @@ class TestSolverContract:
 
     def test_no_fallback_on_case_study(self, cw_model, cw_gains):
         evaluator = SequenceEvaluator(cw_model, cw_gains, CostWeights.estimation(6))
-        search_fixed_length(10, cw_model, cw_gains, evaluator.weights, evaluator=evaluator)
+        evaluator.resolve(list(_necklaces(10)))  # the necklaces of a length-10 search
         # the long-actuation word of the covariance tests is far from the
         # unit circle on the observer side (qtilde 0.29)
         word = (1,) * 46 + (0, 0)

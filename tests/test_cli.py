@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import CW_CONFIG, REPO_ROOT
 from oracles import make_psd, write_ensemble_csv, write_trajectories_csv
 
-from sensact import __version__, cli, linalg, search, sim
+from sensact import __version__, cli, linalg, modelio, search, sim
 from sensact.chance import BoxConstraint
 from sensact.cli import build_parser, main
 from sensact.covariance import steady_augmented_cov, steady_error_cov
@@ -208,6 +209,32 @@ class TestModelBuild:
         model, _, _ = load_model(tmp_path / "m.json")
         assert (model.n, model.m, model.p) == (2, 1, 1)
 
+    @pytest.mark.parametrize("cfg", [
+        json.loads(CW_CONFIG.read_text()),
+        {"plant": {"continuous": {"a": {"eye": 2, "scale": -0.1}, "b": [[0.0], [1.0]]},
+                   "c": {"diag": [1.0, 2.0]}, "ts": 1.0},
+         "noise": {"sigma_w": {"eye": 2, "scale": 0.1}, "sigma_v": {"diag": [0.1, 0.2]}},
+         "gains": {"q": [[1.0, 0.0], [0.0, 2.0]], "r": {"eye": 1}, "q_obs": {"diag": [1.0, 1.0]},
+                   "r_obs": {"eye": 2}},
+         "cost": {"r_err": {"eye": 2}, "r_state": [[1.0, 0.0], [0.0, 1.0]]},
+         "sim": {"steps": 4, "runs": 2, "seed": 0, "x0_cov": {"diag": [0.1, 0.1]}}},
+    ], ids=["cw", "continuous"])
+    def test_each_matrix_parsed_once(self, cfg, monkeypatch):
+        # build_from_config checks a config and builds it in one pass
+        paths = []
+        real = modelio.parse_matrix
+        monkeypatch.setattr(modelio, "parse_matrix",
+                            lambda spec, path, size=None: paths.append(path)
+                            or real(spec, path, size))
+        modelio.build_from_config(cfg)
+        assert sorted(paths) == sorted(set(paths))
+        specs = {"$.noise.sigma_w", "$.noise.sigma_v", "$.gains.q", "$.gains.r",
+                 "$.cost.r_err", "$.sim.x0_cov"}
+        if "continuous" in cfg["plant"]:
+            specs |= {"$.plant.continuous.a", "$.plant.continuous.b", "$.plant.c",
+                      "$.gains.q_obs", "$.gains.r_obs", "$.cost.r_state"}
+        assert set(paths) == specs
+
     def test_invalid_json_exit_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"plant": \n !')
@@ -310,6 +337,40 @@ class TestSeqCheck:
         assert doc["qbar"] == pytest.approx(1.0468, abs=1e-4)
         assert doc["dwell_screen"]["passes"] is True
         assert doc["dwell_screen"]["lhs_ctrl"] == pytest.approx(-1.7065, abs=1e-4)
+
+
+class TestFarScaledModes:
+    """A mode matrix far from unit scale is not taken for a nilpotent one,
+    and prints no floating-point warning: with zero gains K and L, every
+    mode matrix is A, and A = 1e-30 I is admissible, while A = 1e170 I
+    fails in its eigenvalues with one error line."""
+
+    @staticmethod
+    def scaled_model(model_file, tmp_path, scale):
+        model, gains, cfg = load_model(model_file)
+        path = tmp_path / "scaled.json"
+        save_model(path, replace(model, a=scale * np.eye(model.n)),
+                   GainSet(k=np.zeros_like(gains.k), l=np.zeros_like(gains.l)), config_echo=cfg)
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [["seq", "check", "{model}", "0011"],
+                                      ["chance", "verify", "{model}", "0011"],
+                                      ["seq", "search", "{model}", "--n", "4"]],
+                             ids=["check", "chance", "search"])
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_coast_is_admissible(self, model_file, tmp_path, capsys, argv):
+        path = self.scaled_model(model_file, tmp_path, 1e-30)
+        assert main([arg.format(model=path) for arg in argv]) == 0
+        if argv[1] == "check":
+            assert "qbar=1e-120  qtilde=1e-120  admissible=yes" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_coast_is_one_error_line(self, model_file, tmp_path, capsys):
+        path = self.scaled_model(model_file, tmp_path, 1e170)
+        capsys.readouterr()
+        assert main(["seq", "check", path, "0011"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Warning" not in err
 
 
 def _drop_last_column(rows):
@@ -475,8 +536,8 @@ class TestRepeatedWork:
         assert calls == []
         flags = mm.nilpotent
         assert mm.nilpotent is flags
-        # A is both omega_bar0 and omega_tilde1: one stack of three matrices
-        assert calls == [(3, 6, 6)]
+        # one stack of the four matrices, A as both omega_bar0 and omega_tilde1
+        assert calls == [(4, 6, 6)]
         assert flags == tuple(real(m) for m in (mm.omega_bar0, mm.omega_bar1,
                                                 mm.omega_tilde0, mm.omega_tilde1))
 
@@ -544,6 +605,19 @@ class TestSeqSearch:
     def test_infeasible_exit_zero(self, model_file, capsys):
         assert main(["seq", "search", model_file, "--n-max", "3"]) == 0
         assert "no admissible sequence" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [[], ["--all-lengths"]], ids=["first", "all-lengths"])
+    def test_infeasible_table_is_the_last_lengths(self, model_file, tmp_path, flags):
+        # the table belongs to the reported length: an infeasible --n-max 3
+        # tables the 8 inadmissible words of length 3, as --n 3 does
+        docs = []
+        for argv in (["--n-max", "3", *flags], ["--n", "3"]):
+            out = tmp_path / "search.json"
+            assert main(["seq", "search", model_file, *argv, "--table", "--json", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        assert not docs[0]["feasible"] and docs[0]["length"] == 3
+        assert len(docs[0]["table"]) == 8
+        assert docs[0]["table"] == docs[1]["table"]
 
     def test_json_output(self, model_file, tmp_path):
         out = tmp_path / "search.json"

@@ -186,6 +186,20 @@ class TestNilpotency:
             assert verdicts.dtype == bool and verdicts.tolist() == expected
             assert [linalg.is_nilpotent(m) for m in stack] == expected
 
+    @staticmethod
+    def case(kind, n, rng):
+        """A random n x n matrix, not nilpotent, or a nilpotent one: strictly
+        upper triangular, a rotated Jordan chain, or zero."""
+        m = rng.standard_normal((n, n))
+        if kind == "upper":
+            return np.triu(m, 1)
+        if kind == "chain":
+            q, _ = np.linalg.qr(m)
+            return q @ np.diag(rng.uniform(0.5, 2.0, n - 1), 1) @ q.T
+        if kind == "zero":
+            return np.zeros((n, n))
+        return m
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1),
            st.lists(st.tuples(st.sampled_from(["random", "upper", "chain", "zero"]),
@@ -194,20 +208,31 @@ class TestNilpotency:
         # random matrices are not nilpotent; strictly upper-triangular ones,
         # rotated Jordan chains and zero matrices are, at any scale
         rng = np.random.default_rng(seed)
-        mats = []
-        for kind, exponent in kinds:
-            m = rng.standard_normal((n, n))
-            if kind == "upper":
-                m = np.triu(m, 1)
-            elif kind == "chain":
-                q, _ = np.linalg.qr(m)
-                m = q @ np.diag(rng.uniform(0.5, 2.0, n - 1), 1) @ q.T
-            elif kind == "zero":
-                m = np.zeros((n, n))
-            mats.append(m * 10.0**exponent)
+        mats = [self.case(kind, n, rng) * 10.0**exponent for kind, exponent in kinds]
         verdicts = linalg.is_nilpotent(np.stack(mats)).tolist()
         assert verdicts == [linalg.is_nilpotent(m) for m in mats]
         assert verdicts == [kind != "random" for kind, _ in kinds]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from(["random", "upper", "chain", "zero"]), st.integers(-900, 900))
+    def test_verdict_is_scale_invariant(self, n, seed, kind, exponent):
+        # scaling by 2^k is exact while the entries stay normal, so any
+        # change of the verdict is a defect: squared entries that
+        # underflow, or powers that overflow
+        m = self.case(kind, n, np.random.default_rng(seed))
+        scaled = np.ldexp(m, exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            verdicts = [linalg.is_nilpotent(m), linalg.is_nilpotent(scaled),
+                        *linalg.is_nilpotent(np.stack((m, scaled))).tolist()]
+        assert verdicts == [kind != "random"] * 4
+
+    @pytest.mark.parametrize("m", [1e-30 * np.eye(6), 1e170 * np.eye(6), [[1e-170]]],
+                             ids=["tiny-eye", "huge-eye", "tiny-scalar"])
+    @pytest.mark.filterwarnings("error")
+    def test_far_scaled_identity_not_flagged(self, m):
+        assert not linalg.is_nilpotent(m)
 
 
 def _edge_ratios(m):

@@ -16,7 +16,6 @@ from sensact.plant import SystemModel, mode_matrices, synthesize_gains
 from sensact.search import (
     COST_RTOL,
     CostWeights,
-    SearchOptions,
     SequenceEvaluator,
     search_fixed_length,
     search_up_to,
@@ -123,19 +122,17 @@ class TestFixedLengthSearch:
         # within one length the word -> core map is a bijection, so the
         # cache pays off only when an evaluator is shared across lengths
         evaluator = SequenceEvaluator(cw_model, cw_gains, est_weights)
-        res4 = search_fixed_length(4, cw_model, cw_gains, est_weights,
-                                   evaluator=evaluator)
-        assert res4.counts.cores_evaluated == 16
-        assert res4.counts.memo_hits == 0
-        res8 = search_fixed_length(8, cw_model, cw_gains, est_weights,
-                                   evaluator=evaluator)
+        evaluator.resolve(list(search_module._necklaces(4)))
+        assert evaluator.counts["cores_evaluated"] == 16
+        assert evaluator.counts["memo_hits"] == 0
+        before = dict(evaluator.counts)
+        evaluator.resolve(list(search_module._necklaces(8)))
         # all 16 cores of lengths dividing 4 come back from the cache
-        assert res8.counts.memo_hits == 16
-        assert res8.counts.cores_evaluated == 256 - 16
+        assert evaluator.counts["memo_hits"] - before["memo_hits"] == 16
+        assert evaluator.counts["cores_evaluated"] - before["cores_evaluated"] == 256 - 16
 
     def test_table_option(self, cw_model, cw_gains, est_weights):
-        res = search_fixed_length(3, cw_model, cw_gains, est_weights,
-                                  SearchOptions(include_table=True))
+        res = search_fixed_length(3, cw_model, cw_gains, est_weights, table=True)
         assert len(res.table) == 8
         assert all(cost is None for _, _, cost in res.table)  # nothing admissible
 
@@ -155,6 +152,18 @@ class TestSearchUpTo:
         assert not res.feasible
         assert res.cost == float("inf")
         assert res.counts.enumerated == 2 + 4 + 8
+
+    @pytest.mark.parametrize("all_lengths", [False, True])
+    def test_infeasible_table_is_the_last_lengths(self, all_lengths, cw_model, cw_gains,
+                                                 est_weights):
+        # the table belongs to the reported length, n_max when no length
+        # is feasible: the 8 inadmissible words of length 3, as --n 3 tables them
+        res = search_up_to(3, cw_model, cw_gains, est_weights, all_lengths=all_lengths,
+                           table=True)
+        fixed = search_fixed_length(3, cw_model, cw_gains, est_weights, table=True)
+        assert not res.feasible and res.length == 3
+        assert len(res.table) == 8
+        assert res.table == fixed.table
 
     def test_single_mode_feasibility(self):
         # both single-mode schedules work when every closed loop is stable
@@ -182,8 +191,7 @@ class TestSearchUpTo:
                                                      (True, 2**9 - 2)])
     def test_counts_cover_every_length_searched(self, all_lengths, words, cw_model,
                                                 cw_gains, est_weights):
-        res = search_up_to(8, cw_model, cw_gains, est_weights,
-                           SearchOptions(all_lengths=all_lengths))
+        res = search_up_to(8, cw_model, cw_gains, est_weights, all_lengths=all_lengths)
         assert res.feasible
         assert res.counts.enumerated == words
         # every word's core is either evaluated or served from the cache
@@ -191,8 +199,7 @@ class TestSearchUpTo:
 
     def test_all_lengths_option(self, cw_model, cw_gains, est_weights):
         first = search_up_to(8, cw_model, cw_gains, est_weights)
-        best = search_up_to(8, cw_model, cw_gains, est_weights,
-                            SearchOptions(all_lengths=True))
+        best = search_up_to(8, cw_model, cw_gains, est_weights, all_lengths=True)
         # the estimation-only cost rewards extra sensing, so the global
         # optimum over all lengths beats the first-feasible length-4 one
         assert best.cost < first.cost
@@ -258,16 +265,14 @@ class TestNecklaceSearch:
 
     @pytest.mark.parametrize("length", range(1, 11))
     def test_estimation_cost(self, length, cw_model, cw_gains, cw_mm, est_weights):
-        res = search_fixed_length(length, cw_model, cw_gains, est_weights,
-                                  SearchOptions(include_table=True))
+        res = search_fixed_length(length, cw_model, cw_gains, est_weights, table=True)
         _assert_matches_brute_force(
             res, _word_costs(length, cw_model, cw_gains, cw_mm, est_weights))
 
     @pytest.mark.parametrize("length", range(1, 8))
     def test_blended_cost(self, length, cw_model, cw_gains, cw_mm):
         weights = CostWeights(r_err=np.eye(6), r_state=np.eye(6), r_eta=0.1)
-        res = search_fixed_length(length, cw_model, cw_gains, weights,
-                                  SearchOptions(include_table=True))
+        res = search_fixed_length(length, cw_model, cw_gains, weights, table=True)
         _assert_matches_brute_force(res, _word_costs(length, cw_model, cw_gains, cw_mm,
                                                      weights))
 
@@ -275,8 +280,7 @@ class TestNecklaceSearch:
     def test_second_plant(self, length, second_plant):
         model, gains, mm = second_plant
         weights = CostWeights.estimation(2)
-        res = search_fixed_length(length, model, gains, weights,
-                                  SearchOptions(include_table=True))
+        res = search_fixed_length(length, model, gains, weights, table=True)
         _assert_matches_brute_force(res, _word_costs(length, model, gains, mm, weights))
 
     def test_one_exact_evaluation_per_necklace(self, cw_model, cw_gains, est_weights,
@@ -313,21 +317,19 @@ class TestNecklaceSearch:
         # of the 216 sides of the 108 necklaces of length 10, the radius
         # bounds leave 4 open: one batched eigvals call for those, and one
         # for the winner's two sides in its scalar report
-        evaluator = SequenceEvaluator(cw_model, cw_gains, est_weights)
         rows = []
         real = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or real(a))
-        res = search_fixed_length(10, cw_model, cw_gains, est_weights, evaluator=evaluator)
+        res = search_fixed_length(10, cw_model, cw_gains, est_weights)
         assert rows == [4, 2]
         assert str(res.sequence) == "0001100011"
 
     @pytest.mark.parametrize("batch", [1, 7])
     def test_batch_boundaries(self, batch, cw_model, cw_gains, est_weights, monkeypatch):
         # necklaces split into chunks of _BATCH rows give the same search
-        opts = SearchOptions(include_table=True)
-        expected = search_fixed_length(10, cw_model, cw_gains, est_weights, opts)
+        expected = search_fixed_length(10, cw_model, cw_gains, est_weights, table=True)
         monkeypatch.setattr(search_module, "_BATCH", batch)
-        res = search_fixed_length(10, cw_model, cw_gains, est_weights, opts)
+        res = search_fixed_length(10, cw_model, cw_gains, est_weights, table=True)
         assert res.sequence.bits == expected.sequence.bits
         assert res.cost.hex() == expected.cost.hex()
         assert [s.bits for s in res.tied] == [s.bits for s in expected.tied]
@@ -342,8 +344,7 @@ class TestNecklaceSearch:
         # the 108 necklaces of length 10, longest first, are 99 of period
         # 10, 6 of period 5, 1 of period 2 and 2 of period 1; 100-row chunks
         # end one row into period 5, so both chunks mix periods
-        opts = SearchOptions(include_table=True)
-        expected = search_fixed_length(10, cw_model, cw_gains, weights, opts)
+        expected = search_fixed_length(10, cw_model, cw_gains, weights, table=True)
         chunks = []
         real = search_module.contractive_stacked
 
@@ -353,7 +354,7 @@ class TestNecklaceSearch:
 
         monkeypatch.setattr(search_module, "contractive_stacked", recorded)
         monkeypatch.setattr(search_module, "_BATCH", 100)
-        res = search_fixed_length(10, cw_model, cw_gains, weights, opts)
+        res = search_fixed_length(10, cw_model, cw_gains, weights, table=True)
         assert chunks == [[(10, 99), (5, 1)], [(5, 5), (2, 1), (1, 2)]]
         assert res == expected
         assert res.cost.hex() == expected.cost.hex()
@@ -361,17 +362,19 @@ class TestNecklaceSearch:
 
 class TestOneResolvePerSearch:
     """search_up_to with all_lengths resolves the necklaces of every length
-    in one call; each length's winner and ties, the counts, and the
-    winning length's table are those of one search_fixed_length call per
-    length on a shared evaluator. No other length's table is built."""
+    in one call; each length's winner and ties, and the winning length's
+    table, are those of search_fixed_length at that length, bit for bit
+    (a cost does not depend on which rows share its chunk), and the counts
+    those of resolving each length in turn on one evaluator. No other
+    length's table is built."""
 
     @pytest.mark.parametrize("n_max", [1, 4, 7, 10])
     def test_all_lengths_is_sequential_search(self, n_max, cw_model, cw_gains, est_weights,
                                               monkeypatch):
-        opts = SearchOptions(all_lengths=True, include_table=True)
         evaluator = SequenceEvaluator(cw_model, cw_gains, est_weights)
-        sequential = [search_fixed_length(length, cw_model, cw_gains, est_weights, opts,
-                                          evaluator)
+        for length in range(1, n_max + 1):
+            evaluator.resolve(list(search_module._necklaces(length)))
+        sequential = [search_fixed_length(length, cw_model, cw_gains, est_weights, table=True)
                       for length in range(1, n_max + 1)]
         resolves = []
         selected = []
@@ -387,7 +390,7 @@ class TestOneResolvePerSearch:
 
         monkeypatch.setattr(SequenceEvaluator, "resolve", resolve)
         monkeypatch.setattr(search_module, "_select", select)
-        res = search_up_to(n_max, cw_model, cw_gains, est_weights, opts)
+        res = search_up_to(n_max, cw_model, cw_gains, est_weights, all_lengths=True, table=True)
         assert len(resolves) == 1
         assert [r.length for r in selected] == list(range(1, n_max + 1))
         for one, seq in zip(selected, sequential):
@@ -401,7 +404,8 @@ class TestOneResolvePerSearch:
         assert res.counts == search_module.SearchCounts(enumerated=2**(n_max + 1) - 2,
                                                         **evaluator.counts)
         if best is None:
-            assert not res.feasible and res.length == n_max
+            # the table of an infeasible search is its last length's
+            assert res == replace(sequential[-1], counts=res.counts)
             return
         assert res == replace(best, counts=res.counts)
 
@@ -460,7 +464,7 @@ class TestSearchMemoryBound:
         with pytest.raises(DomainError, match="^a search of length 12 needs "):
             search_fixed_length(12, cw_model, cw_gains, est_weights)
         with pytest.raises(DomainError, match="^a search of length 11 needs "):
-            search_up_to(11, cw_model, cw_gains, est_weights, SearchOptions(all_lengths=True))
+            search_up_to(11, cw_model, cw_gains, est_weights, all_lengths=True)
 
     def test_up_to_refuses_only_the_length_it_reaches(self, cw_model, cw_gains, est_weights,
                                                       memory_for):
@@ -479,14 +483,14 @@ class TestSearchMemoryBound:
         # longest length's table, the largest that can win, and a search
         # stopping at its first feasible length counts that length's only
         last = n_max if all_lengths else length
-        opts = SearchOptions(all_lengths=all_lengths, include_table=True)
+        opts = {"all_lengths": all_lengths, "table": True}
         memory_for(range(1, last + 1), table_length=last)
-        result = search_up_to(n_max, cw_model, cw_gains, est_weights, opts)
+        result = search_up_to(n_max, cw_model, cw_gains, est_weights, **opts)
         assert result.length == length and len(result.table) == 2**length
         memory_for(range(1, last + 1), table_length=last, spare=-1)
         with pytest.raises(DomainError, match=f"^a search of length {last} needs .* "
                                               "for its necklaces and table, "):
-            search_up_to(n_max, cw_model, cw_gains, est_weights, opts)
+            search_up_to(n_max, cw_model, cw_gains, est_weights, **opts)
 
     def test_all_lengths_table_leaves_the_peak(self, cw_model, cw_gains, est_weights):
         # lengths 1..12 have 8190 words, and only the 2048 of the winning
@@ -495,12 +499,12 @@ class TestSearchMemoryBound:
         # (holding every length's table raised it by 59%)
         import tracemalloc
 
-        search_up_to(12, cw_model, cw_gains, est_weights, SearchOptions(all_lengths=True))
+        search_up_to(12, cw_model, cw_gains, est_weights, all_lengths=True)
         peaks = []
         for table in (False, True):
             tracemalloc.start()
-            result = search_up_to(12, cw_model, cw_gains, est_weights,
-                                  SearchOptions(all_lengths=True, include_table=table))
+            result = search_up_to(12, cw_model, cw_gains, est_weights, all_lengths=True,
+                                  table=table)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert result.length == 11 and len(result.table) == 2048

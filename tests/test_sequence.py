@@ -8,7 +8,7 @@ from oracles import brute_force_core, exact_log_fro_power, make_stable
 
 from sensact import linalg
 from sensact.exceptions import DomainError, NilpotencyError
-from sensact.modelio import build_from_config, validate_config
+from sensact.modelio import build_from_config
 from sensact.plant import ModeMatrices, mode_matrices
 from sensact.sequence import (
     _MAX_KSTAR,
@@ -212,7 +212,6 @@ class TestGrowthConstant:
         cfg = {"plant": {"continuous": {"a": [[a]], "b": [[1.0]]}, "c": [[1.0]], "ts": 1.0},
                "noise": {"sigma_w": [[0.1]], "sigma_v": [[0.1]]},
                "gains": {"q": [[1.0]], "r": [[1.0]]}}
-        validate_config(cfg)
         mm = mode_matrices(*build_from_config(cfg))
         assert growth_constant(mm, kstar=kstar, family="all") == pytest.approx(1.0, rel=1e-12)
 
